@@ -4,9 +4,9 @@ Max-min fair powers under interference protection
 
 Every transmitter must keep the power it lands on every fixed source below
 that source's threshold, which caps its transmit power.  The max-min solve
-pushes everyone to their cap and certifies the common achievable rate by
-bisection.  This script tightens the threshold and watches caps, bottleneck
-rate, and margins respond.
+pushes everyone to their cap; the common achievable rate is the bottleneck
+edge rate there.  This script tightens the threshold and watches caps,
+bottleneck rate, and margins respond.
 """
 
 import numpy as np

@@ -19,7 +19,7 @@ from .channel import FadingModel, build_state
 from .flow import from_adjacency, max_flow
 from .power import solve_maxmin, verify_interference
 from .scenario import Scenario, validate
-from .spectral import LaplacianMode, build_matrices, connectivity_bundle
+from .spectral import LaplacianMode, connectivity_bundle
 from .trajectory import GradientMode, TrajectoryConfig, lambda2_gradient, step
 
 
@@ -53,7 +53,7 @@ class IterationRecord:
     flow_bits_per_s: float
     min_interference_margin_w: float
     interference_ok: bool
-    eta: float                       # certified max-min link rate (nan before solve)
+    eta: float                       # max-min link rate at the caps (nan before solve)
     gradient_mode: GradientMode | None
     stalled: bool
     degenerate: bool
@@ -171,10 +171,6 @@ def replay_flow(history: RunHistory, scenario: Scenario,
     optimizer.  Raises IndexError for a record index outside the history.
     """
     config = config or OptimizerConfig()
-    records = history.records
-    rec = records[t]
+    rec = history.records[t]
     s = scenario.with_uav_positions(rec.uav_positions).with_node_powers(rec.powers_w)
-    matrices = build_matrices(s, config.fading)
-    net = from_adjacency(matrices, s.source, s.destination)
-    value, _ = max_flow(net)
-    return value
+    return _evaluate(s, config)[1]

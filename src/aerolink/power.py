@@ -5,9 +5,8 @@ source m below that source's threshold: P_i |h_im|^2 <= I_max_m.  Together
 with the budget P_max this induces a per-node cap.  Because no primary
 transmit power appears in any SIR denominator, every link rate is
 monotone non-decreasing in every power, so pushing all transmitters to
-their caps is simultaneously optimal for the minimum link rate.  The
-solver still certifies the optimum by bisecting on the common rate
-target, which keeps it honest if the structure ever changes.
+their caps is simultaneously optimal for the minimum link rate, and the
+max-min rate is the bottleneck edge rate at the caps.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, build_state, sir
+from .channel import ChannelState, FadingModel, build_state, edge_rate
 from .scenario import Scenario
 
 # relative slack for cap and threshold comparisons
@@ -27,13 +26,12 @@ _SLACK = 1.0e-12
 class BindingConstraint(Enum):
     P_MAX = "p-max"
     INTERFERENCE_CAP = "interference-cap"
-    INTERIOR = "interior"
 
 
 @dataclass(frozen=True)
 class PowerSolution:
     powers_w: np.ndarray         # (n_primary,)
-    eta: float                   # certified max-min link rate, bit/s
+    eta: float                   # max-min link rate at the caps, bit/s
     binding: tuple               # per node: (BindingConstraint, si index or None)
     feasible: bool
 
@@ -74,27 +72,13 @@ def _binding_report(scenario, caps, state):
     return tuple(out)
 
 
-def _directed_rates(scenario, state, powers):
-    """log2(1+SIR) per directed topology arc at the given powers."""
-    s = scenario.with_node_powers(powers)
-    rates = {}
-    for i, j in scenario.topology:
-        rates[(i, j)] = np.log2(1.0 + sir(i, j, s, state=state))
-        rates[(j, i)] = np.log2(1.0 + sir(j, i, s, state=state))
-    return rates
-
-
 def solve_maxmin(scenario: Scenario,
                  fading: FadingModel | None = None,
                  state: ChannelState | None = None) -> PowerSolution:
     """Max-min edge rate power allocation on a chain topology.
 
-    Bisects on the common rate target eta.  Feasibility of a target is
-    checked link by link: with the partner at its cap, the transmitter power
-    needed to close the remaining log2 budget has a closed form because SIR
-    is linear in own power; the target is feasible iff every such power fits
-    under its cap.  The certified eta comes with powers at the caps, which
-    achieve it.
+    Every transmitter runs at its cap, and eta is the smallest edge rate
+    there: no rate can rise by lowering any power.
     """
     edges = sorted(tuple(sorted(e)) for e in scenario.topology)
     chain = [(i, i + 1) for i in range(scenario.n_primary - 1)]
@@ -108,50 +92,9 @@ def solve_maxmin(scenario: Scenario,
         return PowerSolution(powers_w=np.maximum(caps, 0.0), eta=0.0,
                              binding=binding, feasible=False)
 
-    b = scenario.channel.bandwidth_hz
-    at_caps = _directed_rates(scenario, st, caps)
-    upper = min(0.5 * b * (at_caps[(i, j)] + at_caps[(j, i)])
-                for i, j in scenario.topology)
-
-    n = scenario.n_primary
-    gains = st.gain_sq[:n, :n]
-    denom = np.array([[st.sir_denominator(i, j) if i != j else np.nan
-                       for j in range(n)] for i in range(n)])
-
-    eps = np.finfo(float).eps
-
-    def feasible(eta):
-        # per directed arc (i -> j): power needed when the reverse arc runs at cap
-        for i, j in scenario.topology:
-            for tx, rx in ((i, j), (j, i)):
-                delta = 2.0 * eta / b - at_caps[(rx, tx)]
-                growth = np.expm1(np.log(2.0) * delta)   # 2^delta - 1, stable
-                if growth <= 0.0:
-                    continue
-                p_req = growth * denom[tx, rx] / gains[tx, rx]
-                # forming delta cancels almost completely on a nearly one-way
-                # edge; widen the cap comparison by that roundoff so the check
-                # cannot reject the exact optimum
-                noise = 16.0 * eps * max(1.0, 2.0 * eta / b,
-                                         at_caps[(rx, tx)]) / delta
-                if p_req > caps[tx] * (1.0 + max(_SLACK, noise)):
-                    return False
-        return True
-
-    lo, hi = 0.0, float(upper)
-    tol = 1.0e-6 * b
-    if feasible(hi):
-        eta = hi
-    else:
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        eta = lo
-
-    return PowerSolution(powers_w=caps, eta=float(eta), binding=binding, feasible=True)
+    at_caps = scenario.with_node_powers(caps)
+    eta = min(edge_rate(i, j, at_caps, state=st) for i, j in scenario.topology)
+    return PowerSolution(powers_w=caps, eta=eta, binding=binding, feasible=True)
 
 
 def verify_interference(scenario: Scenario,

@@ -330,16 +330,18 @@ def validate(scenario: Scenario) -> list:
 
     if not np.all(np.isfinite(scenario.node_powers_w)) or np.any(scenario.node_powers_w <= 0.0):
         errs.append("transmit powers must be positive")
-    elif scenario.p_max_w <= 0.0:
-        errs.append("power budget p_max must be positive")
+    elif not np.isfinite(scenario.p_max_w) or scenario.p_max_w <= 0.0:
+        errs.append("power budget p_max must be positive and finite")
     elif np.any(scenario.node_powers_w > scenario.p_max_w * (1.0 + 1e-12)):
         errs.append("transmit powers must not exceed the power budget p_max")
-    if np.any(scenario.si_powers_w <= 0.0):
-        errs.append("interference source powers must be positive")
-    if np.any(scenario.i_max_w <= 0.0):
-        errs.append("interference thresholds must be positive")
+    if not np.all(np.isfinite(scenario.si_powers_w)) or np.any(scenario.si_powers_w <= 0.0):
+        errs.append("interference source powers must be positive and finite")
+    if not np.all(np.isfinite(scenario.i_max_w)) or np.any(scenario.i_max_w <= 0.0):
+        errs.append("interference thresholds must be positive and finite")
 
     w = scenario.weights
+    if not np.all(np.isfinite(w)):
+        errs.append("weights must be finite")
     if w.shape[0] == scenario.n_primary and scenario.n_primary >= 2:
         if w[scenario.source] != 1.0:
             errs.append("source weight must be 1")
@@ -406,7 +408,11 @@ def _uavs_from_config(section: dict, bs: np.ndarray, ue: np.ndarray) -> np.ndarr
 def _sis_from_config(section: dict, seed) -> np.ndarray:
     """Explicit positions, or `count` sources drawn uniformly from the seed."""
     if "positions_m" in section:
-        return np.asarray(section["positions_m"], dtype=float).reshape(-1, 3)
+        sis = np.asarray(section["positions_m"], dtype=float)
+        # an empty list is the only input the reshape may fix
+        if sis.size and (sis.ndim != 2 or sis.shape[1] != 3):
+            raise ValueError("sis.positions_m must be a list of [x, y, z] triples")
+        return sis.reshape(-1, 3)
     count = int(section.get("count", 0))
     if count == 0:
         return np.zeros((0, 3))

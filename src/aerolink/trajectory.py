@@ -11,8 +11,7 @@ is only a heuristic.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -106,7 +105,6 @@ def _fd_gradient(scenario: Scenario, fading, weights, mode, h: float) -> np.ndar
 
 def lambda2_gradient(scenario: Scenario,
                      fading: FadingModel | None = None,
-                     weights: np.ndarray | None = None,
                      laplacian_mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
                      gradient_mode: GradientMode = GradientMode.ANALYTIC,
                      fd_step_m: float = 1.0e-3,
@@ -123,7 +121,7 @@ def lambda2_gradient(scenario: Scenario,
     if state is None:
         state = build_state(scenario, fading)
     if bundle is None:
-        bundle = connectivity_bundle(scenario, fading, weights, laplacian_mode, state)
+        bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state)
     mode_used = gradient_mode
     degenerate = bundle.degenerate
     if gradient_mode is GradientMode.ANALYTIC:
@@ -159,7 +157,6 @@ def step(scenario: Scenario,
          gradient: GradientField,
          config: TrajectoryConfig,
          fading: FadingModel | None = None,
-         weights: np.ndarray | None = None,
          laplacian_mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
          bundle: LaplacianBundle | None = None,
          state=None) -> StepResult:
@@ -175,7 +172,7 @@ def step(scenario: Scenario,
     if state is None:
         state = build_state(scenario, fading)
     if bundle is None:
-        bundle = connectivity_bundle(scenario, fading, weights, laplacian_mode, state)
+        bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state)
     lam_old = bundle.lambda2
     base = scenario.uav_positions
     axes = list(config.mask.axes)
@@ -195,7 +192,7 @@ def step(scenario: Scenario,
 
     def lam_at(pos):
         return connectivity_bundle(scenario.with_uav_positions(pos),
-                                   fading, weights, laplacian_mode).lambda2
+                                   fading, mode=laplacian_mode).lambda2
 
     dt = config.dt
     pos = candidate(dt)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from aerolink.cli import main
+from aerolink.cli import cmd_run, main
 from aerolink.optimizer import TerminationReason
 from aerolink.scenario import build_default_scenario, scenario_to_config
 
@@ -110,6 +110,35 @@ def test_bad_config_exits_one_and_writes_nothing(tmp_path):
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["run", "--config", str(incomplete), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["p_max_dbm", "si_dbm", "i_max_dbm", "weights"])
+def test_non_finite_config_value_exits_one(tmp_path, field):
+    cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
+    if field == "weights":
+        cfg["weights"][1] = float("nan")
+    elif field == "p_max_dbm":
+        cfg["powers"]["p_max_dbm"] = float("nan")
+    else:
+        cfg["powers"][field][0] = float("nan")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg_path), str(out)) == 1
+    assert not out.exists()
+
+
+def test_source_positions_must_be_triples(tmp_path):
+    # three [x, y] pairs would reshape into two 3-D sources
+    cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
+    cfg["nodes"]["sis"] = {"positions_m": [[10.0, 5.0], [60.0, -5.0], [120.0, 30.0]]}
+    cfg["powers"]["si_dbm"] = 30.0
+    cfg["powers"]["i_max_dbm"] = -30.0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg_path), str(out)) == 1
     assert not out.exists()
 
 
