@@ -6,11 +6,22 @@ fading draw.  A transmission from i to j is received with power
 The link budget at a receiver competes against two terms: aggregate
 interference from the fixed sources, and a smoothed proximity penalty that
 grows steeply once another primary node comes within the separation radius.
+
+Everything is computed as arrays, once per geometry.  ``ChannelState`` holds
+the power-independent tables (gains, the SIR denominator of every ordered
+primary pair, the proximity-sum gradients); ``sir_matrix``, ``sir_jacobian``,
+``edge_rates`` and ``rate_jacobian`` combine them with a scenario's powers.
+Each array keeps the association of the per-pair formula it replaces (the
+same masked 1-D sums, ``(num/denom)*(dden/denom)``), so its entries equal a
+pair-at-a-time evaluation to the bit.  The scalar functions ``sir``,
+``edge_rate``, ``sir_spatial_gradient`` and ``rate_spatial_gradient`` index
+into these arrays and raise only for the pair they are asked about.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +131,9 @@ class ChannelState:
 
     Holds everything that does not change with primary transmit powers:
     pairwise distances, squared channel gains, per-receiver aggregate
-    interference, and the proximity penalty table over primary nodes.
+    interference, the proximity penalty table over primary nodes and the
+    SIR denominator of every ordered primary pair.  The gradient tables are
+    built on first use.
     """
 
     def __init__(self, scenario: Scenario, fading: FadingModel):
@@ -164,61 +177,62 @@ class ChannelState:
         u = smoothed_step(y, saf)
         np.fill_diagonal(u, 0.0)
         self.safety_u = u
-        # per-index exclusion masks; summing the surviving terms directly
-        # avoids the cancellation of subtracting a dominant u[j, i] from a
-        # full row sum (that subtraction silently absorbs tiny terms)
-        self._excl = ~np.eye(n, dtype=bool)
-        self._safety_slope = None
-        self._si_grad = None
-
-    # -- power-independent denominators ---------------------------------
+        # row i: every primary index but i.  Summing the surviving terms
+        # directly avoids the cancellation of subtracting a dominant u[j, i]
+        # from a full row sum (that subtraction silently absorbs tiny terms);
+        # the gathered last axis is summed exactly like a masked 1-D row
+        self._others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+        safety = u[np.arange(n)[None, :, None], self._others[:, None, :]].sum(axis=-1)
+        # sir_denominators[i, j]: sources at j plus chi * proximity sum over k not in {i, j}
+        self.sir_denominators = self.interference_w[None, :] + saf.chi * safety
 
     def sir_denominator(self, i: int, j: int) -> float:
-        chi = self.scenario.safety.chi
-        safety = float(self.safety_u[j][self._excl[i]].sum())
-        return float(self.interference_w[j] + chi * safety)
+        return float(self.sir_denominators[i, j])
 
     # -- lazy gradient tables --------------------------------------------
 
-    @property
+    @functools.cached_property
     def safety_slope(self) -> np.ndarray:
         """S[j,k] with d u(d_jk/r)/d r_j = S[j,k] * (r_j - r_k)."""
-        if self._safety_slope is None:
-            n = self.scenario.n_primary
-            saf = self.scenario.safety
-            d = self.dist[:n, :n]
-            safe = np.where(np.eye(n, dtype=bool), 1.0, d)
-            s = smoothed_step_slope(d / saf.r_int_m, saf) / (saf.r_int_m * safe)
-            np.fill_diagonal(s, 0.0)
-            self._safety_slope = s
-        return self._safety_slope
+        n = self.scenario.n_primary
+        saf = self.scenario.safety
+        d = self.dist[:n, :n]
+        safe = np.where(np.eye(n, dtype=bool), 1.0, d)
+        s = smoothed_step_slope(d / saf.r_int_m, saf) / (saf.r_int_m * safe)
+        np.fill_diagonal(s, 0.0)
+        return s
 
-    @property
+    @functools.cached_property
     def si_interference_grad(self) -> np.ndarray:
         """(n_primary, 3): gradient of the aggregate interference at receiver j
         with respect to receiver j's own position."""
-        if self._si_grad is None:
-            sc = self.scenario
-            n = sc.n_primary
-            si = list(sc.si_indices)
-            out = np.zeros((n, 3))
-            if si:
-                pos = sc.positions
-                d = self.dist[np.ix_(si, range(n))]
-                coeff = (sc.si_powers_w[:, None]
-                         * (-self.alpha[np.ix_(si, range(n))])
-                         * self.gain_sq[np.ix_(si, range(n))] / d ** 2)
-                diff = pos[:n][None, :, :] - pos[si][:, None, :]
-                out = np.einsum("mj,mjc->jc", coeff, diff)
-            self._si_grad = out
-        return self._si_grad
+        sc = self.scenario
+        n = sc.n_primary
+        si = list(sc.si_indices)
+        if not si:
+            return np.zeros((n, 3))
+        pos = sc.positions
+        d = self.dist[np.ix_(si, range(n))]
+        coeff = (sc.si_powers_w[:, None]
+                 * (-self.alpha[np.ix_(si, range(n))])
+                 * self.gain_sq[np.ix_(si, range(n))] / d ** 2)
+        diff = pos[:n][None, :, :] - pos[si][:, None, :]
+        return np.einsum("mj,mjc->jc", coeff, diff)
+
+    @functools.cached_property
+    def safety_sum_gradients(self) -> np.ndarray:
+        """(n_primary, n_primary, 3): entry [i, j, axis] is the derivative of the
+        proximity sum over k not in {i, j} w.r.t. receiver j's coordinate."""
+        n = self.scenario.n_primary
+        pos = self.scenario.positions[:n]
+        # terms[j, axis, k] = S[j, k] * (r_j - r_k)[axis]
+        terms = self.safety_slope[:, None, :] * (pos[:, :, None] - pos.T[None, :, :])
+        return terms[np.arange(n)[None, :, None, None], np.arange(3)[None, None, :, None],
+                     self._others[:, None, None, :]].sum(axis=-1)
 
     def safety_sum_gradient(self, i: int, j: int, axis: int) -> float:
         """d/d(receiver j coordinate) of the proximity sum over k not in {i, j}."""
-        n = self.scenario.n_primary
-        pos = self.scenario.positions
-        terms = self.safety_slope[j] * (pos[j, axis] - pos[:n, axis])
-        return float(terms[self._excl[i]].sum())
+        return float(self.safety_sum_gradients[i, j, axis])
 
 
 def build_state(scenario: Scenario, fading: FadingModel | None = None) -> ChannelState:
@@ -248,6 +262,37 @@ def link_gain(i: int, j: int, scenario: Scenario,
     )
 
 
+_ZERO_DENOMINATOR = ("zero SIR denominator: no interference sources and no "
+                     "proximity term (chi = 0 or fully decayed)")
+
+
+def sir_matrix(scenario: Scenario, state: ChannelState) -> np.ndarray:
+    """(n_primary, n_primary) SIR of every ordered pair at the scenario's powers.
+
+    Unchecked: a zero denominator gives inf or nan, and the diagonal means
+    nothing.  ``sir`` is the checked lookup of one entry.
+    """
+    n = scenario.n_primary
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return scenario.node_powers_w[:, None] * state.gain_sq[:n, :n] / state.sir_denominators
+
+
+def _require_primary_pair(i, j, scenario):
+    n = scenario.n_primary
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("SIR is defined between primary nodes only")
+    if i == j:
+        raise ValueError("SIR undefined for a node talking to itself")
+
+
+def _finite_sir(value) -> float:
+    # a denormal proximity-only denominator overflows the quotient; that is
+    # the zero-denominator case in all but the last few bits
+    if not math.isfinite(value):
+        raise ValueError(_ZERO_DENOMINATOR)
+    return float(value)
+
+
 def sir(i: int, j: int, scenario: Scenario,
         fading: FadingModel | None = None,
         state: ChannelState | None = None) -> float:
@@ -258,24 +303,38 @@ def sir(i: int, j: int, scenario: Scenario,
     i and j, scaled by chi.  There is no thermal noise term; a scenario with
     no sources and chi = 0 therefore has no defined SIR.
     """
-    n = scenario.n_primary
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("SIR is defined between primary nodes only")
-    if i == j:
-        raise ValueError("SIR undefined for a node talking to itself")
+    _require_primary_pair(i, j, scenario)
     st = _state_for(scenario, fading, state)
-    denom = st.sir_denominator(i, j)
-    if denom == 0.0:
-        raise ValueError("zero SIR denominator: no interference sources and no "
-                         "proximity term (chi = 0 or fully decayed)")
-    with np.errstate(over="ignore"):
-        value = float(scenario.node_powers_w[i] * st.gain_sq[i, j] / denom)
-    if not np.isfinite(value):
-        # a denormal proximity-only denominator overflows the quotient; that
-        # is the zero-denominator case in all but the last few bits
-        raise ValueError("zero SIR denominator: no interference sources and no "
-                         "proximity term (chi = 0 or fully decayed)")
-    return value
+    return _finite_sir(sir_matrix(scenario, st)[i, j])
+
+
+def _checked_sirs(edges, scenario, state) -> np.ndarray:
+    """SIR matrix, checked as ``sir`` checks them on both directions of each edge."""
+    sirs = sir_matrix(scenario, state)
+    for p, q in edges:
+        if p != q:
+            for i, j in ((p, q), (q, p)):
+                _require_primary_pair(i, j, scenario)
+                _finite_sir(sirs[i, j])
+    return sirs
+
+
+def _endpoints(edges):
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+def _rates(scenario, sirs, edges) -> np.ndarray:
+    p, q = _endpoints(edges)
+    b = scenario.channel.bandwidth_hz
+    rates = 0.5 * b * (np.log2(1.0 + sirs[p, q]) + np.log2(1.0 + sirs[q, p]))
+    return np.where(p == q, 0.0, rates)
+
+
+def edge_rates(scenario: Scenario, state: ChannelState) -> np.ndarray:
+    """Rates of the topology edges in topology order, bit/s (see ``edge_rate``)."""
+    return _rates(scenario, _checked_sirs(scenario.topology, scenario, state),
+                  scenario.topology)
 
 
 def edge_rate(i: int, j: int, scenario: Scenario,
@@ -290,9 +349,8 @@ def edge_rate(i: int, j: int, scenario: Scenario,
         return 0.0
     _require_edge(i, j, scenario)
     st = _state_for(scenario, fading, state)
-    b = scenario.channel.bandwidth_hz
-    return float(0.5 * b * (np.log2(1.0 + sir(i, j, scenario, state=st))
-                            + np.log2(1.0 + sir(j, i, scenario, state=st))))
+    edge = [(i, j)]
+    return float(_rates(scenario, _checked_sirs(edge, scenario, st), edge)[0])
 
 
 def _require_edge(i, j, scenario):
@@ -313,6 +371,48 @@ def _resolve_wrt(scenario, wrt):
     return t, axis
 
 
+def sir_jacobian(scenario: Scenario, state: ChannelState) -> np.ndarray:
+    """(n_primary, n_primary, n_uavs, 3): d sir(i, j) / d(UAV coordinate).
+
+    Unchecked like ``sir_matrix``; ``sir_spatial_gradient`` is the checked
+    lookup of one entry.  Each entry is dnum/denom - (num/denom)*(dden/denom)
+    with the per-pair formula's association, including its ``0.0 +`` start
+    of the denominator derivative (which turns a -0.0 term into +0.0).
+    """
+    sc, st = scenario, state
+    n = sc.n_primary
+    pos = sc.positions[:n]
+    powers = sc.node_powers_w
+    gain = st.gain_sq[:n, :n]
+    chi = sc.safety.chi
+    diff = pos[:, None, :] - pos[None, :, :]        # diff[a, b] = r_a - r_b
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    d = st.dist[i, j]
+
+    # numerator: the link gain moves with either endpoint
+    k = (powers[i] * (-st.alpha[i, j] * gain[i, j] / d))[:, None]
+    dnum = np.zeros((n, n, n, 3))
+    dnum[i, j, i] = k * (diff[i, j] / d[:, None])
+    dnum[i, j, j] = k * (diff[j, i] / d[:, None])
+
+    # denominator: a third party t moves its own proximity term at j; the
+    # receiver moves the source interference and the whole proximity sum
+    dden = np.zeros((n, n, n, 3))
+    if chi != 0.0:
+        dden[:] = 0.0 + chi * st.safety_slope[:, :, None] * diff.transpose(1, 0, 2)
+    own = 0.0 + st.si_interference_grad[j]
+    if chi != 0.0:
+        own = own + chi * st.safety_sum_gradients[i, j]
+    dden[i, j, j] = own
+    dden[i, j, i] = 0.0
+
+    denom = st.sir_denominators[:, :, None, None]
+    num = (powers[:, None] * gain)[:, :, None, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = dnum / denom - (num / denom) * (dden / denom)
+    return g[:, :, list(sc.uav_indices)]
+
+
 def sir_spatial_gradient(i: int, j: int, wrt, scenario: Scenario,
                          fading: FadingModel | None = None,
                          state: ChannelState | None = None) -> float:
@@ -327,32 +427,26 @@ def sir_spatial_gradient(i: int, j: int, wrt, scenario: Scenario,
     if i == j:
         raise ValueError("SIR undefined for a node talking to itself")
     st = _state_for(scenario, fading, state)
-    sc = scenario
-    pos = sc.positions
-    denom = st.sir_denominator(i, j)
-    if denom == 0.0:
-        raise ValueError("zero SIR denominator: no interference sources and no "
-                         "proximity term (chi = 0 or fully decayed)")
-    num = sc.node_powers_w[i] * st.gain_sq[i, j]
+    if st.sir_denominators[i, j] == 0.0:
+        raise ValueError(_ZERO_DENOMINATOR)
+    return float(sir_jacobian(scenario, st)[i, j, scenario.uav_indices.index(t), c])
 
-    dnum = 0.0
-    if t == i or t == j:
-        other = j if t == i else i
-        d = st.dist[i, j]
-        dd = (pos[t, c] - pos[other, c]) / d
-        dnum = sc.node_powers_w[i] * (-st.alpha[i, j] * st.gain_sq[i, j] / d) * dd
 
-    dden = 0.0
-    if t == j:
-        dden += st.si_interference_grad[j, c]
-    chi = sc.safety.chi
-    if chi != 0.0:
-        if t == j:
-            dden += chi * st.safety_sum_gradient(i, j, c)
-        elif t != i:
-            dden += chi * st.safety_slope[j, t] * (pos[t, c] - pos[j, c])
+def _rate_jacobian(scenario, state, sirs, edges) -> np.ndarray:
+    p, q = _endpoints(edges)
+    g = sir_jacobian(scenario, state)
+    b = scenario.channel.bandwidth_hz
+    jac = b / (2.0 * LN2) * (g[p, q] / (1.0 + sirs[p, q])[:, None, None]
+                             + g[q, p] / (1.0 + sirs[q, p])[:, None, None])
+    jac[p == q] = 0.0
+    return jac
 
-    return float(dnum / denom - (num / denom) * (dden / denom))
+
+def rate_jacobian(scenario: Scenario, state: ChannelState) -> np.ndarray:
+    """(n_edges, n_uavs, 3): derivative of each topology edge rate, in topology
+    order, w.r.t. every UAV coordinate (see ``rate_spatial_gradient``)."""
+    sirs = _checked_sirs(scenario.topology, scenario, state)
+    return _rate_jacobian(scenario, state, sirs, scenario.topology)
 
 
 def rate_spatial_gradient(p: int, q: int, wrt, scenario: Scenario,
@@ -367,9 +461,7 @@ def rate_spatial_gradient(p: int, q: int, wrt, scenario: Scenario,
         return 0.0
     _require_edge(p, q, scenario)
     st = _state_for(scenario, fading, state)
-    b = scenario.channel.bandwidth_hz
-    s_pq = sir(p, q, scenario, state=st)
-    s_qp = sir(q, p, scenario, state=st)
-    g_pq = sir_spatial_gradient(p, q, wrt, scenario, state=st)
-    g_qp = sir_spatial_gradient(q, p, wrt, scenario, state=st)
-    return float(b / (2.0 * LN2) * (g_pq / (1.0 + s_pq) + g_qp / (1.0 + s_qp)))
+    edge = [(p, q)]
+    sirs = _checked_sirs(edge, scenario, st)
+    t, c = _resolve_wrt(scenario, wrt)
+    return float(_rate_jacobian(scenario, st, sirs, edge)[0, scenario.uav_indices.index(t), c])

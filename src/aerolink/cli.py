@@ -245,7 +245,8 @@ def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
 
 
 def gradcheck_rows(scenario: scen.Scenario, config: OptimizerConfig) -> list:
-    """Per-coordinate analytic vs finite-difference gradient comparison."""
+    """Analytic vs finite-difference gradient, one row per UAV coordinate on
+    the trajectory mask's axes."""
     analytic = lambda2_gradient(scenario, config.fading,
                                 laplacian_mode=config.laplacian_mode,
                                 gradient_mode=GradientMode.ANALYTIC).d_lambda2
@@ -253,13 +254,15 @@ def gradcheck_rows(scenario: scen.Scenario, config: OptimizerConfig) -> list:
                           laplacian_mode=config.laplacian_mode,
                           gradient_mode=GradientMode.FINITE_DIFFERENCE,
                           fd_step_m=config.trajectory.fd_step_m).d_lambda2
+    axes = list(config.trajectory.mask.axes)
+    analytic, fd = analytic[:, axes], fd[:, axes]
     scale = max(float(np.abs(analytic).max()), float(np.abs(fd).max()), 1.0e-300)
     rows = []
     for uidx, node in enumerate(scenario.uav_indices):
-        for axis, name in enumerate("xyz"):
-            a, f = float(analytic[uidx, axis]), float(fd[uidx, axis])
+        for col, axis in enumerate(axes):
+            a, f = float(analytic[uidx, col]), float(fd[uidx, col])
             rel = abs(a - f) / max(abs(a), abs(f), 1.0e-9 * scale)
-            rows.append({"uav": node, "axis": name,
+            rows.append({"uav": node, "axis": "xyz"[axis],
                          "analytic": a, "fd": f, "rel_err": rel})
     return rows
 
@@ -321,7 +324,7 @@ def main(argv=None) -> int:
     p_grad.add_argument("--config", required=True, help="scenario config JSON")
     p_grad.add_argument("--seed", type=int, default=None, help="override config seed")
     p_grad.add_argument("--mask", default=None, choices=["xy", "xz", "yz", "xyz"],
-                        help="axis mask override (affects reporting only)")
+                        help="axis mask override: report and check only these axes")
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, build_state, edge_rate
+from .channel import ChannelState, FadingModel, build_state, edge_rates
 from .scenario import Scenario
 
 # relative slack for cap and threshold comparisons
@@ -92,8 +92,7 @@ def solve_maxmin(scenario: Scenario,
         return PowerSolution(powers_w=np.maximum(caps, 0.0), eta=0.0,
                              binding=binding, feasible=False)
 
-    at_caps = scenario.with_node_powers(caps)
-    eta = min(edge_rate(i, j, at_caps, state=st) for i, j in scenario.topology)
+    eta = float(edge_rates(scenario.with_node_powers(caps), st).min())
     return PowerSolution(powers_w=caps, eta=eta, binding=binding, feasible=True)
 
 

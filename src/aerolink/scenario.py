@@ -10,6 +10,7 @@ in Hz.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -47,6 +48,14 @@ def free_space_offset_db(carrier_hz: float) -> float:
     return 10.0 * math.log10((4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S) ** 2)
 
 
+def _require_finite(params) -> None:
+    """Reject a NaN or infinite float field (a None offset means "derive it")."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Log-distance path loss parameters per link class plus system bandwidth.
@@ -64,6 +73,7 @@ class ChannelParams:
     bandwidth_hz: float = 1.0e4
 
     def __post_init__(self):
+        _require_finite(self)
         if self.alpha_a2a < 1.0 or self.alpha_a2g < 1.0:
             raise ValueError("path loss exponent must be >= 1")
         if self.carrier_hz <= 0.0:
@@ -93,6 +103,7 @@ class SafetyParams:
     r_int_m: float = 5.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.chi < 0.0:
             raise ValueError("chi must be >= 0")
         if self.zeta <= 0.0:
@@ -150,20 +161,22 @@ class Scenario:
                            tuple(tuple(int(v) for v in e) for e in self.topology))
 
     # -- index helpers -------------------------------------------------
+    # ``classes`` never changes on an instance and the functional updates
+    # build fresh ones, so the class counts are computed once and cached
 
     @property
     def n_total(self) -> int:
         return len(self.classes)
 
-    @property
+    @functools.cached_property
     def n_primary(self) -> int:
         return self.n_total - self.n_si
 
-    @property
+    @functools.cached_property
     def n_uavs(self) -> int:
         return sum(1 for c in self.classes if c is NodeClass.RELAY_UAV)
 
-    @property
+    @functools.cached_property
     def n_si(self) -> int:
         return sum(1 for c in self.classes if c is NodeClass.INTERFERENCE_SOURCE)
 
@@ -175,11 +188,11 @@ class Scenario:
     def destination(self) -> int:
         return self.n_primary - 1
 
-    @property
+    @functools.cached_property
     def uav_indices(self) -> tuple:
         return tuple(i for i, c in enumerate(self.classes) if c is NodeClass.RELAY_UAV)
 
-    @property
+    @functools.cached_property
     def si_indices(self) -> tuple:
         return tuple(i for i, c in enumerate(self.classes) if c is NodeClass.INTERFERENCE_SOURCE)
 

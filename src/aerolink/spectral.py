@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, build_state, edge_rate
+from .channel import ChannelState, FadingModel, build_state, edge_rates
 from .scenario import Scenario
 
 _EIG_TOL = 1.0e-9
@@ -62,8 +62,7 @@ def build_matrices(scenario: Scenario,
     st = state if state is not None else build_state(scenario, fading)
     n = scenario.n_primary
     a = np.zeros((n, n))
-    for i, j in scenario.topology:
-        r = edge_rate(i, j, scenario, state=st)
+    for (i, j), r in zip(scenario.topology, edge_rates(scenario, st)):
         a[i, j] = a[j, i] = r
     return GraphMatrices.from_adjacency(a)
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import FadingModel, build_state, rate_spatial_gradient
+from .channel import FadingModel, build_state, rate_jacobian
 from .scenario import Scenario
 from .spectral import LaplacianBundle, LaplacianMode, connectivity_bundle
 
@@ -74,16 +74,15 @@ class GradientField:
 def _analytic_gradient(scenario: Scenario, bundle: LaplacianBundle,
                        state) -> np.ndarray:
     y = bundle.fiedler / np.sqrt(bundle.weights)
-    uavs = scenario.uav_indices
-    grad = np.zeros((len(uavs), 3))
-    for p, q in scenario.topology:
+    jac = rate_jacobian(scenario, state)
+    grad = np.zeros((scenario.n_uavs, 3))
+    # edge by edge in topology order: each coordinate sums its terms in the
+    # same order as a per-coordinate loop would
+    for e, (p, q) in enumerate(scenario.topology):
         coeff = (y[p] - y[q]) ** 2
         if coeff == 0.0:
             continue
-        for uidx, t in enumerate(uavs):
-            for axis in range(3):
-                grad[uidx, axis] += coeff * rate_spatial_gradient(
-                    p, q, (t, axis), scenario, state=state)
+        grad += coeff * jac[e]
     return grad
 
 

@@ -129,6 +129,22 @@ def test_non_finite_config_value_exits_one(tmp_path, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section,field", [
+    ("channel", "alpha_a2a"), ("channel", "alpha_a2g"), ("channel", "eta_a2a_db"),
+    ("channel", "eta_a2g_db"), ("channel", "carrier_hz"), ("channel", "bandwidth_hz"),
+    ("safety", "chi"), ("safety", "zeta"), ("safety", "kappa"), ("safety", "y0"),
+    ("safety", "r_int_m"),
+])
+def test_non_finite_radio_parameter_exits_one(tmp_path, section, field):
+    cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
+    cfg[section][field] = float("nan")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg_path), str(out)) == 1
+    assert not out.exists()
+
+
 def test_source_positions_must_be_triples(tmp_path):
     # three [x, y] pairs would reshape into two 3-D sources
     cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
@@ -263,3 +279,14 @@ def test_gradcheck_flags_the_normalized_heuristic(tmp_path, capsys):
     assert main(["gradcheck", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert "FAIL" in err and "exceeds" in err
+
+
+def test_gradcheck_reports_and_checks_only_the_masked_axes(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path)
+    assert main(["gradcheck", "--config", str(cfg_path), "--mask", "xy"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    rows = [ln.split() for ln in lines[1:-1]]
+    assert len(rows) == 4 * 2
+    assert [r[1] for r in rows] == ["x", "y"] * 4
+    assert lines[-1].startswith("OK: max relative error")
