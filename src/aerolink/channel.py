@@ -13,7 +13,10 @@ primary pair, the proximity-sum gradients); ``sir_matrix``, ``sir_jacobian``,
 ``edge_rates`` and ``rate_jacobian`` combine them with a scenario's powers.
 Each array keeps the association of the per-pair formula it replaces (the
 same masked 1-D sums, ``(num/denom)*(dden/denom)``), so its entries equal a
-pair-at-a-time evaluation to the bit.  The scalar functions ``sir``,
+pair-at-a-time evaluation to the bit.  A state may also hold a stack of
+geometries (leading axes before the node axes); ``sir_matrix`` and
+``edge_rates`` then return one table per geometry, each equal to the bit to
+that geometry's own.  The scalar functions ``sir``,
 ``edge_rate``, ``sir_spatial_gradient`` and ``rate_spatial_gradient`` index
 into these arrays and raise only for the pair they are asked about.
 """
@@ -134,19 +137,27 @@ class ChannelState:
     interference, the proximity penalty table over primary nodes and the
     SIR denominator of every ordered primary pair.  The gradient tables are
     built on first use.
+
+    ``positions``, a (..., n_total, 3) stack, replaces the scenario's node
+    positions: every table then carries the stack's leading axes, and each
+    geometry's entries equal those of a state built for it alone, to the
+    bit.  ``sir_matrix`` and ``edge_rates`` accept such a state; the
+    gradient tables and the scalar lookups need a single geometry.
     """
 
-    def __init__(self, scenario: Scenario, fading: FadingModel):
+    def __init__(self, scenario: Scenario, fading: FadingModel,
+                 positions: np.ndarray | None = None):
         self.scenario = scenario
         self.fading = fading
-        pos = scenario.positions
+        pos = scenario.positions if positions is None else positions
         n_total = scenario.n_total
         n = scenario.n_primary
+        diag = np.arange(n_total)
 
-        diff = pos[:, None, :] - pos[None, :, :]
+        diff = pos[..., :, None, :] - pos[..., None, :, :]
         dist = np.linalg.norm(diff, axis=-1)
         off = ~np.eye(n_total, dtype=bool)
-        if np.any(dist[off] == 0.0):
+        if np.any(dist[..., off] == 0.0):
             raise ValueError("two nodes share a position; link gain undefined")
 
         aerial = partition(scenario).aerial
@@ -158,7 +169,7 @@ class ChannelState:
         g2 = fading.gain_sq_matrix(n_total)
         safe_d = np.where(off, dist, 1.0)
         gain = g2 * 10.0 ** (-eta / 10.0) * safe_d ** (-alpha)
-        np.fill_diagonal(gain, 0.0)
+        gain[..., diag, diag] = 0.0
 
         self.dist = dist
         self.alpha = alpha
@@ -166,25 +177,31 @@ class ChannelState:
         self.gain_sq = gain
 
         si = list(scenario.si_indices)
-        # aggregate interference from the fixed sources at each primary receiver
+        # aggregate interference from the fixed sources at each primary receiver,
+        # one gemv per geometry (a stacked matmul need not sum in the same order).
+        # A gather behind leading axes is laid out batch-fastest, so each one
+        # is made contiguous: every geometry then sees the memory layout of a
+        # single state, and a reduction sums its terms in the same order
+        self.interference_w = np.zeros(pos.shape[:-2] + (n,))
         if si:
-            self.interference_w = scenario.si_powers_w @ gain[si][:, :n]
-        else:
-            self.interference_w = np.zeros(n)
+            sources = np.ascontiguousarray(gain[..., si, :])[..., :n]
+            for g in np.ndindex(pos.shape[:-2]):
+                self.interference_w[g] = scenario.si_powers_w @ sources[g]
 
         saf = scenario.safety
-        y = dist[:n, :n] / saf.r_int_m
+        y = dist[..., :n, :n] / saf.r_int_m
         u = smoothed_step(y, saf)
-        np.fill_diagonal(u, 0.0)
+        u[..., diag[:n], diag[:n]] = 0.0
         self.safety_u = u
         # row i: every primary index but i.  Summing the surviving terms
         # directly avoids the cancellation of subtracting a dominant u[j, i]
         # from a full row sum (that subtraction silently absorbs tiny terms);
         # the gathered last axis is summed exactly like a masked 1-D row
         self._others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
-        safety = u[np.arange(n)[None, :, None], self._others[:, None, :]].sum(axis=-1)
+        safety = np.ascontiguousarray(
+            u[..., diag[None, :n, None], self._others[:, None, :]]).sum(axis=-1)
         # sir_denominators[i, j]: sources at j plus chi * proximity sum over k not in {i, j}
-        self.sir_denominators = self.interference_w[None, :] + saf.chi * safety
+        self.sir_denominators = self.interference_w[..., None, :] + saf.chi * safety
 
     def sir_denominator(self, i: int, j: int) -> float:
         return float(self.sir_denominators[i, j])
@@ -267,14 +284,16 @@ _ZERO_DENOMINATOR = ("zero SIR denominator: no interference sources and no "
 
 
 def sir_matrix(scenario: Scenario, state: ChannelState) -> np.ndarray:
-    """(n_primary, n_primary) SIR of every ordered pair at the scenario's powers.
+    """(..., n_primary, n_primary) SIR of every ordered pair at the scenario's
+    powers, one table per geometry of a stacked state.
 
     Unchecked: a zero denominator gives inf or nan, and the diagonal means
     nothing.  ``sir`` is the checked lookup of one entry.
     """
     n = scenario.n_primary
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return scenario.node_powers_w[:, None] * state.gain_sq[:n, :n] / state.sir_denominators
+        return (scenario.node_powers_w[:, None] * state.gain_sq[..., :n, :n]
+                / state.sir_denominators)
 
 
 def _require_primary_pair(i, j, scenario):
@@ -309,13 +328,16 @@ def sir(i: int, j: int, scenario: Scenario,
 
 
 def _checked_sirs(edges, scenario, state) -> np.ndarray:
-    """SIR matrix, checked as ``sir`` checks them on both directions of each edge."""
+    """SIR matrix, checked as ``sir`` checks them on both directions of each
+    edge, in every geometry of a stacked state."""
     sirs = sir_matrix(scenario, state)
+    finite = np.isfinite(sirs).all(axis=tuple(range(sirs.ndim - 2)))
     for p, q in edges:
         if p != q:
             for i, j in ((p, q), (q, p)):
                 _require_primary_pair(i, j, scenario)
-                _finite_sir(sirs[i, j])
+                if not finite[i, j]:
+                    raise ValueError(_ZERO_DENOMINATOR)
     return sirs
 
 
@@ -327,12 +349,13 @@ def _endpoints(edges):
 def _rates(scenario, sirs, edges) -> np.ndarray:
     p, q = _endpoints(edges)
     b = scenario.channel.bandwidth_hz
-    rates = 0.5 * b * (np.log2(1.0 + sirs[p, q]) + np.log2(1.0 + sirs[q, p]))
+    rates = 0.5 * b * (np.log2(1.0 + sirs[..., p, q]) + np.log2(1.0 + sirs[..., q, p]))
     return np.where(p == q, 0.0, rates)
 
 
 def edge_rates(scenario: Scenario, state: ChannelState) -> np.ndarray:
-    """Rates of the topology edges in topology order, bit/s (see ``edge_rate``)."""
+    """(..., n_edges) rates of the topology edges in topology order, bit/s
+    (see ``edge_rate``), one row per geometry of a stacked state."""
     return _rates(scenario, _checked_sirs(scenario.topology, scenario, state),
                   scenario.topology)
 

@@ -135,7 +135,7 @@ def run(scenario: Scenario, config: OptimizerConfig | None = None) -> RunHistory
                      laplacian_mode=config.laplacian_mode,
                      bundle=bundle, state=state)
         current = current.with_uav_positions(moved.positions)
-        state = build_state(current, config.fading)
+        state = moved.state
 
         solution = solve_maxmin(current, config.fading, state=state)
         current = current.with_node_powers(solution.powers_w)

@@ -5,10 +5,15 @@ The relay chain's robustness is measured by the algebraic connectivity
 weights are the half-duplex link rates.  The Cheeger machinery relates that
 eigenvalue to the cheapest weighted cut, which is what ultimately limits the
 relayed flow.
+
+The matrix chain (``build_matrices``, ``GraphMatrices.from_adjacency``,
+``weighted_laplacian``, ``eig_sym``) also takes stacks with leading axes;
+``lambda2_stack`` runs it over many geometries in one pass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,32 +43,37 @@ class GraphMatrices:
 
     @staticmethod
     def from_adjacency(adjacency: np.ndarray) -> "GraphMatrices":
+        """Degree and Laplacian of one adjacency, or of each in a (..., n, n) stack."""
         a = np.array(adjacency, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
             raise ValueError("adjacency must be square")
-        if not np.array_equal(a, a.T):
+        if not np.array_equal(a, np.swapaxes(a, -1, -2)):
             raise ValueError("adjacency must be symmetric")
         if np.any(a < 0.0):
             raise ValueError("edge weights must be non-negative")
-        if np.any(np.diag(a) != 0.0):
+        if np.any(np.diagonal(a, axis1=-2, axis2=-1) != 0.0):
             raise ValueError("self loops are not allowed")
-        deg = np.diag(a.sum(axis=1))
+        deg = np.zeros_like(a)
+        diag = np.arange(a.shape[-1])
+        deg[..., diag, diag] = a.sum(axis=-1)
         return GraphMatrices(adjacency=a, degree=deg, laplacian=deg - a)
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.adjacency.shape[-1]
 
 
 def build_matrices(scenario: Scenario,
                    fading: FadingModel | None = None,
                    state: ChannelState | None = None) -> GraphMatrices:
-    """Rate matrix over the scenario topology, plus degree and Laplacian."""
+    """Rate matrix over the scenario topology, plus degree and Laplacian
+    (one per geometry of a stacked state)."""
     st = state if state is not None else build_state(scenario, fading)
     n = scenario.n_primary
-    a = np.zeros((n, n))
-    for (i, j), r in zip(scenario.topology, edge_rates(scenario, st)):
-        a[i, j] = a[j, i] = r
+    rates = edge_rates(scenario, st)
+    a = np.zeros(rates.shape[:-1] + (n, n))
+    for e, (i, j) in enumerate(scenario.topology):
+        a[..., i, j] = a[..., j, i] = rates[..., e]
     return GraphMatrices.from_adjacency(a)
 
 
@@ -78,27 +88,39 @@ def weighted_laplacian(matrices: GraphMatrices,
         raise ValueError("node weights must be positive")
     scale = 1.0 / np.sqrt(w)
     if mode is LaplacianMode.NORMALIZED_WEIGHTED:
-        deg = np.diag(matrices.degree)
+        deg = np.diagonal(matrices.degree, axis1=-2, axis2=-1)
         if np.any(deg <= 0.0):
             raise ValueError("normalized mode undefined with an isolated node")
         scale = scale / np.sqrt(deg)
-    return matrices.laplacian * scale[:, None] * scale[None, :]
+    return matrices.laplacian * scale[..., :, None] * scale[..., None, :]
 
 
 def eig_sym(mat: np.ndarray) -> tuple:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix, or of each in a (..., n, n) stack.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
     Rejects non-symmetric input instead of silently symmetrizing.
     """
     m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > 1.0e-12 * scale:
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.fmax(1.0, np.abs(m).max(axis=(-2, -1)))
+    if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1.0e-12 * scale):
         raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    vals, vecs = np.linalg.eigh(0.5 * (m + mt))
     return vals, vecs
+
+
+def _checked_spectrum(vals: np.ndarray) -> np.ndarray:
+    """Scale max(1, |lambda|_max) of each spectrum in a stack, after the size
+    and positive-semidefiniteness checks ``fiedler_pair`` makes."""
+    if vals.shape[-1] < 2:
+        raise ValueError("connectivity needs at least two nodes")
+    scale = np.fmax(1.0, np.abs(vals).max(axis=-1))
+    if np.any(vals[..., 0] < -_EIG_TOL * scale):
+        raise ValueError("weighted Laplacian must be positive semidefinite")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -119,11 +141,7 @@ def fiedler_pair(weighted_lap: np.ndarray) -> FiedlerResult:
     """
     vals, vecs = eig_sym(weighted_lap)
     n = vals.shape[0]
-    if n < 2:
-        raise ValueError("connectivity needs at least two nodes")
-    scale = max(1.0, float(np.abs(vals).max()))
-    if vals[0] < -_EIG_TOL * scale:
-        raise ValueError("weighted Laplacian must be positive semidefinite")
+    scale = float(_checked_spectrum(vals))
     lam2 = float(vals[1])
     gap = float(vals[2] - vals[1]) if n >= 3 else float("inf")
     degenerate = gap < _EIG_TOL * scale or lam2 < _EIG_TOL * scale
@@ -168,6 +186,33 @@ def connectivity_bundle(scenario: Scenario,
         delta_max=float(np.diag(matrices.degree).max()),
         w_min=float(w.min()),
     )
+
+
+def lambda2_stack(scenario: Scenario,
+                  positions: np.ndarray,
+                  fading: FadingModel | None = None,
+                  weights: np.ndarray | None = None,
+                  mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED
+                  ) -> np.ndarray:
+    """lambda2 of the scenario at every geometry of a (..., n_total, 3) stack.
+
+    One pass of ``connectivity_bundle``'s arithmetic with the stack's
+    leading axes carried through (one batched ``eigh``), so each entry is
+    the ``lambda2`` of that geometry's own bundle to the bit.  A stack that
+    fails a check raises what the first failing geometry, in C order,
+    raises alone.
+    """
+    w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
+    try:
+        state = ChannelState(scenario, fading or FadingModel.unit_gain(), positions)
+        vals, _ = eig_sym(weighted_laplacian(build_matrices(scenario, state=state), w, mode))
+        _checked_spectrum(vals)
+    except ValueError:
+        for pos in positions.reshape(-1, scenario.n_total, 3):
+            connectivity_bundle(dataclasses.replace(scenario, positions=pos),
+                                fading, weights, mode)
+        raise
+    return vals[..., 1]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ an exact per-edge form: with y = W^(-1/2) x_f built from the unit Fiedler
 vector, each edge (p, q) contributes (y_p - y_q)^2 times the spatial
 gradient of its rate.  Finite differences are available as a fallback and
 as the honest option for the normalized Laplacian, whose Fiedler formula
-is only a heuristic.
+is only a heuristic.  They evaluate every +-h bump of every UAV coordinate
+in one stacked lambda2 pass, bit-identical to bumping one coordinate at a
+time.  A step returns the ``ChannelState`` of the positions it accepts, so
+the caller need not build it again.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import FadingModel, build_state, rate_jacobian
+from .channel import ChannelState, FadingModel, build_state, rate_jacobian
 from .scenario import Scenario
-from .spectral import LaplacianBundle, LaplacianMode, connectivity_bundle
+from .spectral import LaplacianBundle, LaplacianMode, connectivity_bundle, lambda2_stack
 
 
 class AxisMask(Enum):
@@ -87,19 +90,23 @@ def _analytic_gradient(scenario: Scenario, bundle: LaplacianBundle,
 
 
 def _fd_gradient(scenario: Scenario, fading, weights, mode, h: float) -> np.ndarray:
+    """Central differences of lambda2 in every UAV coordinate, in one pass.
+
+    The 2 * 3 * n_uavs bumped geometries (coordinate + h, then that value
+    - 2h) form one (n_uavs, 3, 2, n_total, 3) stack for ``lambda2_stack``,
+    so the gradient is bit-identical to bumping and evaluating one
+    coordinate at a time, and a failing bump raises what it raised there.
+    """
     base = scenario.uav_positions
-    grad = np.zeros_like(base)
-    for uidx in range(base.shape[0]):
-        for axis in range(3):
-            bumped = base.copy()
-            bumped[uidx, axis] += h
-            hi = connectivity_bundle(scenario.with_uav_positions(bumped),
-                                     fading, weights, mode).lambda2
-            bumped[uidx, axis] -= 2.0 * h
-            lo = connectivity_bundle(scenario.with_uav_positions(bumped),
-                                     fading, weights, mode).lambda2
-            grad[uidx, axis] = (hi - lo) / (2.0 * h)
-    return grad
+    n_uavs = base.shape[0]
+    stack = np.tile(scenario.positions, (n_uavs, 3, 2, 1, 1))
+    uav, axis = np.arange(n_uavs)[:, None], np.arange(3)[None, :]
+    node = np.array(scenario.uav_indices)[:, None]
+    hi = base + h
+    stack[uav, axis, 0, node, axis] = hi
+    stack[uav, axis, 1, node, axis] = hi - 2.0 * h
+    lam = lambda2_stack(scenario, stack, fading, weights, mode)
+    return (lam[..., 0] - lam[..., 1]) / (2.0 * h)
 
 
 def lambda2_gradient(scenario: Scenario,
@@ -150,6 +157,7 @@ class StepResult:
     dt_used: float
     halvings: int
     stalled: bool            # backtracking exhausted; positions unchanged
+    state: ChannelState      # tables of the accepted positions (powers do not enter)
 
 
 def step(scenario: Scenario,
@@ -190,27 +198,30 @@ def step(scenario: Scenario,
         return pos
 
     def lam_at(pos):
-        return connectivity_bundle(scenario.with_uav_positions(pos),
-                                   fading, mode=laplacian_mode).lambda2
+        moved = scenario.with_uav_positions(pos)
+        moved_state = build_state(moved, fading)
+        return connectivity_bundle(moved, fading, mode=laplacian_mode,
+                                   state=moved_state).lambda2, moved_state
 
     dt = config.dt
     pos = candidate(dt)
     if not config.backtracking:
+        lam_new, new_state = lam_at(pos)
         return StepResult(positions=pos, lambda2_before=lam_old,
-                          lambda2_after=lam_at(pos), dt_used=dt,
-                          halvings=0, stalled=False)
+                          lambda2_after=lam_new, dt_used=dt,
+                          halvings=0, stalled=False, state=new_state)
 
     halvings = 0
     while True:
-        lam_new = lam_at(pos)
+        lam_new, new_state = lam_at(pos)
         if lam_new >= lam_old:
             return StepResult(positions=pos, lambda2_before=lam_old,
                               lambda2_after=lam_new, dt_used=dt,
-                              halvings=halvings, stalled=False)
+                              halvings=halvings, stalled=False, state=new_state)
         if halvings >= config.max_backtracks:
             return StepResult(positions=base, lambda2_before=lam_old,
                               lambda2_after=lam_old, dt_used=0.0,
-                              halvings=halvings, stalled=True)
+                              halvings=halvings, stalled=True, state=state)
         dt *= 0.5
         halvings += 1
         pos = candidate(dt)

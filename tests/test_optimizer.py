@@ -5,10 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import aerolink.channel as ch
 import aerolink.flow as fl
+import aerolink.optimizer as opt
 import aerolink.spectral as sp
 from aerolink.optimizer import (OptimizerConfig, TerminationReason, replay_flow,
                                 run)
+from aerolink.scenario import build_default_scenario
 from aerolink.trajectory import GradientMode, TrajectoryConfig
 
 from conftest import make_line_scenario
@@ -164,3 +167,34 @@ def test_invalid_scenario_is_rejected():
     bad = dataclasses.replace(s, weights=weights)
     with pytest.raises(ValueError, match="invalid scenario"):
         run(bad, _small_cfg())
+
+
+# ------------------------------------------------------------ state builds
+
+
+@pytest.mark.parametrize("max_backtracks", [20, 3])
+def test_each_geometry_gets_one_channel_state(max_backtracks, monkeypatch):
+    # the record's tables come from the step's accepted evaluation, or are
+    # the unchanged input's when the step stalls: one build up front plus
+    # one per lambda2 evaluation of each step
+    builds, steps = [], []
+    init, step = ch.ChannelState.__init__, opt.step
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    def recorded_step(*args, **kwargs):
+        result = step(*args, **kwargs)
+        steps.append(result)
+        return result
+
+    monkeypatch.setattr(ch.ChannelState, "__init__", counted_init)
+    monkeypatch.setattr(opt, "step", recorded_step)
+    config = OptimizerConfig(epsilon=1e-12, max_iterations=7, trajectory=TrajectoryConfig(
+        dt=1.0e4, max_backtracks=max_backtracks))
+    history = run(build_default_scenario(7), config)
+    assert sum(r.halvings for r in steps) > 0
+    assert any(r.stalled for r in steps) == (max_backtracks == 3)
+    assert len(builds) == 1 + sum(1 + r.halvings for r in steps)
+    assert len(steps) == history.iterations
