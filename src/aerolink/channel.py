@@ -16,7 +16,8 @@ same masked 1-D sums, ``(num/denom)*(dden/denom)``), so its entries equal a
 pair-at-a-time evaluation to the bit.  A state may also hold a stack of
 geometries (leading axes before the node axes); ``sir_matrix`` and
 ``edge_rates`` then return one table per geometry, each equal to the bit to
-that geometry's own.  The scalar functions ``sir``,
+that geometry's own.  Such a state recomputes, per geometry, only the rows
+and columns of the nodes that geometry moves.  The scalar functions ``sir``,
 ``edge_rate``, ``sir_spatial_gradient`` and ``rate_spatial_gradient`` index
 into these arrays and raise only for the pair they are asked about.
 """
@@ -129,6 +130,37 @@ def _sigmoid_prime(z):
     return out if out.ndim else float(out)
 
 
+@functools.lru_cache(maxsize=64)
+def _link_layout(n_total: int, n_primary: int, aerial: frozenset, channel,
+                 fading: FadingModel) -> tuple:
+    """The link tables no geometry changes, shared read-only by every scenario
+    with these node counts, aerial nodes, channel parameters and fading:
+    a2a (both endpoints aerial), the path loss exponents, |g|^2 * 10^(-eta/10)
+    (the gain without its distance term), the off-diagonal mask and
+    ``others`` (row i: every primary index but i)."""
+    is_aerial = np.array([i in aerial for i in range(n_total)])
+    a2a = is_aerial[:, None] & is_aerial[None, :]
+    alpha = np.where(a2a, channel.alpha_a2a, channel.alpha_a2g)
+    eta = np.where(a2a, channel.eta_db(True), channel.eta_db(False))
+    tables = (a2a, alpha, fading.gain_sq_matrix(n_total) * 10.0 ** (-eta / 10.0),
+              ~np.eye(n_total, dtype=bool),
+              np.nonzero(~np.eye(n_primary, dtype=bool))[1].reshape(n_primary, n_primary - 1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _replace_rows(base: np.ndarray, count: int, g: np.ndarray, nodes: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+    """``count`` copies of a symmetric table with row and column nodes[k] of
+    copy g[k] replaced by rows[k]."""
+    out = np.empty((count,) + base.shape)
+    out[...] = base
+    out[g, nodes] = rows
+    out[g, :, nodes] = rows
+    return out
+
+
 class ChannelState:
     """Position-dependent link quantities shared by SIR, rate, and gradient calls.
 
@@ -136,70 +168,87 @@ class ChannelState:
     pairwise distances, squared channel gains, per-receiver aggregate
     interference, the proximity penalty table over primary nodes and the
     SIR denominator of every ordered primary pair.  The gradient tables are
-    built on first use.
+    built on first use.  The link tables that do not depend on the geometry
+    (link classes, exponents, offsets and fading) are cached per node layout.
 
     ``positions``, a (..., n_total, 3) stack, replaces the scenario's node
     positions: every table then carries the stack's leading axes, and each
     geometry's entries equal those of a state built for it alone, to the
-    bit.  ``sir_matrix`` and ``edge_rates`` accept such a state; the
-    gradient tables and the scalar lookups need a single geometry.
+    bit.  The distance, gain and proximity tables of the scenario's own
+    geometry are built once; each geometry then recomputes only the rows
+    and columns of the nodes whose coordinates differ from it, so a stack
+    of one-node bumps costs one row per geometry.  ``sir_matrix`` and
+    ``edge_rates`` accept such a state; the gradient tables and the scalar
+    lookups need a single geometry.
     """
 
     def __init__(self, scenario: Scenario, fading: FadingModel,
                  positions: np.ndarray | None = None):
         self.scenario = scenario
         self.fading = fading
-        pos = scenario.positions if positions is None else positions
+        base = scenario.positions
+        pos = base if positions is None else positions
+        lead = pos.shape[:-2]
         n_total = scenario.n_total
         n = scenario.n_primary
-        diag = np.arange(n_total)
+        saf = scenario.safety
+        a2a, alpha, g2_eta, off, others = _link_layout(
+            n_total, n, partition(scenario).aerial, scenario.channel, fading)
 
-        diff = pos[..., :, None, :] - pos[..., None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        off = ~np.eye(n_total, dtype=bool)
-        if np.any(dist[..., off] == 0.0):
+        # Rows of distances, gains and proximity terms: first every node of
+        # the scenario's own geometry (``both[0]``), then each (geometry g,
+        # node) whose coordinates differ from it.  Each geometry's tables are
+        # a copy of the first set with those nodes' rows and columns replaced
+        # (the tables are symmetric to the bit).  Every row is computed from
+        # contiguous operands, as a row of a single state's full table is,
+        # so it equals that row to the bit
+        flat = pos.reshape(-1, n_total, 3)
+        count = flat.shape[0]
+        differs = flat != base
+        g, moved = np.nonzero(differs[..., 0] | differs[..., 1] | differs[..., 2])
+        both = np.concatenate([base[None], flat])
+        at = np.concatenate([np.zeros(n_total, dtype=np.intp), g + 1])
+        nodes = np.concatenate([np.arange(n_total), moved])
+        rows = np.linalg.norm(both[at, nodes][:, None, :] - both[at], axis=-1)
+        dist = _replace_rows(rows[:n_total], count, g, moved, rows[n_total:])
+        if ((dist == 0.0) & off).any():
             raise ValueError("two nodes share a position; link gain undefined")
+        safe_d = np.where(off[nodes], rows, 1.0)
+        gains = g2_eta[nodes] * safe_d ** (-alpha[nodes])
+        gains[np.arange(len(nodes)), nodes] = 0.0
+        gain = _replace_rows(gains[:n_total], count, g, moved, gains[n_total:])
+        primary = nodes < n
+        terms = smoothed_step(rows[primary, :n] / saf.r_int_m, saf)
+        terms[np.arange(len(terms)), nodes[primary]] = 0.0
+        mover = moved < n
+        u = _replace_rows(terms[:n], count, g[mover], moved[mover], terms[n:])
 
-        aerial = partition(scenario).aerial
-        is_aerial = np.array([i in aerial for i in range(n_total)])
-        a2a = is_aerial[:, None] & is_aerial[None, :]
-        alpha = np.where(a2a, scenario.channel.alpha_a2a, scenario.channel.alpha_a2g)
-        eta = np.where(a2a, scenario.channel.eta_db(True), scenario.channel.eta_db(False))
-
-        g2 = fading.gain_sq_matrix(n_total)
-        safe_d = np.where(off, dist, 1.0)
-        gain = g2 * 10.0 ** (-eta / 10.0) * safe_d ** (-alpha)
-        gain[..., diag, diag] = 0.0
-
-        self.dist = dist
+        self.dist = dist.reshape(lead + dist.shape[1:])
         self.alpha = alpha
         self.a2a = a2a
-        self.gain_sq = gain
+        self.gain_sq = gain = gain.reshape(lead + gain.shape[1:])
+        self.safety_u = u = u.reshape(lead + u.shape[1:])
 
         si = list(scenario.si_indices)
-        # aggregate interference from the fixed sources at each primary receiver,
-        # one gemv per geometry (a stacked matmul need not sum in the same order).
-        # A gather behind leading axes is laid out batch-fastest, so each one
-        # is made contiguous: every geometry then sees the memory layout of a
-        # single state, and a reduction sums its terms in the same order
-        self.interference_w = np.zeros(pos.shape[:-2] + (n,))
+        # aggregate interference from the fixed sources at each primary receiver.
+        # A gather behind leading axes is laid out batch-fastest, so it is
+        # made contiguous: every geometry then sees the memory layout of a
+        # single state.  matmul loops over the leading axes and makes, for
+        # each geometry, the gemv call that geometry's own state makes, so
+        # each entry is summed in the same order
         if si:
             sources = np.ascontiguousarray(gain[..., si, :])[..., :n]
-            for g in np.ndindex(pos.shape[:-2]):
-                self.interference_w[g] = scenario.si_powers_w @ sources[g]
+            self.interference_w = scenario.si_powers_w @ sources
+        else:
+            self.interference_w = np.zeros(lead + (n,))
 
-        saf = scenario.safety
-        y = dist[..., :n, :n] / saf.r_int_m
-        u = smoothed_step(y, saf)
-        u[..., diag[:n], diag[:n]] = 0.0
-        self.safety_u = u
-        # row i: every primary index but i.  Summing the surviving terms
+        # safety[..., i, j]: u[j, k] summed over every primary k but i (u[j, j]
+        # is zero), gathered as (..., j, i, k) and summed on its contiguous
+        # last axis exactly like a masked 1-D row.  Summing the surviving terms
         # directly avoids the cancellation of subtracting a dominant u[j, i]
-        # from a full row sum (that subtraction silently absorbs tiny terms);
-        # the gathered last axis is summed exactly like a masked 1-D row
-        self._others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
-        safety = np.ascontiguousarray(
-            u[..., diag[None, :n, None], self._others[:, None, :]]).sum(axis=-1)
+        # from a full row sum (that subtraction silently absorbs tiny terms)
+        self._others = others
+        safety = np.take(u, others, axis=-1).sum(axis=-1).swapaxes(-1, -2)
         # sir_denominators[i, j]: sources at j plus chi * proximity sum over k not in {i, j}
         self.sir_denominators = self.interference_w[..., None, :] + saf.chi * safety
 
@@ -229,10 +278,9 @@ class ChannelState:
         if not si:
             return np.zeros((n, 3))
         pos = sc.positions
-        d = self.dist[np.ix_(si, range(n))]
-        coeff = (sc.si_powers_w[:, None]
-                 * (-self.alpha[np.ix_(si, range(n))])
-                 * self.gain_sq[np.ix_(si, range(n))] / d ** 2)
+        d = self.dist[si, :n]
+        coeff = (sc.si_powers_w[:, None] * (-self.alpha[si, :n])
+                 * self.gain_sq[si, :n] / d ** 2)
         diff = pos[:n][None, :, :] - pos[si][:, None, :]
         return np.einsum("mj,mjc->jc", coeff, diff)
 

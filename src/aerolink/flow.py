@@ -8,6 +8,7 @@ shortest-augmenting-path search.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -76,40 +77,41 @@ def max_flow(network: FlowNetwork) -> tuple:
     cap = network.capacity
     n = network.n
     s, t = network.source, network.sink
-    residual = cap.copy()
-    parent = np.empty(n, dtype=np.int64)
+    # Python lists: the graphs are a handful of nodes, where per-element
+    # numpy indexing costs more than the search itself
+    residual = cap.tolist()
 
     total = 0.0
     while True:
-        parent.fill(-1)
+        parent = [-1] * n
         parent[s] = s
         queue = deque([s])
         while queue:
             u = queue.popleft()
             if u == t:
                 break
-            for v in np.flatnonzero(residual[u] > 0.0):
-                if parent[v] < 0:
+            for v, r in enumerate(residual[u]):
+                if r > 0.0 and parent[v] < 0:
                     parent[v] = u
                     queue.append(v)
         if parent[t] < 0:
             break
         # bottleneck along the found path
-        push = np.inf
+        push = math.inf
         v = t
         while v != s:
             u = parent[v]
-            push = min(push, residual[u, v])
+            push = min(push, residual[u][v])
             v = u
         v = t
         while v != s:
             u = parent[v]
-            residual[u, v] -= push
-            residual[v, u] += push
+            residual[u][v] -= push
+            residual[v][u] += push
             v = u
         total += push
 
-    flow = np.maximum(cap - residual, 0.0)
+    flow = np.maximum(cap - np.array(residual), 0.0)
     return float(total), flow
 
 

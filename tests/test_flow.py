@@ -164,3 +164,22 @@ def test_brute_force_size_guard():
     a[0, 16] = a[16, 0] = 1.0
     with pytest.raises(ValueError, match="16"):
         fl.brute_force_min_cut(fl.from_adjacency(a, 0, 16))
+
+
+def test_max_flow_is_bit_identical_to_the_array_reference():
+    # value and flow to the bit, against the numpy-indexed body the list-based
+    # search replaced; random terminals exercise searches that end early
+    import flow_reference as ref
+
+    rng = np.random.default_rng(54)
+    for k in range(400):
+        a = make_capacity_network_adjacency(rng)
+        n = a.shape[0]
+        s, t = (0, n - 1) if k % 2 else rng.choice(n, size=2, replace=False)
+        net = fl.from_adjacency(a, int(s), int(t))
+        value, flow = fl.max_flow(net)
+        expected_value, expected_flow = ref.max_flow(net)
+        assert type(value) is float
+        assert np.array([value]).view(np.uint64) == np.array([expected_value]).view(np.uint64)
+        assert flow.dtype == expected_flow.dtype
+        assert np.array_equal(flow.view(np.uint64), expected_flow.view(np.uint64))
