@@ -9,7 +9,8 @@ grows steeply once another primary node comes within the separation radius.
 
 Everything is computed as arrays, once per geometry.  ``ChannelState`` holds
 the power-independent tables (gains, the SIR denominator of every ordered
-primary pair, the proximity-sum gradients); ``sir_matrix``, ``sir_jacobian``,
+primary pair, the proximity-sum gradients) of the positions it is given;
+the scenario only supplies the layout.  ``sir_matrix``, ``sir_jacobian``,
 ``edge_rates`` and ``rate_jacobian`` combine them with a scenario's powers.
 Each array keeps the association of the per-pair formula it replaces (the
 same masked 1-D sums, ``(num/denom)*(dden/denom)``), so its entries equal a
@@ -171,14 +172,15 @@ class ChannelState:
     built on first use.  The link tables that do not depend on the geometry
     (link classes, exponents, offsets and fading) are cached per node layout.
 
-    ``positions``, a (..., n_total, 3) stack, replaces the scenario's node
-    positions: every table then carries the stack's leading axes, and each
+    ``positions``, one (n_total, 3) geometry or a (..., n_total, 3) stack,
+    replaces the scenario's node positions and is kept as ``positions``;
+    every table, gradient tables included, is built from it, so each
     geometry's entries equal those of a state built for it alone, to the
     bit.  The distance, gain and proximity tables of the scenario's own
     geometry are built once; each geometry then recomputes only the rows
     and columns of the nodes whose coordinates differ from it, so a stack
     of one-node bumps costs one row per geometry.  ``sir_matrix`` and
-    ``edge_rates`` accept such a state; the gradient tables and the scalar
+    ``edge_rates`` accept a stack; the gradient tables and the scalar
     lookups need a single geometry.
     """
 
@@ -187,7 +189,7 @@ class ChannelState:
         self.scenario = scenario
         self.fading = fading
         base = scenario.positions
-        pos = base if positions is None else positions
+        self.positions = pos = base if positions is None else positions
         lead = pos.shape[:-2]
         n_total = scenario.n_total
         n = scenario.n_primary
@@ -277,7 +279,7 @@ class ChannelState:
         si = list(sc.si_indices)
         if not si:
             return np.zeros((n, 3))
-        pos = sc.positions
+        pos = self.positions
         d = self.dist[si, :n]
         coeff = (sc.si_powers_w[:, None] * (-self.alpha[si, :n])
                  * self.gain_sq[si, :n] / d ** 2)
@@ -289,7 +291,7 @@ class ChannelState:
         """(n_primary, n_primary, 3): entry [i, j, axis] is the derivative of the
         proximity sum over k not in {i, j} w.r.t. receiver j's coordinate."""
         n = self.scenario.n_primary
-        pos = self.scenario.positions[:n]
+        pos = self.positions[:n]
         # terms[j, axis, k] = S[j, k] * (r_j - r_k)[axis]
         terms = self.safety_slope[:, None, :] * (pos[:, :, None] - pos.T[None, :, :])
         return terms[np.arange(n)[None, :, None, None], np.arange(3)[None, None, :, None],
@@ -301,13 +303,14 @@ class ChannelState:
 
 
 def build_state(scenario: Scenario, fading: FadingModel | None = None) -> ChannelState:
-    return ChannelState(scenario, fading or FadingModel.unit_gain())
+    return _state_for(scenario, fading)
 
 
-def _state_for(scenario, fading, state):
+def _state_for(scenario, fading, state=None, positions=None) -> ChannelState:
+    """``state``, or a new one at ``positions`` (default: the scenario's)."""
     if state is not None:
         return state
-    return build_state(scenario, fading)
+    return ChannelState(scenario, fading or FadingModel.unit_gain(), positions)
 
 
 def link_gain(i: int, j: int, scenario: Scenario,
@@ -452,7 +455,7 @@ def sir_jacobian(scenario: Scenario, state: ChannelState) -> np.ndarray:
     """
     sc, st = scenario, state
     n = sc.n_primary
-    pos = sc.positions[:n]
+    pos = st.positions[:n]
     powers = sc.node_powers_w
     gain = st.gain_sq[:n, :n]
     chi = sc.safety.chi

@@ -90,6 +90,16 @@ def _scenario_from_args(cfg: dict, seed: int | None) -> scen.Scenario:
     return scen.scenario_from_config(cfg)
 
 
+def _load_run(config_path: str, seed: int | None, mask: str | None):
+    """(scenario, optimizer config) of a config file; None after a config error."""
+    try:
+        cfg = _load_config(config_path)
+        return _scenario_from_args(cfg, seed), _optimizer_config(cfg, mask)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return None
+
+
 # -- run ----------------------------------------------------------------
 
 
@@ -141,13 +151,10 @@ def _summary_json(history: RunHistory, scenario: scen.Scenario,
 
 def cmd_run(config_path: str, out_dir: str,
             seed: int | None = None, mask: str | None = None) -> int:
-    try:
-        cfg = _load_config(config_path)
-        scenario = _scenario_from_args(cfg, seed)
-        config = _optimizer_config(cfg, mask)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    loaded = _load_run(config_path, seed, mask)
+    if loaded is None:
         return 1
+    scenario, config = loaded
     try:
         history = run(scenario, config)
         os.makedirs(out_dir, exist_ok=True)
@@ -269,13 +276,10 @@ def gradcheck_rows(scenario: scen.Scenario, config: OptimizerConfig) -> list:
 
 def cmd_gradcheck(config_path: str, seed: int | None = None,
                   mask: str | None = None) -> int:
-    try:
-        cfg = _load_config(config_path)
-        scenario = _scenario_from_args(cfg, seed)
-        config = _optimizer_config(cfg, mask)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    loaded = _load_run(config_path, seed, mask)
+    if loaded is None:
         return 1
+    scenario, config = loaded
     try:
         rows = gradcheck_rows(scenario, config)
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal failure

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import FadingModel, build_state
+from .channel import FadingModel, _state_for
 from .flow import from_adjacency, max_flow
 from .power import solve_maxmin, verify_interference
 from .scenario import Scenario, validate
@@ -79,8 +79,7 @@ class RunHistory:
 
 def _evaluate(scenario, config, state=None):
     """Bundle, flow and interference margin of one configuration."""
-    if state is None:
-        state = build_state(scenario, config.fading)
+    state = _state_for(scenario, config.fading, state)
     bundle = connectivity_bundle(scenario, config.fading,
                                  mode=config.laplacian_mode, state=state)
     net = from_adjacency(bundle.matrices, scenario.source, scenario.destination)
@@ -88,6 +87,23 @@ def _evaluate(scenario, config, state=None):
     report = verify_interference(scenario, scenario.node_powers_w,
                                  config.fading, state=state)
     return bundle, value, report, state
+
+
+def _record(iteration, current, bundle, flow_value, report, eta, gradient_mode,
+            stalled) -> IterationRecord:
+    return IterationRecord(
+        iteration=iteration,
+        uav_positions=current.uav_positions,
+        powers_w=current.node_powers_w.copy(),
+        lambda2=bundle.lambda2,
+        flow_bits_per_s=flow_value,
+        min_interference_margin_w=report.min_margin_w,
+        interference_ok=report.passed,
+        eta=eta,
+        gradient_mode=gradient_mode,
+        stalled=stalled,
+        degenerate=bundle.degenerate,
+    )
 
 
 def run(scenario: Scenario, config: OptimizerConfig | None = None) -> RunHistory:
@@ -104,19 +120,7 @@ def run(scenario: Scenario, config: OptimizerConfig | None = None) -> RunHistory
 
     current = scenario.with_node_powers(np.full(scenario.n_primary, scenario.p_max_w))
     bundle, flow_value, report, state = _evaluate(current, config)
-    records = [IterationRecord(
-        iteration=0,
-        uav_positions=current.uav_positions,
-        powers_w=current.node_powers_w.copy(),
-        lambda2=bundle.lambda2,
-        flow_bits_per_s=flow_value,
-        min_interference_margin_w=report.min_margin_w,
-        interference_ok=report.passed,
-        eta=float("nan"),
-        gradient_mode=None,
-        stalled=False,
-        degenerate=bundle.degenerate,
-    )]
+    records = [_record(0, current, bundle, flow_value, report, float("nan"), None, False)]
 
     # sentinel flows: R(-1) = -inf, R(0) = 0, so iteration 1 always runs
     r_prev2, r_prev1 = -np.inf, 0.0
@@ -141,19 +145,8 @@ def run(scenario: Scenario, config: OptimizerConfig | None = None) -> RunHistory
         current = current.with_node_powers(solution.powers_w)
 
         bundle, flow_value, report, state = _evaluate(current, config, state=state)
-        records.append(IterationRecord(
-            iteration=t,
-            uav_positions=current.uav_positions,
-            powers_w=current.node_powers_w.copy(),
-            lambda2=bundle.lambda2,
-            flow_bits_per_s=flow_value,
-            min_interference_margin_w=report.min_margin_w,
-            interference_ok=report.passed,
-            eta=solution.eta,
-            gradient_mode=grad.mode_used,
-            stalled=moved.stalled,
-            degenerate=bundle.degenerate,
-        ))
+        records.append(_record(t, current, bundle, flow_value, report, solution.eta,
+                               grad.mode_used, moved.stalled))
         r_prev2, r_prev1 = r_prev1, flow_value
 
         if moved.stalled and records[-2].flow_bits_per_s == flow_value:

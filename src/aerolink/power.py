@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, build_state, edge_rates
+from .channel import ChannelState, FadingModel, _state_for, edge_rates
 from .scenario import Scenario
 
 # relative slack for cap and threshold comparisons
@@ -48,7 +48,7 @@ def power_caps(scenario: Scenario,
                fading: FadingModel | None = None,
                state: ChannelState | None = None) -> np.ndarray:
     """Largest allowed power per primary transmitter: budget and thresholds."""
-    st = state if state is not None else build_state(scenario, fading)
+    st = _state_for(scenario, fading, state)
     n = scenario.n_primary
     caps = np.full(n, scenario.p_max_w)
     si = list(scenario.si_indices)
@@ -85,7 +85,7 @@ def solve_maxmin(scenario: Scenario,
     if edges != chain:
         raise ValueError("max-min power solve expects a chain topology")
 
-    st = state if state is not None else build_state(scenario, fading)
+    st = _state_for(scenario, fading, state)
     caps = power_caps(scenario, state=st)
     binding = _binding_report(scenario, caps, st)
     if np.any(caps <= 0.0) or not np.all(np.isfinite(caps)):
@@ -101,7 +101,7 @@ def verify_interference(scenario: Scenario,
                         fading: FadingModel | None = None,
                         state: ChannelState | None = None) -> InterferenceReport:
     """Check every transmitter against every source threshold."""
-    st = state if state is not None else build_state(scenario, fading)
+    st = _state_for(scenario, fading, state)
     n = scenario.n_primary
     powers = np.asarray(powers_w, dtype=float)
     if powers.shape != (n,):

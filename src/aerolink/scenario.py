@@ -261,6 +261,25 @@ def partition(scenario: Scenario) -> AerialPartition:
     return AerialPartition(aerial=frozenset(aerial), ground=frozenset(ground))
 
 
+def _node_classes(n_uavs: int, n_si: int) -> tuple:
+    """Base station, relay UAVs, user terminal, then interference sources."""
+    return ((NodeClass.BASE_STATION,)
+            + (NodeClass.RELAY_UAV,) * n_uavs
+            + (NodeClass.USER_EQUIPMENT,)
+            + (NodeClass.INTERFERENCE_SOURCE,) * n_si)
+
+
+def _drawn_sources(seed, count: int, region: dict) -> np.ndarray:
+    """``count`` sources, x and y uniform over ``region`` in one (count, 2)
+    draw from ``seed``; by default [0,200] x [-100,100] at 20 m altitude."""
+    x_lo, x_hi = region.get("x", [0.0, 200.0])
+    y_lo, y_hi = region.get("y", [-100.0, 100.0])
+    alt = float(region.get("altitude", 20.0))
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(low=[x_lo, y_lo], high=[x_hi, y_hi], size=(count, 2))
+    return np.column_stack([xy, np.full(count, alt)])
+
+
 def build_default_scenario(seed: int = 7,
                            ue_altitude_m: float = 25.0,
                            n_uavs: int = 8,
@@ -279,29 +298,18 @@ def build_default_scenario(seed: int = 7,
         raise ValueError("need at least one relay UAV")
     if n_si < 0:
         raise ValueError("interference source count must be >= 0")
-    rng = np.random.default_rng(seed)
     bs = np.array([0.0, 0.0, 15.0])
     ue = np.array([200.0, 0.0, float(ue_altitude_m)])
-    frac = np.arange(1, n_uavs + 1) / (n_uavs + 1)
-    uavs = np.column_stack([bs[0] + frac * (ue[0] - bs[0]),
-                            bs[1] + frac * (ue[1] - bs[1]),
-                            np.full(n_uavs, 30.0)])
-    si_xy = rng.uniform(low=[0.0, -100.0], high=[200.0, 100.0], size=(n_si, 2))
-    sis = np.column_stack([si_xy, np.full(n_si, 20.0)])
-
-    classes = ((NodeClass.BASE_STATION,)
-               + (NodeClass.RELAY_UAV,) * n_uavs
-               + (NodeClass.USER_EQUIPMENT,)
-               + (NodeClass.INTERFERENCE_SOURCE,) * n_si)
-    positions = np.vstack([bs[None, :], uavs, ue[None, :], sis])
+    uavs = _uavs_from_config({"count": n_uavs, "initial_altitude_m": 30.0}, bs, ue)
+    sis = _drawn_sources(seed, n_si, {})
 
     n_primary = n_uavs + 2
     p_max_w = dbm_to_watts(p_max_dbm)
     weights = np.ones(n_primary)
     weights[1:-1] = 1.0e-2
     return Scenario(
-        classes=classes,
-        positions=positions,
+        classes=_node_classes(n_uavs, n_si),
+        positions=np.vstack([bs[None, :], uavs, ue[None, :], sis]),
         node_powers_w=np.full(n_primary, p_max_w),
         si_powers_w=np.full(n_si, dbm_to_watts(si_power_dbm)),
         p_max_w=p_max_w,
@@ -431,13 +439,7 @@ def _sis_from_config(section: dict, seed) -> np.ndarray:
         return np.zeros((0, 3))
     if seed is None:
         raise ValueError("drawing interference sources by count needs a seed")
-    region = section.get("region_m", {})
-    x_lo, x_hi = region.get("x", [0.0, 200.0])
-    y_lo, y_hi = region.get("y", [-100.0, 100.0])
-    alt = float(region.get("altitude", 20.0))
-    rng = np.random.default_rng(int(seed))
-    xy = rng.uniform(low=[x_lo, y_lo], high=[x_hi, y_hi], size=(count, 2))
-    return np.column_stack([xy, np.full(count, alt)])
+    return _drawn_sources(int(seed), count, section.get("region_m", {}))
 
 
 def scenario_to_config(scenario: Scenario) -> dict:
@@ -545,14 +547,9 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if topology == "line":
         topology = [(i, i + 1) for i in range(n_primary - 1)]
 
-    classes = ((NodeClass.BASE_STATION,)
-               + (NodeClass.RELAY_UAV,) * n_uavs
-               + (NodeClass.USER_EQUIPMENT,)
-               + (NodeClass.INTERFERENCE_SOURCE,) * n_si)
-    positions = np.vstack([bs[None, :], uavs, ue[None, :], sis])
     scen = Scenario(
-        classes=classes,
-        positions=positions,
+        classes=_node_classes(n_uavs, n_si),
+        positions=np.vstack([bs[None, :], uavs, ue[None, :], sis]),
         node_powers_w=node_powers,
         si_powers_w=np.array([dbm_to_watts(float(p)) for p in si_dbm]),
         p_max_w=p_max_w,

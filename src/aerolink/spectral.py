@@ -7,19 +7,19 @@ eigenvalue to the cheapest weighted cut, which is what ultimately limits the
 relayed flow.
 
 The matrix chain (``build_matrices``, ``GraphMatrices.from_adjacency``,
-``weighted_laplacian``, ``eig_sym``) also takes stacks with leading axes;
-``lambda2_stack`` runs it over many geometries in one pass.
+``weighted_laplacian``, ``eig_sym``) also takes stacks with leading axes.
+``connectivity_bundle`` (one geometry) and ``lambda2_stack`` (many, one
+batched ``eigh``) run it on a ``ChannelState`` over positions.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, build_state, edge_rates
+from .channel import ChannelState, FadingModel, _state_for, edge_rates
 from .scenario import Scenario
 
 _EIG_TOL = 1.0e-9
@@ -68,7 +68,7 @@ def build_matrices(scenario: Scenario,
                    state: ChannelState | None = None) -> GraphMatrices:
     """Rate matrix over the scenario topology, plus degree and Laplacian
     (one per geometry of a stacked state)."""
-    st = state if state is not None else build_state(scenario, fading)
+    st = _state_for(scenario, fading, state)
     n = scenario.n_primary
     rates = edge_rates(scenario, st)
     a = np.zeros(rates.shape[:-1] + (n, n))
@@ -165,14 +165,19 @@ class LaplacianBundle:
     w_min: float
 
 
+def _laplacian(scenario, fading, weights, mode, state):
+    """Weights, rate matrices and weighted Laplacian(s) of a (stacked) state."""
+    w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
+    matrices = build_matrices(scenario, fading, state)
+    return w, matrices, weighted_laplacian(matrices, w, mode)
+
+
 def connectivity_bundle(scenario: Scenario,
                         fading: FadingModel | None = None,
                         weights: np.ndarray | None = None,
                         mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
                         state: ChannelState | None = None) -> LaplacianBundle:
-    w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
-    matrices = build_matrices(scenario, fading, state)
-    lw = weighted_laplacian(matrices, w, mode)
+    w, matrices, lw = _laplacian(scenario, fading, weights, mode, state)
     fr = fiedler_pair(lw)
     return LaplacianBundle(
         matrices=matrices,
@@ -202,15 +207,14 @@ def lambda2_stack(scenario: Scenario,
     fails a check raises what the first failing geometry, in C order,
     raises alone.
     """
-    w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
     try:
-        state = ChannelState(scenario, fading or FadingModel.unit_gain(), positions)
-        vals, _ = eig_sym(weighted_laplacian(build_matrices(scenario, state=state), w, mode))
+        state = _state_for(scenario, fading, positions=positions)
+        vals, _ = eig_sym(_laplacian(scenario, fading, weights, mode, state)[2])
         _checked_spectrum(vals)
     except ValueError:
         for pos in positions.reshape(-1, scenario.n_total, 3):
-            connectivity_bundle(dataclasses.replace(scenario, positions=pos),
-                                fading, weights, mode)
+            connectivity_bundle(scenario, fading, weights, mode,
+                                _state_for(scenario, fading, positions=pos))
         raise
     return vals[..., 1]
 

@@ -8,8 +8,9 @@ gradient of its rate.  Finite differences are available as a fallback and
 as the honest option for the normalized Laplacian, whose Fiedler formula
 is only a heuristic.  They evaluate every +-h bump of every UAV coordinate
 in one stacked lambda2 pass, bit-identical to bumping one coordinate at a
-time.  A step returns the ``ChannelState`` of the positions it accepts, so
-the caller need not build it again.
+time.  A step evaluates each trial as a ``ChannelState`` over its positions
+(no new ``Scenario``) and returns the state of the positions it accepts,
+so the caller need not build it again.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, build_state, rate_jacobian
+from .channel import ChannelState, FadingModel, _state_for, rate_jacobian
 from .scenario import Scenario
 from .spectral import LaplacianBundle, LaplacianMode, connectivity_bundle, lambda2_stack
 
@@ -124,8 +125,7 @@ def lambda2_gradient(scenario: Scenario,
     weighted Laplacian; for the normalized one it is a known approximation
     and finite differences should be preferred.
     """
-    if state is None:
-        state = build_state(scenario, fading)
+    state = _state_for(scenario, fading, state)
     if bundle is None:
         bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state)
     mode_used = gradient_mode
@@ -176,12 +176,12 @@ def step(scenario: Scenario,
     max_backtracks halvings all fail the step stalls and returns the
     original positions.
     """
-    if state is None:
-        state = build_state(scenario, fading)
+    state = _state_for(scenario, fading, state)
     if bundle is None:
         bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state)
     lam_old = bundle.lambda2
     base = scenario.uav_positions
+    uavs = list(scenario.uav_indices)
     axes = list(config.mask.axes)
 
     def candidate(dt):
@@ -198,23 +198,19 @@ def step(scenario: Scenario,
         return pos
 
     def lam_at(pos):
-        moved = scenario.with_uav_positions(pos)
-        moved_state = build_state(moved, fading)
-        return connectivity_bundle(moved, fading, mode=laplacian_mode,
+        full = scenario.positions.copy()
+        full[uavs] = pos
+        moved_state = _state_for(scenario, fading, positions=full)
+        return connectivity_bundle(scenario, fading, mode=laplacian_mode,
                                    state=moved_state).lambda2, moved_state
 
     dt = config.dt
-    pos = candidate(dt)
-    if not config.backtracking:
-        lam_new, new_state = lam_at(pos)
-        return StepResult(positions=pos, lambda2_before=lam_old,
-                          lambda2_after=lam_new, dt_used=dt,
-                          halvings=0, stalled=False, state=new_state)
-
     halvings = 0
     while True:
+        pos = candidate(dt)
         lam_new, new_state = lam_at(pos)
-        if lam_new >= lam_old:
+        # without backtracking the first candidate is accepted as it is
+        if lam_new >= lam_old or not config.backtracking:
             return StepResult(positions=pos, lambda2_before=lam_old,
                               lambda2_after=lam_new, dt_used=dt,
                               halvings=halvings, stalled=False, state=new_state)
@@ -224,4 +220,3 @@ def step(scenario: Scenario,
                               halvings=halvings, stalled=True, state=state)
         dt *= 0.5
         halvings += 1
-        pos = candidate(dt)

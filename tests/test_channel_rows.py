@@ -130,3 +130,40 @@ def test_the_fd_stack_computes_proximity_rows_only(monkeypatch):
     n_bumps = 2 * 3 * s.n_uavs
     assert n_bumps == 48
     assert 0 < sum(sizes) <= n * n + n_bumps * n
+
+
+GRADIENT_TABLES = ("si_interference_grad", "safety_sum_gradients")
+
+
+def _assert_override_matches_a_moved_scenario(s, fading, positions):
+    # a state over positions must build its gradient tables from those
+    # positions, not from the scenario it takes its layout from
+    moved = dataclasses.replace(s, positions=positions)
+    over = ch.ChannelState(s, fading, positions)
+    alone = ch.build_state(moved, fading)
+    for table in TABLES + GRADIENT_TABLES:
+        assert _same_bits(getattr(over, table), getattr(alone, table)), table
+    assert _same_bits(ch.sir_jacobian(s, over), ch.sir_jacobian(moved, alone))
+    assert _same_bits(ch.rate_jacobian(s, over), ch.rate_jacobian(moved, alone))
+
+
+def test_a_state_over_moved_uavs_has_the_gradient_tables_of_the_moved_scenario():
+    s = build_default_scenario(7)
+    moved = s.with_uav_positions(s.uav_positions + np.array([3.0, -2.0, 1.5]))
+    _assert_override_matches_a_moved_scenario(s, ch.FadingModel.unit_gain(), moved.positions)
+    # the parent scenario's own tables differ: the check can tell them apart
+    own = ch.rate_jacobian(s, ch.build_state(s))
+    assert not np.array_equal(own, ch.rate_jacobian(moved, ch.build_state(moved)))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(deployments(), st.data())
+def test_a_state_over_any_moved_geometry_has_its_gradient_tables(case, data):
+    s, fading = case
+    # 25 m slots with 10 m jitter: moves under 2.5 m keep every pair apart
+    move = np.array(data.draw(st.lists(st.booleans(), min_size=s.n_total,
+                                       max_size=s.n_total)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    positions = s.positions + rng.uniform(-2.5, 2.5, size=s.positions.shape) * move[:, None]
+    _assert_override_matches_a_moved_scenario(s, fading, positions)

@@ -7,6 +7,7 @@ import pytest
 
 import aerolink.spectral as sp
 import aerolink.trajectory as tj
+from aerolink.scenario import Scenario, build_default_scenario
 from aerolink.spectral import LaplacianMode
 from aerolink.trajectory import (AxisMask, GradientField, GradientMode,
                                  TrajectoryConfig)
@@ -189,3 +190,38 @@ def test_axis_mask_parsing():
     assert AxisMask.YZ.axes == (1, 2)
     with pytest.raises(ValueError, match="unknown axis mask"):
         AxisMask.from_string("zy")
+
+
+# ------------------------------------------------- one way to evaluate a geometry
+
+
+def _count_scenarios(monkeypatch):
+    built = []
+    init = Scenario.__post_init__
+
+    def counted(self):
+        built.append(1)
+        init(self)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counted)
+    return built
+
+
+def test_a_backtracking_step_builds_no_scenario(monkeypatch):
+    # every trial geometry is a ChannelState over positions
+    s = build_default_scenario(7)
+    grad = _grad(s)
+    built = _count_scenarios(monkeypatch)
+    res = tj.step(s, grad, TrajectoryConfig(dt=1.0e3, max_step_m=20.0))
+    assert res.halvings >= 1 and not res.stalled
+    assert built == []
+
+
+def test_a_failing_stack_builds_no_scenario(monkeypatch):
+    s = make_line_scenario(np.random.default_rng(64), n_uavs=3, n_si=0, chi=1.0)
+    coincident = s.positions.copy()
+    coincident[2] = coincident[1]
+    built = _count_scenarios(monkeypatch)
+    with pytest.raises(ValueError, match="two nodes share a position"):
+        sp.lambda2_stack(s, np.stack([s.positions, s.positions, coincident]))
+    assert built == []
