@@ -15,10 +15,12 @@ the scenario only supplies the layout.  ``sir_matrix``, ``sir_jacobian``,
 Each array keeps the association of the per-pair formula it replaces (the
 same masked 1-D sums, ``(num/denom)*(dden/denom)``), so its entries equal a
 pair-at-a-time evaluation to the bit.  A state may also hold a stack of
-geometries (leading axes before the node axes); ``sir_matrix`` and
-``edge_rates`` then return one table per geometry, each equal to the bit to
-that geometry's own.  Such a state recomputes, per geometry, only the rows
-and columns of the nodes that geometry moves.  The scalar functions ``sir``,
+geometries (leading axes before the node axes); ``sir_matrix``,
+``edge_rates``, ``sir_jacobian`` and ``rate_jacobian`` then return one
+table per geometry (at the scenario's powers or at a ``powers`` argument
+with the same leading axes), each equal to the bit to that geometry's own.
+Such a state recomputes, per geometry, only the rows and columns of the
+nodes that geometry moves from its reference.  The scalar functions ``sir``,
 ``edge_rate``, ``sir_spatial_gradient`` and ``rate_spatial_gradient`` index
 into these arrays and raise only for the pair they are asked about.
 """
@@ -151,15 +153,8 @@ def _link_layout(n_total: int, n_primary: int, aerial: frozenset, channel,
     return tables
 
 
-def _replace_rows(base: np.ndarray, count: int, g: np.ndarray, nodes: np.ndarray,
-                  rows: np.ndarray) -> np.ndarray:
-    """``count`` copies of a symmetric table with row and column nodes[k] of
-    copy g[k] replaced by rows[k]."""
-    out = np.empty((count,) + base.shape)
-    out[...] = base
-    out[g, nodes] = rows
-    out[g, :, nodes] = rows
-    return out
+_GEOMETRY_TABLES = ("positions", "dist", "gain_sq", "safety_u", "interference_w",
+                    "sir_denominators")
 
 
 class ChannelState:
@@ -176,20 +171,26 @@ class ChannelState:
     replaces the scenario's node positions and is kept as ``positions``;
     every table, gradient tables included, is built from it, so each
     geometry's entries equal those of a state built for it alone, to the
-    bit.  The distance, gain and proximity tables of the scenario's own
-    geometry are built once; each geometry then recomputes only the rows
-    and columns of the nodes whose coordinates differ from it, so a stack
-    of one-node bumps costs one row per geometry.  ``sir_matrix`` and
-    ``edge_rates`` accept a stack; the gradient tables and the scalar
-    lookups need a single geometry.
+    bit.  A stack's geometries are compared with a reference geometry: the
+    scenario's own (whose rows are built once) or, given ``reference``, the
+    geometries of that state, whose leading axes must begin the stack's.
+    Each geometry takes its reference's tables and recomputes only the rows
+    and columns of the nodes whose coordinates differ, so a stack of
+    one-node bumps costs one row per geometry and a geometry equal to its
+    reference none.  A single geometry without a reference computes
+    every row once.  Every table, the gradient tables included, carries the
+    stack's leading axes; the scalar lookups need a single geometry.
     """
 
     def __init__(self, scenario: Scenario, fading: FadingModel,
-                 positions: np.ndarray | None = None):
+                 positions: np.ndarray | None = None,
+                 reference: "ChannelState | None" = None):
         self.scenario = scenario
         self.fading = fading
-        base = scenario.positions
-        self.positions = pos = base if positions is None else positions
+        ref = scenario.positions if reference is None else reference.positions
+        self.positions = pos = ref if positions is None else positions
+        if reference is None and pos.ndim == 2:
+            ref = pos                   # a single geometry computes its own rows
         lead = pos.shape[:-2]
         n_total = scenario.n_total
         n = scenario.n_primary
@@ -197,39 +198,66 @@ class ChannelState:
         a2a, alpha, g2_eta, off, others = _link_layout(
             n_total, n, partition(scenario).aerial, scenario.channel, fading)
 
-        # Rows of distances, gains and proximity terms: first every node of
-        # the scenario's own geometry (``both[0]``), then each (geometry g,
-        # node) whose coordinates differ from it.  Each geometry's tables are
-        # a copy of the first set with those nodes' rows and columns replaced
-        # (the tables are symmetric to the bit).  Every row is computed from
-        # contiguous operands, as a row of a single state's full table is,
-        # so it equals that row to the bit
-        flat = pos.reshape(-1, n_total, 3)
-        count = flat.shape[0]
-        differs = flat != base
-        g, moved = np.nonzero(differs[..., 0] | differs[..., 1] | differs[..., 2])
-        both = np.concatenate([base[None], flat])
-        at = np.concatenate([np.zeros(n_total, dtype=np.intp), g + 1])
-        nodes = np.concatenate([np.arange(n_total), moved])
-        rows = np.linalg.norm(both[at, nodes][:, None, :] - both[at], axis=-1)
-        dist = _replace_rows(rows[:n_total], count, g, moved, rows[n_total:])
+        # Rows of distances, gains and proximity terms are computed for each
+        # (geometry g, node) whose coordinates differ from g's reference
+        # geometry, in one batch, together with every row of the reference
+        # itself when no reference state supplies them.  Each geometry's
+        # tables are a copy of its reference's with those nodes' rows and
+        # columns replaced (the tables are symmetric to the bit).  Every row
+        # is computed from contiguous operands, as a row of a single
+        # state's full table is, so it equals that row to the bit
+        refs = ref.reshape(-1, n_total, 3)
+        flat = pos.reshape(len(refs), -1, n_total, 3)
+        per_ref = flat.shape[1]
+        differs = flat != refs[:, None]
+        owner, k, moved = np.nonzero(differs[..., 0] | differs[..., 1] | differs[..., 2])
+        g = owner * per_ref + k
+        geoms = flat.reshape(-1, n_total, 3)
+        if reference is None:
+            geoms = np.concatenate([refs, geoms])
+            at = np.concatenate([np.zeros(n_total, dtype=np.intp), g + 1])
+            nodes = np.concatenate([np.arange(n_total), moved])
+        else:
+            at, nodes = g, moved
+        rows = np.linalg.norm(geoms[at, nodes][:, None, :] - geoms[at], axis=-1)
+        if reference is None:
+            base_rows, rows_moved = rows[None, :n_total], rows[n_total:]
+        else:
+            base_rows, rows_moved = reference.dist.reshape(-1, n_total, n_total), rows
+
+        def assemble(base, g, nodes, rows):
+            # each geometry's copy of its reference's table, with rows and
+            # columns ``nodes`` of geometry ``g`` replaced; the rows just
+            # computed for a lone geometry are its table as they are
+            if reference is None and len(base) * per_ref == 1 and not len(g):
+                return base.reshape(lead + base.shape[1:])
+            out = np.empty((len(base), per_ref) + base.shape[1:])
+            out[...] = base[:, None]
+            out = out.reshape((-1,) + base.shape[1:])
+            out[g, nodes] = rows
+            out[g, :, nodes] = rows
+            return out.reshape(lead + base.shape[1:])
+
+        self.dist = dist = assemble(base_rows, g, moved, rows_moved)
         if ((dist == 0.0) & off).any():
             raise ValueError("two nodes share a position; link gain undefined")
         safe_d = np.where(off[nodes], rows, 1.0)
         gains = g2_eta[nodes] * safe_d ** (-alpha[nodes])
         gains[np.arange(len(nodes)), nodes] = 0.0
-        gain = _replace_rows(gains[:n_total], count, g, moved, gains[n_total:])
         primary = nodes < n
         terms = smoothed_step(rows[primary, :n] / saf.r_int_m, saf)
         terms[np.arange(len(terms)), nodes[primary]] = 0.0
+        if reference is None:
+            base_gains, gains = gains[None, :n_total], gains[n_total:]
+            base_terms, terms = terms[None, :n], terms[n:]
+        else:
+            base_gains = reference.gain_sq.reshape(-1, n_total, n_total)
+            base_terms = reference.safety_u.reshape(-1, n, n)
         mover = moved < n
-        u = _replace_rows(terms[:n], count, g[mover], moved[mover], terms[n:])
-
-        self.dist = dist.reshape(lead + dist.shape[1:])
         self.alpha = alpha
         self.a2a = a2a
-        self.gain_sq = gain = gain.reshape(lead + gain.shape[1:])
-        self.safety_u = u = u.reshape(lead + u.shape[1:])
+        self.gain_sq = gain = assemble(base_gains, g, moved, gains)
+        self.safety_u = u = assemble(base_terms, g[mover], moved[mover], terms)
 
         si = list(scenario.si_indices)
         # aggregate interference from the fixed sources at each primary receiver.
@@ -254,6 +282,38 @@ class ChannelState:
         # sir_denominators[i, j]: sources at j plus chi * proximity sum over k not in {i, j}
         self.sir_denominators = self.interference_w[..., None, :] + saf.chi * safety
 
+    def _select(self, index) -> "ChannelState":
+        """The state of the geometries ``index`` picks on the first leading
+        axis: views of these tables, built without computing anything."""
+        return self._with(getattr(self, name)[index] for name in _GEOMETRY_TABLES)
+
+    def _with(self, tables) -> "ChannelState":
+        out = ChannelState.__new__(ChannelState)
+        out.__dict__.update(scenario=self.scenario, fading=self.fading, alpha=self.alpha,
+                            a2a=self.a2a, _others=self._others)
+        out.__dict__.update(zip(_GEOMETRY_TABLES, tables))
+        return out
+
+    @staticmethod
+    def _join(parts, count: int) -> "ChannelState":
+        """One state over ``count`` geometries from (state, picks, slots) parts
+        with a leading axis each: geometry ``picks[i]`` of a part becomes
+        geometry ``slots[i]``.  A part that fills every slot in order with its
+        own geometries in order is returned as it is."""
+        whole = np.arange(count)
+        for state, picks, slots in parts:
+            if (len(state.positions) == count and np.array_equal(picks, whole)
+                    and np.array_equal(slots, whole)):
+                return state
+        tables = []
+        for name in _GEOMETRY_TABLES:
+            table = getattr(parts[0][0], name)
+            joined = np.empty((count,) + table.shape[1:])
+            for state, picks, slots in parts:
+                joined[slots] = getattr(state, name)[picks]
+            tables.append(joined)
+        return parts[0][0]._with(tables)
+
     def sir_denominator(self, i: int, j: int) -> float:
         return float(self.sir_denominators[i, j])
 
@@ -264,38 +324,46 @@ class ChannelState:
         """S[j,k] with d u(d_jk/r)/d r_j = S[j,k] * (r_j - r_k)."""
         n = self.scenario.n_primary
         saf = self.scenario.safety
-        d = self.dist[:n, :n]
+        d = self.dist[..., :n, :n]
+        diag = np.arange(n)
         safe = np.where(np.eye(n, dtype=bool), 1.0, d)
         s = smoothed_step_slope(d / saf.r_int_m, saf) / (saf.r_int_m * safe)
-        np.fill_diagonal(s, 0.0)
+        s[..., diag, diag] = 0.0
         return s
 
     @functools.cached_property
     def si_interference_grad(self) -> np.ndarray:
-        """(n_primary, 3): gradient of the aggregate interference at receiver j
-        with respect to receiver j's own position."""
+        """(..., n_primary, 3): gradient of the aggregate interference at
+        receiver j with respect to receiver j's own position."""
         sc = self.scenario
         n = sc.n_primary
         si = list(sc.si_indices)
-        if not si:
-            return np.zeros((n, 3))
+        grad = np.zeros(self.positions.shape[:-2] + (n, 3))
         pos = self.positions
-        d = self.dist[si, :n]
+        d = self.dist[..., si, :n]
         coeff = (sc.si_powers_w[:, None] * (-self.alpha[si, :n])
-                 * self.gain_sq[si, :n] / d ** 2)
-        diff = pos[:n][None, :, :] - pos[si][:, None, :]
-        return np.einsum("mj,mjc->jc", coeff, diff)
+                 * self.gain_sq[..., si, :n] / d ** 2)
+        terms = coeff[..., None] * (pos[..., None, :n, :] - pos[..., si, None, :])
+        # summed source by source from zero, in source order: the order of
+        # the einsum("mj,mjc->jc") this replaces, pinned for every geometry
+        for m in range(len(si)):
+            grad += terms[..., m, :, :]
+        return grad
 
     @functools.cached_property
     def safety_sum_gradients(self) -> np.ndarray:
-        """(n_primary, n_primary, 3): entry [i, j, axis] is the derivative of the
-        proximity sum over k not in {i, j} w.r.t. receiver j's coordinate."""
+        """(..., n_primary, n_primary, 3): entry [i, j, axis] is the derivative
+        of the proximity sum over k not in {i, j} w.r.t. receiver j's
+        coordinate."""
         n = self.scenario.n_primary
-        pos = self.positions[:n]
+        pos = self.positions[..., :n, :]
         # terms[j, axis, k] = S[j, k] * (r_j - r_k)[axis]
-        terms = self.safety_slope[:, None, :] * (pos[:, :, None] - pos.T[None, :, :])
-        return terms[np.arange(n)[None, :, None, None], np.arange(3)[None, None, :, None],
-                     self._others[:, None, None, :]].sum(axis=-1)
+        terms = self.safety_slope[..., :, None, :] * (
+            pos[..., :, :, None] - pos.swapaxes(-1, -2)[..., None, :, :])
+        # gathered as (j, axis, i, k) and summed on its contiguous last axis
+        # for every geometry; then laid out as (i, j, axis)
+        sums = np.take(terms, self._others, axis=-1).sum(axis=-1)
+        return np.moveaxis(sums, -1, -3)
 
     def safety_sum_gradient(self, i: int, j: int, axis: int) -> float:
         """d/d(receiver j coordinate) of the proximity sum over k not in {i, j}."""
@@ -334,21 +402,26 @@ _ZERO_DENOMINATOR = ("zero SIR denominator: no interference sources and no "
                      "proximity term (chi = 0 or fully decayed)")
 
 
-def sir_matrix(scenario: Scenario, state: ChannelState) -> np.ndarray:
-    """(..., n_primary, n_primary) SIR of every ordered pair at the scenario's
-    powers, one table per geometry of a stacked state.
+def _powers(scenario, powers):
+    return scenario.node_powers_w if powers is None else powers
+
+
+def sir_matrix(scenario: Scenario, state: ChannelState,
+               powers: np.ndarray | None = None) -> np.ndarray:
+    """(..., n_primary, n_primary) SIR of every ordered pair, one table per
+    geometry of a stacked state, at ``powers`` (default: the scenario's;
+    (..., n_primary) gives each geometry its own).
 
     Unchecked: a zero denominator gives inf or nan, and the diagonal means
     nothing.  ``sir`` is the checked lookup of one entry.
     """
     n = scenario.n_primary
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return (scenario.node_powers_w[:, None] * state.gain_sq[..., :n, :n]
+        return (_powers(scenario, powers)[..., :, None] * state.gain_sq[..., :n, :n]
                 / state.sir_denominators)
 
 
-def _require_primary_pair(i, j, scenario):
-    n = scenario.n_primary
+def _require_primary_pair(i, j, n):
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("SIR is defined between primary nodes only")
     if i == j:
@@ -373,28 +446,54 @@ def sir(i: int, j: int, scenario: Scenario,
     i and j, scaled by chi.  There is no thermal noise term; a scenario with
     no sources and chi = 0 therefore has no defined SIR.
     """
-    _require_primary_pair(i, j, scenario)
+    _require_primary_pair(i, j, scenario.n_primary)
     st = _state_for(scenario, fading, state)
     return _finite_sir(sir_matrix(scenario, st)[i, j])
 
 
-def _checked_sirs(edges, scenario, state) -> np.ndarray:
-    """SIR matrix, checked as ``sir`` checks them on both directions of each
-    edge, in every geometry of a stacked state."""
-    sirs = sir_matrix(scenario, state)
-    finite = np.isfinite(sirs).all(axis=tuple(range(sirs.ndim - 2)))
+@functools.lru_cache(maxsize=64)
+def _checked_pairs(edges: tuple, n: int) -> tuple:
+    """The ordered pairs ``sir`` checks for the edges, in check order (both
+    directions of each edge that is not a loop), as index arrays; cut at the
+    first pair that is not a primary pair, with that pair's error."""
+    pairs, problem = [], None
     for p, q in edges:
         if p != q:
             for i, j in ((p, q), (q, p)):
-                _require_primary_pair(i, j, scenario)
-                if not finite[i, j]:
-                    raise ValueError(_ZERO_DENOMINATOR)
+                try:
+                    _require_primary_pair(i, j, n)
+                except ValueError as exc:
+                    problem = str(exc)
+                    break
+                pairs.append((i, j))
+            if problem:
+                break
+    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1], problem
+
+
+def _checked_sirs(edges: tuple, scenario, state, powers=None) -> np.ndarray:
+    """SIR matrix, checked as ``sir`` checks them on both directions of each
+    edge, in every geometry of a stacked state: the first failing pair's
+    error is raised."""
+    sirs = sir_matrix(scenario, state, powers)
+    i, j, problem = _checked_pairs(edges, scenario.n_primary)
+    if not np.isfinite(sirs[..., i, j]).all():
+        # the first non-finite pair comes before any non-primary one
+        raise ValueError(_ZERO_DENOMINATOR)
+    if problem:
+        raise ValueError(problem)
     return sirs
 
 
-def _endpoints(edges):
+@functools.lru_cache(maxsize=64)
+def _endpoints(edges: tuple) -> tuple:
+    """Index arrays of the edges' first and second endpoints (read-only)."""
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1]
+    p, q = ends[:, 0].copy(), ends[:, 1].copy()
+    p.setflags(write=False)
+    q.setflags(write=False)
+    return p, q
 
 
 def _rates(scenario, sirs, edges) -> np.ndarray:
@@ -404,10 +503,12 @@ def _rates(scenario, sirs, edges) -> np.ndarray:
     return np.where(p == q, 0.0, rates)
 
 
-def edge_rates(scenario: Scenario, state: ChannelState) -> np.ndarray:
+def edge_rates(scenario: Scenario, state: ChannelState,
+               powers: np.ndarray | None = None) -> np.ndarray:
     """(..., n_edges) rates of the topology edges in topology order, bit/s
-    (see ``edge_rate``), one row per geometry of a stacked state."""
-    return _rates(scenario, _checked_sirs(scenario.topology, scenario, state),
+    (see ``edge_rate``), one row per geometry of a stacked state, at
+    ``powers`` as in ``sir_matrix``."""
+    return _rates(scenario, _checked_sirs(scenario.topology, scenario, state, powers),
                   scenario.topology)
 
 
@@ -423,7 +524,7 @@ def edge_rate(i: int, j: int, scenario: Scenario,
         return 0.0
     _require_edge(i, j, scenario)
     st = _state_for(scenario, fading, state)
-    edge = [(i, j)]
+    edge = ((i, j),)
     return float(_rates(scenario, _checked_sirs(edge, scenario, st), edge)[0])
 
 
@@ -445,46 +546,65 @@ def _resolve_wrt(scenario, wrt):
     return t, axis
 
 
-def sir_jacobian(scenario: Scenario, state: ChannelState) -> np.ndarray:
-    """(n_primary, n_primary, n_uavs, 3): d sir(i, j) / d(UAV coordinate).
+def _pair_jacobian(scenario, state, powers, i, j) -> np.ndarray:
+    """(..., m, n_uavs, 3): d sir(i[k], j[k]) / d(UAV coordinate) for m
+    ordered pairs with i[k] != j[k], one table per geometry of a stacked
+    state.  Each entry is the per-pair formula's, with its association."""
+    sc, st = scenario, state
+    n = sc.n_primary
+    lead = st.dist.shape[:-2]
+    pair = np.arange(len(i))
+    pos = st.positions[..., :n, :]
+    powers = _powers(sc, powers)
+    chi = sc.safety.chi
+    d = st.dist[..., i, j][..., None]
+    gain = st.gain_sq[..., i, j]
+
+    # numerator: the link gain moves with either endpoint (a loop, which
+    # callers zero, divides by its zero length here)
+    dnum = np.zeros(lead + (len(i), n, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = (powers[..., i] * (-st.alpha[i, j] * gain / d[..., 0]))[..., None]
+        dnum[..., pair, i, :] = k * ((pos[..., i, :] - pos[..., j, :]) / d)
+        dnum[..., pair, j, :] = k * ((pos[..., j, :] - pos[..., i, :]) / d)
+
+    # denominator: a third party t moves its own proximity term at j; the
+    # receiver moves the source interference and the whole proximity sum
+    if chi != 0.0:
+        dden = 0.0 + chi * st.safety_slope[..., j, :, None] * (
+            pos[..., None, :, :] - pos[..., j, None, :])
+    else:
+        dden = np.zeros(lead + (len(i), n, 3))
+    own = 0.0 + st.si_interference_grad[..., j, :]
+    if chi != 0.0:
+        own = own + chi * st.safety_sum_gradients[..., i, j, :]
+    dden[..., pair, j, :] = own
+    dden[..., pair, i, :] = 0.0
+
+    denom = st.sir_denominators[..., i, j][..., None, None]
+    num = (powers[..., i] * gain)[..., None, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = dnum / denom - (num / denom) * (dden / denom)
+    return g[..., list(sc.uav_indices), :]
+
+
+def sir_jacobian(scenario: Scenario, state: ChannelState,
+                 powers: np.ndarray | None = None) -> np.ndarray:
+    """(..., n_primary, n_primary, n_uavs, 3): d sir(i, j) / d(UAV coordinate),
+    one table per geometry of a stacked state, at ``powers`` as in
+    ``sir_matrix``; the diagonal is zero.
 
     Unchecked like ``sir_matrix``; ``sir_spatial_gradient`` is the checked
     lookup of one entry.  Each entry is dnum/denom - (num/denom)*(dden/denom)
     with the per-pair formula's association, including its ``0.0 +`` start
     of the denominator derivative (which turns a -0.0 term into +0.0).
     """
-    sc, st = scenario, state
-    n = sc.n_primary
-    pos = st.positions[:n]
-    powers = sc.node_powers_w
-    gain = st.gain_sq[:n, :n]
-    chi = sc.safety.chi
-    diff = pos[:, None, :] - pos[None, :, :]        # diff[a, b] = r_a - r_b
+    n = scenario.n_primary
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    d = st.dist[i, j]
-
-    # numerator: the link gain moves with either endpoint
-    k = (powers[i] * (-st.alpha[i, j] * gain[i, j] / d))[:, None]
-    dnum = np.zeros((n, n, n, 3))
-    dnum[i, j, i] = k * (diff[i, j] / d[:, None])
-    dnum[i, j, j] = k * (diff[j, i] / d[:, None])
-
-    # denominator: a third party t moves its own proximity term at j; the
-    # receiver moves the source interference and the whole proximity sum
-    dden = np.zeros((n, n, n, 3))
-    if chi != 0.0:
-        dden[:] = 0.0 + chi * st.safety_slope[:, :, None] * diff.transpose(1, 0, 2)
-    own = 0.0 + st.si_interference_grad[j]
-    if chi != 0.0:
-        own = own + chi * st.safety_sum_gradients[i, j]
-    dden[i, j, j] = own
-    dden[i, j, i] = 0.0
-
-    denom = st.sir_denominators[:, :, None, None]
-    num = (powers[:, None] * gain)[:, :, None, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = dnum / denom - (num / denom) * (dden / denom)
-    return g[:, :, list(sc.uav_indices)]
+    g = _pair_jacobian(scenario, state, powers, i, j)
+    out = np.zeros(g.shape[:-3] + (n, n) + g.shape[-2:])
+    out[..., i, j, :, :] = g
+    return out
 
 
 def sir_spatial_gradient(i: int, j: int, wrt, scenario: Scenario,
@@ -503,24 +623,30 @@ def sir_spatial_gradient(i: int, j: int, wrt, scenario: Scenario,
     st = _state_for(scenario, fading, state)
     if st.sir_denominators[i, j] == 0.0:
         raise ValueError(_ZERO_DENOMINATOR)
-    return float(sir_jacobian(scenario, st)[i, j, scenario.uav_indices.index(t), c])
+    g = _pair_jacobian(scenario, st, None, np.array([i]), np.array([j]))
+    return float(g[0, scenario.uav_indices.index(t), c])
 
 
-def _rate_jacobian(scenario, state, sirs, edges) -> np.ndarray:
+def _rate_jacobian(scenario, state, sirs, edges, powers=None) -> np.ndarray:
     p, q = _endpoints(edges)
-    g = sir_jacobian(scenario, state)
+    # both directions of every edge (a loop's rows are zeroed below)
+    g = _pair_jacobian(scenario, state, powers, np.concatenate([p, q]), np.concatenate([q, p]))
+    forward, backward = g[..., :len(p), :, :], g[..., len(p):, :, :]
     b = scenario.channel.bandwidth_hz
-    jac = b / (2.0 * LN2) * (g[p, q] / (1.0 + sirs[p, q])[:, None, None]
-                             + g[q, p] / (1.0 + sirs[q, p])[:, None, None])
-    jac[p == q] = 0.0
+    jac = b / (2.0 * LN2) * (forward / (1.0 + sirs[..., p, q])[..., None, None]
+                             + backward / (1.0 + sirs[..., q, p])[..., None, None])
+    jac[..., p == q, :, :] = 0.0
     return jac
 
 
-def rate_jacobian(scenario: Scenario, state: ChannelState) -> np.ndarray:
-    """(n_edges, n_uavs, 3): derivative of each topology edge rate, in topology
-    order, w.r.t. every UAV coordinate (see ``rate_spatial_gradient``)."""
-    sirs = _checked_sirs(scenario.topology, scenario, state)
-    return _rate_jacobian(scenario, state, sirs, scenario.topology)
+def rate_jacobian(scenario: Scenario, state: ChannelState,
+                  powers: np.ndarray | None = None) -> np.ndarray:
+    """(..., n_edges, n_uavs, 3): derivative of each topology edge rate, in
+    topology order, w.r.t. every UAV coordinate (see
+    ``rate_spatial_gradient``), one table per geometry of a stacked state, at
+    ``powers`` as in ``sir_matrix``."""
+    sirs = _checked_sirs(scenario.topology, scenario, state, powers)
+    return _rate_jacobian(scenario, state, sirs, scenario.topology, powers)
 
 
 def rate_spatial_gradient(p: int, q: int, wrt, scenario: Scenario,
@@ -535,7 +661,7 @@ def rate_spatial_gradient(p: int, q: int, wrt, scenario: Scenario,
         return 0.0
     _require_edge(p, q, scenario)
     st = _state_for(scenario, fading, state)
-    edge = [(p, q)]
+    edge = ((p, q),)
     sirs = _checked_sirs(edge, scenario, st)
     t, c = _resolve_wrt(scenario, wrt)
     return float(_rate_jacobian(scenario, st, sirs, edge)[0, scenario.uav_indices.index(t), c])

@@ -189,18 +189,9 @@ def _apply_sweep_value(scenario: scen.Scenario, variable: str, value: float):
                      f"expected one of {', '.join(_SWEEP_VARIABLES)}")
 
 
-def _sweep_point(args):
-    cfg, seed, variable, value, mask = args
-    scenario = _apply_sweep_value(_scenario_from_args(cfg, seed), variable, value)
-    config = _optimizer_config(cfg, mask)
-    history = run(scenario, config)
-    return {
-        "sweep_value": float(value),
-        "axis_mask": mask,
-        "final_flow_bits_per_s": history.records[-1].flow_bits_per_s,
-        "iterations": history.records[-1].iteration,
-        "terminated": history.termination.value,
-    }
+def _sweep_chunk(batch):
+    """Histories of (scenario, config) points, advanced as one batch."""
+    return run([point[0] for point in batch], [point[1] for point in batch])
 
 
 def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
@@ -220,25 +211,31 @@ def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
         if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")
         # validate scenario and masks up front so a bad sweep emits nothing
-        _scenario_from_args(cfg, seed)
-        _optimizer_config(cfg, masks[0])
+        base = _scenario_from_args(cfg, seed)
+        configs = {mask: _optimizer_config(cfg, mask) for mask in masks}
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    points = [(cfg, seed, variable, value, mask) for value in values for mask in masks]
+    grid = [(value, mask) for value in values for mask in masks]
     try:
+        # one batch of every grid point; --jobs K runs it as K contiguous
+        # chunks, so the first failing point's error is still the one raised
+        scenarios = {value: _apply_sweep_value(base, variable, value) for value in values}
+        batch = [(scenarios[value], configs[mask]) for value, mask in grid]
+        bounds = np.linspace(0, len(batch), min(max(jobs, 1), len(batch)) + 1).astype(int)
+        chunks = [batch[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_sweep_point, points))
+                histories = [h for chunk in pool.map(_sweep_chunk, chunks) for h in chunk]
         else:
-            rows = [_sweep_point(p) for p in points]
+            histories = _sweep_chunk(batch)
         lines = ["sweep_value,axis_mask,final_flow_bits_per_s,iterations,terminated"]
-        for r in rows:
+        for (value, mask), history in zip(grid, histories):
+            last = history.records[-1]
             lines.append(",".join([
-                _fmt(r["sweep_value"]), r["axis_mask"],
-                _fmt(r["final_flow_bits_per_s"]),
-                str(r["iterations"]), r["terminated"],
+                _fmt(value), mask, _fmt(last.flow_bits_per_s),
+                str(last.iteration), history.termination.value,
             ]))
         os.makedirs(out_dir, exist_ok=True)
         _write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")

@@ -6,6 +6,11 @@ scores the configuration by its max s-d flow.  The loop stops when the flow
 change between the two previous iterations falls to epsilon, mirroring a
 while-test with sentinels R(-1) = -inf and R(0) = 0, so the very first
 iteration always runs.
+
+The loop carries arrays (positions in a ``ChannelState``, powers,
+thresholds), not a ``Scenario`` per iteration.  It runs a batch of points
+sharing one layout in lockstep, each array with a leading point axis; a
+lone run is the same loop over unstacked arrays.
 """
 
 from __future__ import annotations
@@ -15,12 +20,12 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import FadingModel, _state_for
+from .channel import ChannelState, FadingModel
 from .flow import from_adjacency, max_flow
 from .power import solve_maxmin, verify_interference
 from .scenario import Scenario, validate
 from .spectral import LaplacianMode, connectivity_bundle
-from .trajectory import GradientMode, TrajectoryConfig, lambda2_gradient, step
+from .trajectory import GradientMode, TrajectoryConfig, _each, lambda2_gradient, step
 
 
 class TerminationReason(Enum):
@@ -77,83 +82,156 @@ class RunHistory:
         return self.records[-1].iteration
 
 
-def _evaluate(scenario, config, state=None):
-    """Bundle, flow and interference margin of one configuration."""
-    state = _state_for(scenario, config.fading, state)
-    bundle = connectivity_bundle(scenario, config.fading,
-                                 mode=config.laplacian_mode, state=state)
-    net = from_adjacency(bundle.matrices, scenario.source, scenario.destination)
-    value, _ = max_flow(net)
-    report = verify_interference(scenario, scenario.node_powers_w,
-                                 config.fading, state=state)
-    return bundle, value, report, state
+def _evaluate(scenario, fading, mode, state, powers, i_max_w=None):
+    """Bundle, flows (a list, one per geometry) and interference report of a
+    (stacked) state at ``powers``."""
+    bundle = connectivity_bundle(scenario, fading, mode=mode, state=state, powers=powers)
+    n = scenario.n_primary
+    flows = [max_flow(from_adjacency(a, scenario.source, scenario.destination))[0]
+             for a in bundle.matrices.adjacency.reshape(-1, n, n)]
+    report = verify_interference(scenario, powers, fading, state=state, i_max_w=i_max_w)
+    return bundle, flows, report
 
 
-def _record(iteration, current, bundle, flow_value, report, eta, gradient_mode,
-            stalled) -> IterationRecord:
-    return IterationRecord(
-        iteration=iteration,
-        uav_positions=current.uav_positions,
-        powers_w=current.node_powers_w.copy(),
-        lambda2=bundle.lambda2,
-        flow_bits_per_s=flow_value,
-        min_interference_margin_w=report.min_margin_w,
-        interference_ok=report.passed,
-        eta=eta,
-        gradient_mode=gradient_mode,
-        stalled=stalled,
-        degenerate=bundle.degenerate,
-    )
+def _append(records, ids, t, state, powers, evaluated, etas, modes, stalls):
+    """One record per point of a (stacked) evaluation, onto each point's list."""
+    bundle, flows, report = evaluated
+    scenario = state.scenario
+    uav_positions = state.positions[..., list(scenario.uav_indices), :].reshape(
+        -1, scenario.n_uavs, 3)
+    powers_w = np.array(powers).reshape(-1, scenario.n_primary)
+    for k, fields in enumerate(zip(ids.tolist(), _each(bundle.lambda2), flows,
+                                   _each(report.min_margin_w), _each(report.passed),
+                                   etas, modes, stalls, _each(bundle.degenerate))):
+        i, lam, flow, margin, ok, eta, mode, stalled, degenerate = fields
+        records[i].append(IterationRecord(
+            iteration=t, uav_positions=uav_positions[k], powers_w=powers_w[k], lambda2=lam,
+            flow_bits_per_s=flow, min_interference_margin_w=margin, interference_ok=ok,
+            eta=eta, gradient_mode=mode, stalled=stalled, degenerate=degenerate))
 
 
-def run(scenario: Scenario, config: OptimizerConfig | None = None) -> RunHistory:
+def _shared(scenario: Scenario, config: OptimizerConfig) -> tuple:
+    """What the points of a batch must have in common."""
+    return (scenario.classes, scenario.channel, scenario.safety, scenario.topology,
+            scenario.weights.tobytes(), scenario.si_powers_w.tobytes(), scenario.p_max_w,
+            scenario.ue_aerial, config.fading, config.laplacian_mode,
+            config.trajectory.gradient_mode, config.trajectory.fd_step_m)
+
+
+def run(scenario, config: OptimizerConfig | None = None):
     """Alternating optimization until the flow settles, stalls, or times out.
 
     Record 0 is the starting configuration with every transmitter at P_max;
     record t >= 1 holds the state after iteration t's trajectory step and
     power solve, so its powers always respect the interference thresholds.
+
+    A sequence of scenarios, with one config or a sequence of one per
+    scenario, is a batch: its points advance in lockstep, one stacked pass
+    per iteration, and the call returns a list of histories, each equal
+    record for record to that point's own run.  The points must share
+    their layout (classes, channel, safety, topology, weights, source
+    powers, p_max, UE class) and the config's fading, Laplacian mode,
+    gradient mode and finite-difference step; positions, thresholds and
+    every other config field are their own.  A batch in which a point fails
+    raises what the first failing point raises alone.
     """
-    config = config or OptimizerConfig()
-    problems = validate(scenario)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
+    if isinstance(scenario, Scenario):
+        return _lockstep([scenario], [config or OptimizerConfig()], lone=True)[0]
+    scenarios = list(scenario)
+    configs = (list(config) if isinstance(config, (list, tuple))
+               else [config or OptimizerConfig()] * len(scenarios))
+    if len(configs) != len(scenarios):
+        raise ValueError("a batch needs one config, or one per scenario")
+    try:
+        return _lockstep(scenarios, configs, lone=False)
+    except Exception:
+        # raise the error of the first point that fails on its own, as a
+        # run of the points one after another would
+        for s, c in zip(scenarios, configs):
+            run(s, c)
+        raise
 
-    current = scenario.with_node_powers(np.full(scenario.n_primary, scenario.p_max_w))
-    bundle, flow_value, report, state = _evaluate(current, config)
-    records = [_record(0, current, bundle, flow_value, report, float("nan"), None, False)]
 
-    # sentinel flows: R(-1) = -inf, R(0) = 0, so iteration 1 always runs
-    r_prev2, r_prev1 = -np.inf, 0.0
-    termination = TerminationReason.MAX_ITERATIONS
-    for t in range(1, config.max_iterations + 1):
-        if abs(r_prev1 - r_prev2) <= config.epsilon:
-            termination = TerminationReason.CONVERGED
+def _lockstep(scenarios, configs, lone: bool) -> list:
+    """The histories of a batch's points; ``lone``: one point, unstacked."""
+    for s in scenarios:
+        problems = validate(s)
+        if problems:
+            raise ValueError("invalid scenario: " + "; ".join(problems))
+    if not scenarios:
+        return []
+    layout, first = scenarios[0], configs[0]
+    if any(_shared(s, c) != _shared(layout, first) for s, c in zip(scenarios, configs)):
+        raise ValueError("a batch's points must share their layout, fading, Laplacian "
+                         "mode, gradient mode and finite-difference step")
+    fading, mode, trajectory = first.fading, first.laplacian_mode, first.trajectory
+    count = len(scenarios)
+    stacked = (lambda arrays: arrays[0]) if lone else np.stack
+
+    # one point per row (lone: unstacked): geometry, powers and thresholds
+    positions = stacked([s.positions for s in scenarios])
+    i_max = stacked([s.i_max_w for s in scenarios])
+    powers = np.full(positions.shape[:-2] + (layout.n_primary,), layout.p_max_w)
+    state = ChannelState(layout, fading, positions)
+    evaluated = _evaluate(layout, fading, mode, state, powers, i_max)
+    ids = np.arange(count)
+    records = [[] for _ in range(count)]
+    _append(records, ids, 0, state, powers, evaluated, [float("nan")] * count,
+            [None] * count, [False] * count)
+
+    # per point: sentinel flows R(-1) = -inf, R(0) = 0, so iteration 1 always runs
+    r_prev2, r_prev1 = np.full(count, -np.inf), np.zeros(count)
+    last = np.array(evaluated[1])            # each point's latest record's flow
+    epsilon = np.array([c.epsilon for c in configs])
+    budget = np.array([c.max_iterations for c in configs])
+    trajectories = tuple(c.trajectory for c in configs)
+    terminations = [TerminationReason.MAX_ITERATIONS] * count
+    stop = np.zeros(count, dtype=bool)       # stalled with an unchanged flow
+    t = 0
+    while True:
+        t += 1
+        over = ~stop & (t > budget)
+        converged = ~stop & ~over & (np.abs(r_prev1 - r_prev2) <= epsilon)
+        for i in ids[converged].tolist():
+            terminations[i] = TerminationReason.CONVERGED
+        for i in ids[stop].tolist():
+            terminations[i] = TerminationReason.STALLED
+        live = ~(stop | over | converged)
+        if not live.any():
             break
+        if not live.all():
+            # finished points drop out of every stack
+            state, bundle = state._select(live), evaluated[0].take(live)
+            powers, i_max = powers[live], i_max[live]
+            ids, r_prev2, r_prev1, last = ids[live], r_prev2[live], r_prev1[live], last[live]
+            epsilon, budget = epsilon[live], budget[live]
+            trajectories = tuple(c for c, keep in zip(trajectories, live) if keep)
+        else:
+            bundle = evaluated[0]
 
-        grad = lambda2_gradient(current, config.fading,
-                                laplacian_mode=config.laplacian_mode,
-                                gradient_mode=config.trajectory.gradient_mode,
-                                fd_step_m=config.trajectory.fd_step_m,
-                                bundle=bundle, state=state)
-        moved = step(current, grad, config.trajectory, config.fading,
-                     laplacian_mode=config.laplacian_mode,
-                     bundle=bundle, state=state)
-        current = current.with_uav_positions(moved.positions)
-        state = moved.state
+        grads = lambda2_gradient(layout, fading, laplacian_mode=mode,
+                                 gradient_mode=trajectory.gradient_mode,
+                                 fd_step_m=trajectory.fd_step_m,
+                                 bundle=bundle, state=state, powers=powers)
+        moved = step(layout, grads, trajectories[0] if lone else trajectories, fading,
+                     laplacian_mode=mode, bundle=bundle, state=state, powers=powers)
+        grads, moved = ((grads,), (moved,)) if lone else (grads, moved)
+        state = moved[0].state
 
-        solution = solve_maxmin(current, config.fading, state=state)
-        current = current.with_node_powers(solution.powers_w)
+        solutions = solve_maxmin(layout, fading, state=state, i_max_w=i_max)
+        solutions = (solutions,) if lone else solutions
+        powers = stacked([sol.powers_w for sol in solutions])
 
-        bundle, flow_value, report, state = _evaluate(current, config, state=state)
-        records.append(_record(t, current, bundle, flow_value, report, solution.eta,
-                               grad.mode_used, moved.stalled))
-        r_prev2, r_prev1 = r_prev1, flow_value
+        evaluated = _evaluate(layout, fading, mode, state, powers, i_max)
+        stalls = [m.stalled for m in moved]
+        _append(records, ids, t, state, powers, evaluated, [sol.eta for sol in solutions],
+                [g.mode_used for g in grads], stalls)
+        flows = np.array(evaluated[1])
+        stop = np.array(stalls) & (flows == last)
+        r_prev2, r_prev1, last = r_prev1, flows, flows
 
-        if moved.stalled and records[-2].flow_bits_per_s == flow_value:
-            termination = TerminationReason.STALLED
-            break
-
-    return RunHistory(records=tuple(records), termination=termination)
+    return [RunHistory(records=tuple(r), termination=reason)
+            for r, reason in zip(records, terminations)]
 
 
 def replay_flow(history: RunHistory, scenario: Scenario,
@@ -165,5 +243,7 @@ def replay_flow(history: RunHistory, scenario: Scenario,
     """
     config = config or OptimizerConfig()
     rec = history.records[t]
-    s = scenario.with_uav_positions(rec.uav_positions).with_node_powers(rec.powers_w)
-    return _evaluate(s, config)[1]
+    positions = scenario.positions.copy()
+    positions[list(scenario.uav_indices)] = rec.uav_positions
+    state = ChannelState(scenario, config.fading, positions)
+    return _evaluate(scenario, config.fading, config.laplacian_mode, state, rec.powers_w)[1][0]

@@ -44,41 +44,59 @@ class InterferenceReport:
     passed: bool
 
 
+def _thresholds(scenario, i_max_w):
+    return scenario.i_max_w if i_max_w is None else i_max_w
+
+
+def _limits(scenario, state, i_max_w):
+    """(..., n_primary, n_si): the power at which each transmitter lands each
+    source's threshold."""
+    n = scenario.n_primary
+    gains = state.gain_sq[..., :n, list(scenario.si_indices)]
+    return _thresholds(scenario, i_max_w)[..., None, :] / gains
+
+
 def power_caps(scenario: Scenario,
                fading: FadingModel | None = None,
-               state: ChannelState | None = None) -> np.ndarray:
-    """Largest allowed power per primary transmitter: budget and thresholds."""
+               state: ChannelState | None = None,
+               i_max_w: np.ndarray | None = None) -> np.ndarray:
+    """Largest allowed power per primary transmitter: budget and thresholds.
+
+    ``i_max_w`` replaces the scenario's thresholds; with leading axes it
+    gives each geometry of a stacked state its own, one row of caps each.
+    """
     st = _state_for(scenario, fading, state)
-    n = scenario.n_primary
-    caps = np.full(n, scenario.p_max_w)
-    si = list(scenario.si_indices)
-    if si:
-        gains = st.gain_sq[np.ix_(range(n), si)]       # (n, n_si)
-        limits = scenario.i_max_w[None, :] / gains
-        caps = np.minimum(caps, limits.min(axis=1))
+    caps = np.full(st.gain_sq.shape[:-2] + (scenario.n_primary,), scenario.p_max_w)
+    if scenario.si_indices:
+        caps = np.minimum(caps, _limits(scenario, st, i_max_w).min(axis=-1))
     return caps
 
 
-def _binding_report(scenario, caps, state):
-    si = list(scenario.si_indices)
+def _binding_report(scenario, caps, state, i_max_w):
+    """Per node: (BindingConstraint, si index or None); one tuple per geometry."""
     n = scenario.n_primary
-    out = []
-    for i in range(n):
-        if not si or caps[i] >= scenario.p_max_w * (1.0 - _SLACK):
-            out.append((BindingConstraint.P_MAX, None))
-        else:
-            limits = scenario.i_max_w / state.gain_sq[i, si]
-            out.append((BindingConstraint.INTERFERENCE_CAP, int(np.argmin(limits))))
-    return tuple(out)
+    flat_caps = caps.reshape(-1, n)
+    if scenario.si_indices:
+        capped = ~(flat_caps >= scenario.p_max_w * (1.0 - _SLACK))
+        which = _limits(scenario, state, i_max_w).argmin(axis=-1).reshape(-1, n)
+    else:
+        capped = np.zeros_like(flat_caps, dtype=bool)
+        which = np.zeros_like(capped, dtype=np.intp)
+    return [tuple((BindingConstraint.INTERFERENCE_CAP, w) if c
+                  else (BindingConstraint.P_MAX, None) for c, w in zip(cs, ws))
+            for cs, ws in zip(capped.tolist(), which.tolist())]
 
 
 def solve_maxmin(scenario: Scenario,
                  fading: FadingModel | None = None,
-                 state: ChannelState | None = None) -> PowerSolution:
+                 state: ChannelState | None = None,
+                 i_max_w: np.ndarray | None = None):
     """Max-min edge rate power allocation on a chain topology.
 
     Every transmitter runs at its cap, and eta is the smallest edge rate
-    there: no rate can rise by lowering any power.
+    there: no rate can rise by lowering any power.  A stacked state (with
+    ``i_max_w`` as in ``power_caps``) gives a tuple of solutions, one per
+    geometry.
     """
     edges = sorted(tuple(sorted(e)) for e in scenario.topology)
     chain = [(i, i + 1) for i in range(scenario.n_primary - 1)]
@@ -86,34 +104,46 @@ def solve_maxmin(scenario: Scenario,
         raise ValueError("max-min power solve expects a chain topology")
 
     st = _state_for(scenario, fading, state)
-    caps = power_caps(scenario, state=st)
-    binding = _binding_report(scenario, caps, st)
-    if np.any(caps <= 0.0) or not np.all(np.isfinite(caps)):
-        return PowerSolution(powers_w=np.maximum(caps, 0.0), eta=0.0,
-                             binding=binding, feasible=False)
-
-    eta = float(edge_rates(scenario.with_node_powers(caps), st).min())
-    return PowerSolution(powers_w=caps, eta=eta, binding=binding, feasible=True)
+    caps = power_caps(scenario, state=st, i_max_w=i_max_w)
+    binding = _binding_report(scenario, caps, st, i_max_w)
+    feasible = np.all(caps > 0.0, axis=-1) & np.all(np.isfinite(caps), axis=-1)
+    # an infeasible geometry's rates are not needed; the budget keeps them finite
+    at = np.where(feasible[..., None], caps, scenario.p_max_w)
+    eta = np.where(feasible, edge_rates(scenario, st, at).min(axis=-1), 0.0)
+    solutions = tuple(
+        PowerSolution(powers_w=c if ok else np.maximum(c, 0.0), eta=e, binding=b, feasible=ok)
+        for c, e, b, ok in zip(caps.reshape(-1, scenario.n_primary), eta.reshape(-1).tolist(),
+                               binding, feasible.reshape(-1).tolist()))
+    return solutions[0] if caps.ndim == 1 else solutions
 
 
 def verify_interference(scenario: Scenario,
                         powers_w: np.ndarray,
                         fading: FadingModel | None = None,
-                        state: ChannelState | None = None) -> InterferenceReport:
-    """Check every transmitter against every source threshold."""
+                        state: ChannelState | None = None,
+                        i_max_w: np.ndarray | None = None) -> InterferenceReport:
+    """Check every transmitter against every source threshold.
+
+    ``powers_w`` and ``i_max_w`` (default: the scenario's thresholds) may
+    carry the leading axes of a stacked state; the report's fields then do
+    too, one check per geometry.
+    """
     st = _state_for(scenario, fading, state)
     n = scenario.n_primary
     powers = np.asarray(powers_w, dtype=float)
-    if powers.shape != (n,):
+    if powers.shape[-1:] != (n,):
         raise ValueError("need one power per primary node")
-    si = list(scenario.si_indices)
-    received = powers[:, None] * st.gain_sq[np.ix_(range(n), si)]
-    margins = scenario.i_max_w[None, :] - received
-    if margins.size:
-        min_margin = float(margins.min())
-        passed = bool(np.all(received <= scenario.i_max_w[None, :] * (1.0 + _SLACK)))
+    limit = _thresholds(scenario, i_max_w)[..., None, :]
+    received = powers[..., :, None] * st.gain_sq[..., :n, list(scenario.si_indices)]
+    margins = limit - received
+    if margins.shape[-1]:
+        min_margin = margins.min(axis=(-2, -1))
+        passed = np.all(received <= limit * (1.0 + _SLACK), axis=(-2, -1))
+        if min_margin.ndim == 0:
+            min_margin, passed = float(min_margin), bool(passed)
     else:
-        min_margin = float("inf")
-        passed = True
+        lead = margins.shape[:-2]
+        min_margin = np.full(lead, np.inf) if lead else float("inf")
+        passed = np.ones(lead, dtype=bool) if lead else True
     return InterferenceReport(received_w=received, margins_w=margins,
                               min_margin_w=min_margin, passed=passed)

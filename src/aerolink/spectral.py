@@ -14,6 +14,7 @@ batched ``eigh``) run it on a ``ChannelState`` over positions.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,12 +66,13 @@ class GraphMatrices:
 
 def build_matrices(scenario: Scenario,
                    fading: FadingModel | None = None,
-                   state: ChannelState | None = None) -> GraphMatrices:
+                   state: ChannelState | None = None,
+                   powers: np.ndarray | None = None) -> GraphMatrices:
     """Rate matrix over the scenario topology, plus degree and Laplacian
-    (one per geometry of a stacked state)."""
+    (one per geometry of a stacked state), at ``powers`` as in ``edge_rates``."""
     st = _state_for(scenario, fading, state)
     n = scenario.n_primary
-    rates = edge_rates(scenario, st)
+    rates = edge_rates(scenario, st, powers)
     a = np.zeros(rates.shape[:-1] + (n, n))
     for e, (i, j) in enumerate(scenario.topology):
         a[..., i, j] = a[..., j, i] = rates[..., e]
@@ -131,22 +133,28 @@ class FiedlerResult:
     degenerate: bool         # gap below tolerance: lambda2 ill-conditioned
 
 
+def _unstacked(value):
+    """A Python scalar for the value of a single matrix; arrays as they are."""
+    return value.item() if np.ndim(value) == 0 else value
+
+
 def fiedler_pair(weighted_lap: np.ndarray) -> FiedlerResult:
     """Second eigenpair of a weighted Laplacian, with a degeneracy flag.
 
     lambda2 must be simple for its eigenvector to define a usable ascent
     direction, so the flag is raised when lambda2 crowds either neighbor:
     the gap to lambda3 or to lambda1 (always 0 here) falls below 1e-9 times
-    the matrix scale.  A disconnected graph is degenerate by this rule.
+    the matrix scale.  A disconnected graph is degenerate by this rule.  A
+    (..., n, n) stack gives one result whose fields carry its leading axes.
     """
     vals, vecs = eig_sym(weighted_lap)
-    n = vals.shape[0]
-    scale = float(_checked_spectrum(vals))
-    lam2 = float(vals[1])
-    gap = float(vals[2] - vals[1]) if n >= 3 else float("inf")
-    degenerate = gap < _EIG_TOL * scale or lam2 < _EIG_TOL * scale
-    return FiedlerResult(lambda2=lam2, vector=vecs[:, 1].copy(),
-                         spectral_gap=gap, degenerate=degenerate)
+    n = vals.shape[-1]
+    scale = _checked_spectrum(vals)
+    lam2 = vals[..., 1]
+    gap = vals[..., 2] - lam2 if n >= 3 else np.full(vals.shape[:-1], np.inf)
+    degenerate = (gap < _EIG_TOL * scale) | (lam2 < _EIG_TOL * scale)
+    return FiedlerResult(lambda2=_unstacked(lam2), vector=vecs[..., :, 1].copy(),
+                         spectral_gap=_unstacked(gap), degenerate=_unstacked(degenerate))
 
 
 @dataclass(frozen=True)
@@ -165,10 +173,21 @@ class LaplacianBundle:
     w_min: float
 
 
-def _laplacian(scenario, fading, weights, mode, state):
+    def take(self, index) -> "LaplacianBundle":
+        """The bundle of the geometries ``index`` picks on the first leading axis."""
+        m = self.matrices
+        return dataclasses.replace(
+            self, matrices=GraphMatrices(m.adjacency[index], m.degree[index],
+                                         m.laplacian[index]),
+            weighted_laplacian=self.weighted_laplacian[index], lambda2=self.lambda2[index],
+            fiedler=self.fiedler[index], spectral_gap=self.spectral_gap[index],
+            degenerate=self.degenerate[index], delta_max=self.delta_max[index])
+
+
+def _laplacian(scenario, fading, weights, mode, state, powers=None):
     """Weights, rate matrices and weighted Laplacian(s) of a (stacked) state."""
     w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
-    matrices = build_matrices(scenario, fading, state)
+    matrices = build_matrices(scenario, fading, state, powers)
     return w, matrices, weighted_laplacian(matrices, w, mode)
 
 
@@ -176,8 +195,13 @@ def connectivity_bundle(scenario: Scenario,
                         fading: FadingModel | None = None,
                         weights: np.ndarray | None = None,
                         mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
-                        state: ChannelState | None = None) -> LaplacianBundle:
-    w, matrices, lw = _laplacian(scenario, fading, weights, mode, state)
+                        state: ChannelState | None = None,
+                        powers: np.ndarray | None = None) -> LaplacianBundle:
+    """The spectral data of a state's geometry at ``powers`` (default: the
+    scenario's).  A stacked state gives one bundle whose per-geometry fields
+    (matrices, lambda2, Fiedler vectors, gaps, flags, degrees) carry its
+    leading axes, each entry equal to the bit to that geometry's own."""
+    w, matrices, lw = _laplacian(scenario, fading, weights, mode, state, powers)
     fr = fiedler_pair(lw)
     return LaplacianBundle(
         matrices=matrices,
@@ -188,7 +212,7 @@ def connectivity_bundle(scenario: Scenario,
         fiedler=fr.vector,
         spectral_gap=fr.spectral_gap,
         degenerate=fr.degenerate,
-        delta_max=float(np.diag(matrices.degree).max()),
+        delta_max=_unstacked(np.diagonal(matrices.degree, axis1=-2, axis2=-1).max(axis=-1)),
         w_min=float(w.min()),
     )
 
@@ -197,24 +221,31 @@ def lambda2_stack(scenario: Scenario,
                   positions: np.ndarray,
                   fading: FadingModel | None = None,
                   weights: np.ndarray | None = None,
-                  mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED
-                  ) -> np.ndarray:
+                  mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
+                  reference: ChannelState | None = None,
+                  powers: np.ndarray | None = None) -> np.ndarray:
     """lambda2 of the scenario at every geometry of a (..., n_total, 3) stack.
 
     One pass of ``connectivity_bundle``'s arithmetic with the stack's
     leading axes carried through (one batched ``eigh``), so each entry is
-    the ``lambda2`` of that geometry's own bundle to the bit.  A stack that
+    the ``lambda2`` of that geometry's own bundle to the bit.  ``reference``
+    and ``powers`` are passed on to ``ChannelState`` and ``edge_rates``
+    (``powers`` broadcast against the stack's leading axes).  A stack that
     fails a check raises what the first failing geometry, in C order,
     raises alone.
     """
     try:
-        state = _state_for(scenario, fading, positions=positions)
-        vals, _ = eig_sym(_laplacian(scenario, fading, weights, mode, state)[2])
+        state = ChannelState(scenario, fading or FadingModel.unit_gain(), positions, reference)
+        vals, _ = eig_sym(_laplacian(scenario, fading, weights, mode, state, powers)[2])
         _checked_spectrum(vals)
     except ValueError:
-        for pos in positions.reshape(-1, scenario.n_total, 3):
+        lead = positions.shape[:-2]
+        if powers is not None:
+            powers = np.broadcast_to(powers, lead + powers.shape[-1:])
+        for g in np.ndindex(lead):
             connectivity_bundle(scenario, fading, weights, mode,
-                                _state_for(scenario, fading, positions=pos))
+                                _state_for(scenario, fading, positions=positions[g]),
+                                None if powers is None else powers[g])
         raise
     return vals[..., 1]
 

@@ -10,17 +10,19 @@ is only a heuristic.  They evaluate every +-h bump of every UAV coordinate
 in one stacked lambda2 pass, bit-identical to bumping one coordinate at a
 time.  A step evaluates each trial as a ``ChannelState`` over its positions
 (no new ``Scenario``) and returns the state of the positions it accepts,
-so the caller need not build it again.
+so the caller need not build it again.  Both the gradient and the step
+also run on a stacked state, one geometry per batch point.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, _state_for, rate_jacobian
+from .channel import ChannelState, FadingModel, _endpoints, _state_for, rate_jacobian
 from .scenario import Scenario
 from .spectral import LaplacianBundle, LaplacianMode, connectivity_bundle, lambda2_stack
 
@@ -76,38 +78,67 @@ class GradientField:
 
 
 def _analytic_gradient(scenario: Scenario, bundle: LaplacianBundle,
-                       state) -> np.ndarray:
+                       state, powers=None) -> np.ndarray:
+    """(..., n_uavs, 3): the per-edge formula, one gradient per geometry of a
+    stacked state and bundle."""
     y = bundle.fiedler / np.sqrt(bundle.weights)
-    jac = rate_jacobian(scenario, state)
-    grad = np.zeros((scenario.n_uavs, 3))
-    # edge by edge in topology order: each coordinate sums its terms in the
-    # same order as a per-coordinate loop would
-    for e, (p, q) in enumerate(scenario.topology):
-        coeff = (y[p] - y[q]) ** 2
-        if coeff == 0.0:
-            continue
-        grad += coeff * jac[e]
+    jac = rate_jacobian(scenario, state, powers)
+    grad = np.zeros(jac.shape[:-3] + (scenario.n_uavs, 3))
+    p, q = _endpoints(scenario.topology)
+    gaps = y[..., p] - y[..., q]
+    # squared one by one with C pow, as a scalar ``** 2`` squares: an array's
+    # ``** 2`` multiplies, which differs in the last bit now and then
+    coeffs = np.reshape([g ** 2 for g in gaps.reshape(-1).tolist()], gaps.shape)
+    with np.errstate(invalid="ignore"):
+        terms = coeffs[..., None, None] * jac
+    # an edge whose coefficient is zero adds +0.0, which leaves the sum's
+    # bits as they are (a sum started at +0.0 is never -0.0), as skipping
+    # it does; then edge by edge in topology order, so each coordinate sums
+    # its terms in the same order as a per-coordinate loop would
+    terms[coeffs == 0.0] = 0.0
+    for e in range(len(p)):
+        grad += terms[..., e, :, :]
     return grad
 
 
 def _fd_gradient(scenario: Scenario, fading, weights, mode, h: float) -> np.ndarray:
+    """Central differences of lambda2 at the scenario's own geometry (see
+    ``_fd_gradients``)."""
+    return _fd_gradients(scenario, fading, weights, mode, h)
+
+
+def _fd_gradients(scenario: Scenario, fading, weights, mode, h: float,
+                  state: ChannelState | None = None, powers=None) -> np.ndarray:
     """Central differences of lambda2 in every UAV coordinate, in one pass.
 
-    The 2 * 3 * n_uavs bumped geometries (coordinate + h, then that value
-    - 2h) form one (n_uavs, 3, 2, n_total, 3) stack for ``lambda2_stack``,
-    so the gradient is bit-identical to bumping and evaluating one
-    coordinate at a time, and a failing bump raises what it raised there.
+    The geometries are the scenario's own or, given, those of a stacked
+    ``state`` (at ``powers``, one row per geometry).  The 2 * 3 * n_uavs
+    bumped geometries of each (coordinate + h, then that value - 2h) form
+    one (..., n_uavs, 3, 2, n_total, 3) stack for ``lambda2_stack``, with
+    ``state`` as its reference, so each gradient is bit-identical to bumping
+    and evaluating one coordinate at a time, and a failing bump raises what
+    it raised there.
     """
-    base = scenario.uav_positions
-    n_uavs = base.shape[0]
-    stack = np.tile(scenario.positions, (n_uavs, 3, 2, 1, 1))
+    positions = scenario.positions if state is None else state.positions
+    lead = positions.shape[:-2]
+    uavs = list(scenario.uav_indices)
+    n_uavs = len(uavs)
+    stack = np.empty(lead + (n_uavs, 3, 2) + positions.shape[-2:])
+    stack[...] = positions[..., None, None, None, :, :]
     uav, axis = np.arange(n_uavs)[:, None], np.arange(3)[None, :]
-    node = np.array(scenario.uav_indices)[:, None]
-    hi = base + h
-    stack[uav, axis, 0, node, axis] = hi
-    stack[uav, axis, 1, node, axis] = hi - 2.0 * h
-    lam = lambda2_stack(scenario, stack, fading, weights, mode)
+    node = np.array(uavs)[:, None]
+    hi = positions[..., uavs, :] + h
+    stack[..., uav, axis, 0, node, axis] = hi
+    stack[..., uav, axis, 1, node, axis] = hi - 2.0 * h
+    if powers is not None:
+        powers = powers[..., None, None, None, :]
+    lam = lambda2_stack(scenario, stack, fading, weights, mode, state, powers)
     return (lam[..., 0] - lam[..., 1]) / (2.0 * h)
+
+
+def _each(value) -> list:
+    """The per-geometry entries of a scalar or stacked field, as a list."""
+    return np.reshape(value, -1).tolist()
 
 
 def lambda2_gradient(scenario: Scenario,
@@ -116,7 +147,7 @@ def lambda2_gradient(scenario: Scenario,
                      gradient_mode: GradientMode = GradientMode.ANALYTIC,
                      fd_step_m: float = 1.0e-3,
                      bundle: LaplacianBundle | None = None,
-                     state=None) -> GradientField:
+                     state=None, powers=None):
     """Gradient of lambda2 with respect to every UAV coordinate.
 
     A degenerate Fiedler pair (tiny spectral gap) makes the analytic form
@@ -124,12 +155,20 @@ def lambda2_gradient(scenario: Scenario,
     flags it.  The analytic form is exact only for the combinatorial
     weighted Laplacian; for the normalized one it is a known approximation
     and finite differences should be preferred.
+
+    A stacked ``state`` (with its bundle and ``powers``, one row per
+    geometry) gives a tuple of fields, one per geometry: one stacked
+    analytic pass, then one finite-difference stack for every geometry that
+    needs it.
     """
     state = _state_for(scenario, fading, state)
     if bundle is None:
-        bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state)
-    mode_used = gradient_mode
-    degenerate = bundle.degenerate
+        bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state,
+                                     powers=powers)
+    lead = state.positions.shape[:-2]
+    degenerate = np.asarray(bundle.degenerate)
+    fd = np.full(lead, gradient_mode is GradientMode.FINITE_DIFFERENCE)
+    grad = np.zeros(lead + (scenario.n_uavs, 3))
     if gradient_mode is GradientMode.ANALYTIC:
         # the per-edge formula is the eigenvalue derivative of the
         # combinatorial weighted Laplacian; its Fiedler vector is used even
@@ -138,15 +177,20 @@ def lambda2_gradient(scenario: Scenario,
         formula = bundle
         if bundle.mode is not LaplacianMode.COMBINATORIAL_WEIGHTED:
             formula = connectivity_bundle(scenario, fading, bundle.weights,
-                                          LaplacianMode.COMBINATORIAL_WEIGHTED, state)
-        degenerate = formula.degenerate
-        if degenerate:
-            mode_used = GradientMode.FINITE_DIFFERENCE
-        else:
-            grad = _analytic_gradient(scenario, formula, state)
-    if mode_used is GradientMode.FINITE_DIFFERENCE:
-        grad = _fd_gradient(scenario, fading, bundle.weights, laplacian_mode, fd_step_m)
-    return GradientField(d_lambda2=grad, mode_used=mode_used, degenerate=degenerate)
+                                          LaplacianMode.COMBINATORIAL_WEIGHTED, state, powers)
+        fd = degenerate = np.asarray(formula.degenerate)
+        if not fd.all():
+            grad = _analytic_gradient(scenario, formula, state, powers)
+    if fd.any():
+        # a boolean pick keeps a leading axis, also for a single geometry
+        grad[fd] = _fd_gradients(scenario, fading, bundle.weights, laplacian_mode, fd_step_m,
+                                 state._select(fd),
+                                 None if powers is None else np.asarray(powers)[fd])
+    fields = tuple(
+        GradientField(d_lambda2=g, mode_used=GradientMode.FINITE_DIFFERENCE if f else gradient_mode,
+                      degenerate=d)
+        for g, f, d in zip(grad.reshape(-1, scenario.n_uavs, 3), _each(fd), _each(degenerate)))
+    return fields if lead else fields[0]
 
 
 @dataclass(frozen=True)
@@ -157,16 +201,29 @@ class StepResult:
     dt_used: float
     halvings: int
     stalled: bool            # backtracking exhausted; positions unchanged
-    state: ChannelState      # tables of the accepted positions (powers do not enter)
+    state: ChannelState      # tables of the accepted positions (powers do not enter);
+                             # of a stacked step: every geometry's, in order
+
+
+@functools.lru_cache(maxsize=64)
+def _step_settings(configs: tuple) -> tuple:
+    """Per point: active axes (count, 1, 3), displacement clip and altitude
+    floor (count, 1), shared read-only by every step with these configs."""
+    tables = (np.array([[axis in c.mask.axes for axis in range(3)] for c in configs])[:, None],
+              np.array([c.max_step_m for c in configs])[:, None],
+              np.array([c.min_altitude_m for c in configs])[:, None])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def step(scenario: Scenario,
-         gradient: GradientField,
-         config: TrajectoryConfig,
+         gradient,
+         config,
          fading: FadingModel | None = None,
          laplacian_mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
          bundle: LaplacianBundle | None = None,
-         state=None) -> StepResult:
+         state=None, powers=None):
     """One ascent step with masking, step clipping, and optional backtracking.
 
     Masked axes are left bit-for-bit untouched.  The displacement of each
@@ -175,48 +232,82 @@ def step(scenario: Scenario,
     backtracking on, dt is halved until lambda2 does not decrease; if
     max_backtracks halvings all fail the step stalls and returns the
     original positions.
+
+    A stacked ``state`` (with its bundle, ``powers`` and a gradient field
+    and trajectory config per geometry; one config serves all) steps every
+    geometry at once and returns a tuple of results, one per geometry.  Each
+    backtracking round evaluates one stack holding only the geometries
+    still halving, over the input state as reference.
     """
     state = _state_for(scenario, fading, state)
     if bundle is None:
-        bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state)
-    lam_old = bundle.lambda2
-    base = scenario.uav_positions
+        bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state,
+                                     powers=powers)
+    lone = state.positions.ndim == 2
+    grads = (gradient,) if lone else tuple(gradient)
+    count = len(grads)
+    configs = (config,) * count if isinstance(config, TrajectoryConfig) else tuple(config)
     uavs = list(scenario.uav_indices)
-    axes = list(config.mask.axes)
+    full = state.positions.reshape(-1, scenario.n_total, 3)
+    base = full[:, uavs]
+    grad = np.stack([g.d_lambda2 for g in grads])
+    on, cap, floor = _step_settings(configs)
+    lam_old = _each(bundle.lambda2)
 
-    def candidate(dt):
-        disp = np.zeros_like(base)
-        disp[:, axes] = dt * gradient.d_lambda2[:, axes]
-        norms = np.linalg.norm(disp, axis=1)
-        over = norms > config.max_step_m
-        if np.any(over):
-            disp[over] *= (config.max_step_m / norms[over])[:, None]
-        pos = base.copy()
-        pos[:, axes] += disp[:, axes]
-        if 2 in axes:
-            pos[:, 2] = np.maximum(pos[:, 2], config.min_altitude_m)
+    def candidate(k, dt):
+        # k: the live points, or every point
+        on_k, base_k, cap_k = on[k], base[k], cap[k]
+        disp = np.where(on_k, dt[:, None, None] * grad[k], 0.0)
+        norms = np.linalg.norm(disp, axis=-1)
+        over = norms > cap_k
+        if over.any():
+            disp[over] *= (np.broadcast_to(cap_k, over.shape)[over] / norms[over])[:, None]
+        pos = np.where(on_k, base_k + disp, base_k)
+        z = on_k[:, 0, 2]
+        if z.any():
+            pos[z, :, 2] = np.maximum(pos[z, :, 2], floor[k][z])
         return pos
 
-    def lam_at(pos):
-        full = scenario.positions.copy()
-        full[uavs] = pos
-        moved_state = _state_for(scenario, fading, positions=full)
-        return connectivity_bundle(scenario, fading, mode=laplacian_mode,
-                                   state=moved_state).lambda2, moved_state
-
-    dt = config.dt
-    halvings = 0
-    while True:
-        pos = candidate(dt)
-        lam_new, new_state = lam_at(pos)
-        # without backtracking the first candidate is accepted as it is
-        if lam_new >= lam_old or not config.backtracking:
-            return StepResult(positions=pos, lambda2_before=lam_old,
-                              lambda2_after=lam_new, dt_used=dt,
-                              halvings=halvings, stalled=False, state=new_state)
-        if halvings >= config.max_backtracks:
-            return StepResult(positions=base, lambda2_before=lam_old,
-                              lambda2_after=lam_old, dt_used=0.0,
-                              halvings=halvings, stalled=True, state=state)
-        dt *= 0.5
-        halvings += 1
+    # per point, as Python scalars: dt halves exactly as a float does
+    dt = [c.dt for c in configs]
+    halvings = [0] * count
+    live = list(range(count))
+    outcomes, parts = [None] * count, []
+    while live:
+        pos = candidate(slice(None) if len(live) == count else live,
+                        np.array([dt[k] for k in live]))
+        trial = full[live]
+        trial[:, uavs] = pos
+        # a trial moves every UAV, so each geometry computes its rows afresh
+        new_state = ChannelState(scenario, fading or FadingModel.unit_gain(),
+                                 trial[0] if lone else trial)
+        lam_new = _each(connectivity_bundle(
+            scenario, fading, mode=laplacian_mode, state=new_state,
+            powers=powers if powers is None or lone else powers[live]).lambda2)
+        took, gave_up, halving = [], [], []
+        for i, k in enumerate(live):
+            c = configs[k]
+            # without backtracking the first candidate is accepted as it is
+            if lam_new[i] >= lam_old[k] or not c.backtracking:
+                outcomes[k] = (pos[i], lam_old[k], lam_new[i], dt[k], halvings[k], False)
+                took.append(i)
+            elif halvings[k] >= c.max_backtracks:
+                outcomes[k] = (base[k], lam_old[k], lam_old[k], 0.0, halvings[k], True)
+                gave_up.append(k)
+            else:
+                dt[k] *= 0.5
+                halvings[k] += 1
+                halving.append(k)
+        # where each point's accepted tables are: a trial's, or the input's
+        parts.append((new_state, took, [live[i] for i in took]))
+        parts.append((state, gave_up, gave_up))
+        live = halving
+    if lone:
+        accepted = state if outcomes[0][5] else new_state
+    else:
+        accepted = ChannelState._join([p for p in parts if p[2]], count)
+    results = tuple(
+        StepResult(positions=p, lambda2_before=before, lambda2_after=after, dt_used=used,
+                   halvings=h, stalled=stalled, state=accepted)
+        for p, before, after, used, h, stalled in outcomes)
+    return results[0] if lone else results
