@@ -136,14 +136,10 @@ def verify_interference(scenario: Scenario,
     limit = _thresholds(scenario, i_max_w)[..., None, :]
     received = powers[..., :, None] * st.gain_sq[..., :n, list(scenario.si_indices)]
     margins = limit - received
-    if margins.shape[-1]:
-        min_margin = margins.min(axis=(-2, -1))
-        passed = np.all(received <= limit * (1.0 + _SLACK), axis=(-2, -1))
-        if min_margin.ndim == 0:
-            min_margin, passed = float(min_margin), bool(passed)
-    else:
-        lead = margins.shape[:-2]
-        min_margin = np.full(lead, np.inf) if lead else float("inf")
-        passed = np.ones(lead, dtype=bool) if lead else True
+    # without sources: an infinite margin, and passed
+    min_margin = margins.min(axis=(-2, -1), initial=np.inf)
+    passed = np.all(received <= limit * (1.0 + _SLACK), axis=(-2, -1))
+    if min_margin.ndim == 0:
+        min_margin, passed = float(min_margin), bool(passed)
     return InterferenceReport(received_w=received, margins_w=margins,
                               min_margin_w=min_margin, passed=passed)
