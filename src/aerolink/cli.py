@@ -190,8 +190,11 @@ def _apply_sweep_value(scenario: scen.Scenario, variable: str, value: float):
 
 
 def _sweep_chunk(batch):
-    """Histories of (scenario, config) points, advanced as one batch."""
-    return run([point[0] for point in batch], [point[1] for point in batch])
+    """(final flow, iterations, termination) of (scenario, config) points,
+    advanced as one batch; only these go back from a worker."""
+    histories = run([point[0] for point in batch], [point[1] for point in batch])
+    return [(h.records[-1].flow_bits_per_s, h.records[-1].iteration, h.termination.value)
+            for h in histories]
 
 
 def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
@@ -227,16 +230,12 @@ def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
         chunks = [batch[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                histories = [h for chunk in pool.map(_sweep_chunk, chunks) for h in chunk]
+                rows = [row for chunk in pool.map(_sweep_chunk, chunks) for row in chunk]
         else:
-            histories = _sweep_chunk(batch)
+            rows = _sweep_chunk(batch)
         lines = ["sweep_value,axis_mask,final_flow_bits_per_s,iterations,terminated"]
-        for (value, mask), history in zip(grid, histories):
-            last = history.records[-1]
-            lines.append(",".join([
-                _fmt(value), mask, _fmt(last.flow_bits_per_s),
-                str(last.iteration), history.termination.value,
-            ]))
+        for (value, mask), (flow, iterations, terminated) in zip(grid, rows):
+            lines.append(",".join([_fmt(value), mask, _fmt(flow), str(iterations), terminated]))
         os.makedirs(out_dir, exist_ok=True)
         _write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal failure

@@ -237,7 +237,7 @@ def step(scenario: Scenario,
     and trajectory config per geometry; one config serves all) steps every
     geometry at once and returns a tuple of results, one per geometry.  Each
     backtracking round evaluates one stack holding only the geometries
-    still halving, over the input state as reference.
+    still halving.
     """
     state = _state_for(scenario, fading, state)
     if bundle is None:
@@ -278,7 +278,8 @@ def step(scenario: Scenario,
                         np.array([dt[k] for k in live]))
         trial = full[live]
         trial[:, uavs] = pos
-        # a trial moves every UAV, so each geometry computes its rows afresh
+        # a trial moves every UAV: its rows are computed, not copied from the
+        # input state
         new_state = ChannelState(scenario, fading or FadingModel.unit_gain(),
                                  trial[0] if lone else trial)
         lam_new = _each(connectivity_bundle(
