@@ -142,6 +142,10 @@ def run(scenario, config: OptimizerConfig | None = None):
                else [config or OptimizerConfig()] * len(scenarios))
     if len(configs) != len(scenarios):
         raise ValueError("a batch needs one config, or one per scenario")
+    if any(_shared(s, c) != _shared(scenarios[0], configs[0])
+           for s, c in zip(scenarios, configs)):
+        raise ValueError("a batch's points must share their layout, fading, Laplacian "
+                         "mode, gradient mode and finite-difference step")
     try:
         return _lockstep(scenarios, configs, lone=False)
     except Exception:
@@ -153,7 +157,8 @@ def run(scenario, config: OptimizerConfig | None = None):
 
 
 def _lockstep(scenarios, configs, lone: bool) -> list:
-    """The histories of a batch's points; ``lone``: one point, unstacked."""
+    """The histories of a batch's points, which share their layout (see
+    ``_shared``); ``lone``: one point, unstacked."""
     for s in scenarios:
         problems = validate(s)
         if problems:
@@ -161,9 +166,6 @@ def _lockstep(scenarios, configs, lone: bool) -> list:
     if not scenarios:
         return []
     layout, first = scenarios[0], configs[0]
-    if any(_shared(s, c) != _shared(layout, first) for s, c in zip(scenarios, configs)):
-        raise ValueError("a batch's points must share their layout, fading, Laplacian "
-                         "mode, gradient mode and finite-difference step")
     fading, mode, trajectory = first.fading, first.laplacian_mode, first.trajectory
     count = len(scenarios)
     stacked = (lambda arrays: arrays[0]) if lone else np.stack

@@ -4,24 +4,88 @@ This is the body ``aerolink.optimizer.run`` had before it advanced a batch
 of points as one stack, kept as it was apart from two substitutions: its
 finite-difference gradient is the per-bump loop of ``fd_reference`` (one
 ``Scenario`` and one bundle per bump), and its power solve reads the caps
-from ``power_caps``.  Every iteration builds a new ``Scenario`` for the
-accepted positions and one for the solved powers, and every call sees one
-geometry, so each record comes from single-geometry arithmetic only.
-``sweep_histories`` runs a sweep's grid one point after another, as
-``aerolink sweep`` did.
+from ``power_caps``.  ``step`` and ``_analytic_gradient`` are the bodies
+``aerolink.trajectory`` had then, kept verbatim: one geometry per call, a
+scalar ``** 2`` per edge coefficient, zero coefficients skipped.  Every
+iteration builds a new ``Scenario`` for the accepted positions and one for
+the solved powers, and every call sees one geometry, so each record comes
+from single-geometry arithmetic only.  ``sweep_histories`` runs a sweep's
+grid one point after another, as ``aerolink sweep`` did.
 """
 
 import numpy as np
 
 import fd_reference
-from aerolink.channel import _state_for, edge_rates
+from aerolink.channel import _state_for, edge_rates, rate_jacobian
 from aerolink.cli import _apply_sweep_value, _optimizer_config, _scenario_from_args
 from aerolink.flow import from_adjacency, max_flow
 from aerolink.optimizer import IterationRecord, RunHistory, TerminationReason
 from aerolink.power import power_caps, verify_interference
 from aerolink.scenario import validate
 from aerolink.spectral import LaplacianMode, connectivity_bundle
-from aerolink.trajectory import GradientField, GradientMode, _analytic_gradient, step
+from aerolink.trajectory import GradientField, GradientMode, StepResult
+
+
+def _analytic_gradient(scenario, bundle, state):
+    y = bundle.fiedler / np.sqrt(bundle.weights)
+    jac = rate_jacobian(scenario, state)
+    grad = np.zeros((scenario.n_uavs, 3))
+    # edge by edge in topology order: each coordinate sums its terms in the
+    # same order as a per-coordinate loop would
+    for e, (p, q) in enumerate(scenario.topology):
+        coeff = (y[p] - y[q]) ** 2
+        if coeff == 0.0:
+            continue
+        grad += coeff * jac[e]
+    return grad
+
+
+def step(scenario, gradient, config, fading=None,
+         laplacian_mode=LaplacianMode.COMBINATORIAL_WEIGHTED, bundle=None, state=None):
+    state = _state_for(scenario, fading, state)
+    if bundle is None:
+        bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state)
+    lam_old = bundle.lambda2
+    base = scenario.uav_positions
+    uavs = list(scenario.uav_indices)
+    axes = list(config.mask.axes)
+
+    def candidate(dt):
+        disp = np.zeros_like(base)
+        disp[:, axes] = dt * gradient.d_lambda2[:, axes]
+        norms = np.linalg.norm(disp, axis=1)
+        over = norms > config.max_step_m
+        if np.any(over):
+            disp[over] *= (config.max_step_m / norms[over])[:, None]
+        pos = base.copy()
+        pos[:, axes] += disp[:, axes]
+        if 2 in axes:
+            pos[:, 2] = np.maximum(pos[:, 2], config.min_altitude_m)
+        return pos
+
+    def lam_at(pos):
+        full = scenario.positions.copy()
+        full[uavs] = pos
+        moved_state = _state_for(scenario, fading, positions=full)
+        return connectivity_bundle(scenario, fading, mode=laplacian_mode,
+                                   state=moved_state).lambda2, moved_state
+
+    dt = config.dt
+    halvings = 0
+    while True:
+        pos = candidate(dt)
+        lam_new, new_state = lam_at(pos)
+        # without backtracking the first candidate is accepted as it is
+        if lam_new >= lam_old or not config.backtracking:
+            return StepResult(positions=pos, lambda2_before=lam_old,
+                              lambda2_after=lam_new, dt_used=dt,
+                              halvings=halvings, stalled=False, state=new_state)
+        if halvings >= config.max_backtracks:
+            return StepResult(positions=base, lambda2_before=lam_old,
+                              lambda2_after=lam_old, dt_used=0.0,
+                              halvings=halvings, stalled=True, state=state)
+        dt *= 0.5
+        halvings += 1
 
 
 def _evaluate(scenario, config, state=None):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import sweep_reference as ref
 from aerolink import channel as ch
+from aerolink import optimizer as opt
+from aerolink import trajectory as tj
 from aerolink.cli import _apply_sweep_value, _optimizer_config, _scenario_from_args, main
 from aerolink.optimizer import OptimizerConfig, TerminationReason, replay_flow, run
 from aerolink.power import power_caps, verify_interference
@@ -110,6 +112,20 @@ def test_normalized_and_combinatorial_batches_equal_lone_runs(mode):
         _assert_same_history(new, run(sc, config))
 
 
+@pytest.mark.parametrize("mode", list(LaplacianMode))
+def test_an_fd_ascent_run_equals_the_per_bump_reference_run(mode):
+    # the reference evaluates each of its 2 * 3 * n_uavs bumps as a Scenario
+    # of its own, one at a time
+    config = OptimizerConfig(epsilon=1.0e-12, max_iterations=5, laplacian_mode=mode,
+                             trajectory=TrajectoryConfig(
+                                 gradient_mode=GradientMode.FINITE_DIFFERENCE))
+    scenario = build_default_scenario(7)
+    expected = ref.run(scenario, config)
+    assert len(expected.records) == 6
+    assert {r.gradient_mode for r in expected.records[1:]} == {GradientMode.FINITE_DIFFERENCE}
+    _assert_same_history(run(scenario, config), expected)
+
+
 def test_a_batch_must_share_its_layout():
     s = build_default_scenario(7)
     other = build_default_scenario(7, n_uavs=4)
@@ -119,6 +135,15 @@ def test_a_batch_must_share_its_layout():
         run([s, s], [OptimizerConfig(max_iterations=2),
                      OptimizerConfig(max_iterations=2, laplacian_mode=LaplacianMode.NORMALIZED_WEIGHTED)])
     assert run([], OptimizerConfig()) == []
+
+
+def test_a_mismatched_batch_is_refused_before_any_point_runs(monkeypatch):
+    s = build_default_scenario(7)
+    ran = []
+    monkeypatch.setattr(opt, "_lockstep", lambda *args, **kwargs: ran.append(1))
+    with pytest.raises(ValueError, match="must share"):
+        run([s, build_default_scenario(7, n_uavs=4)], OptimizerConfig(max_iterations=2))
+    assert ran == []
 
 
 def test_a_failing_point_raises_what_the_first_failing_point_raises_alone():
@@ -287,6 +312,26 @@ def test_stacked_gradient_tables_equal_each_geometry_alone(fading_kind):
             assert _same_bits(ch.rate_jacobian(s, stacked, powers)[g],
                               ch.rate_jacobian(placed, alone))
             assert _same_bits(ch.edge_rates(s, stacked, powers)[g], ch.edge_rates(placed, alone))
+
+
+def test_a_stacked_analytic_gradient_equals_the_per_geometry_formula():
+    # the per-edge coefficients squared by a scalar ``** 2`` and summed edge by
+    # edge; enough geometries that a coefficient rounded another way shows
+    rng = np.random.default_rng(76)
+    for k in range(6):
+        s = make_line_scenario(rng, n_uavs=5 + k % 4, chi=float(k % 3 != 2),
+                               n_si=None if k % 2 else 0)
+        fading = ch.FadingModel("rayleigh" if k % 2 else "unit", k)
+        stack = s.positions + rng.uniform(-3.0, 3.0, size=(40, 8) + s.positions.shape)
+        powers = rng.uniform(0.01, 0.1, size=(40, 8, s.n_primary))
+        stacked = ch.ChannelState(s, fading, stack)
+        bundle = connectivity_bundle(s, fading, state=stacked, powers=powers)
+        grad = tj._analytic_gradient(s, bundle, stacked, powers)
+        for g in np.ndindex(stack.shape[:-2]):
+            placed = dataclasses.replace(s, positions=stack[g], node_powers_w=powers[g])
+            alone = ch.build_state(placed, fading)
+            own = connectivity_bundle(placed, fading, state=alone)
+            assert _same_bits(grad[g], ref._analytic_gradient(placed, own, alone)), g
 
 
 # -------------------------------------------- states over a reference state
