@@ -19,10 +19,10 @@ geometries (leading axes before the node axes); ``sir_matrix``,
 ``edge_rates``, ``sir_jacobian`` and ``rate_jacobian`` then return one
 table per geometry (at the scenario's powers or at a ``powers`` argument
 with the same leading axes), each equal to the bit to that geometry's own.
-Such a state recomputes, per geometry, only the rows and columns of the
-nodes that geometry moves from its reference.  The scalar functions ``sir``,
-``edge_rate``, ``sir_spatial_gradient`` and ``rate_spatial_gradient`` index
-into these arrays and raise only for the pair they are asked about.
+A state computes the rows of the nodes that differ from its reference
+state's geometry, or every row without a reference.  The scalar lookups
+(``sir``, ``edge_rate``, ``sir_spatial_gradient``, ``rate_spatial_gradient``)
+index into these arrays and raise only for the pair they are asked about.
 """
 
 from __future__ import annotations
@@ -171,15 +171,13 @@ class ChannelState:
     replaces the scenario's node positions and is kept as ``positions``;
     every table, gradient tables included, is built from it, so each
     geometry's entries equal those of a state built for it alone, to the
-    bit.  A stack's geometries are compared with a reference geometry: the
-    scenario's own (whose rows are built once) or, given ``reference``, the
-    geometries of that state, whose leading axes must begin the stack's.
-    Each geometry takes its reference's tables and recomputes only the rows
-    and columns of the nodes whose coordinates differ, so a stack of
-    one-node bumps costs one row per geometry and a geometry equal to its
-    reference none.  A single geometry without a reference computes
-    every row once.  Every table, the gradient tables included, carries the
-    stack's leading axes; the scalar lookups need a single geometry.
+    bit.  One rule decides which rows a state computes: those of every node
+    whose coordinates differ from its ``reference`` state's geometry (whose
+    leading axes must begin the stack's), or every row without a
+    reference.  A geometry takes the rest of its tables from its reference,
+    so a stack of one-node bumps costs one row per geometry and a geometry
+    equal to its reference none.  Every table carries the stack's leading
+    axes; the scalar lookups need a single geometry.
     """
 
     def __init__(self, scenario: Scenario, fading: FadingModel,
@@ -187,10 +185,7 @@ class ChannelState:
                  reference: "ChannelState | None" = None):
         self.scenario = scenario
         self.fading = fading
-        ref = scenario.positions if reference is None else reference.positions
-        self.positions = pos = ref if positions is None else positions
-        if reference is None and pos.ndim == 2:
-            ref = pos                   # a single geometry computes its own rows
+        self.positions = pos = scenario.positions if positions is None else positions
         lead = pos.shape[:-2]
         n_total = scenario.n_total
         n = scenario.n_primary
@@ -198,66 +193,47 @@ class ChannelState:
         a2a, alpha, g2_eta, off, others = _link_layout(
             n_total, n, partition(scenario).aerial, scenario.channel, fading)
 
-        # Rows of distances, gains and proximity terms are computed for each
-        # (geometry g, node) whose coordinates differ from g's reference
-        # geometry, in one batch, together with every row of the reference
-        # itself when no reference state supplies them.  Each geometry's
-        # tables are a copy of its reference's with those nodes' rows and
-        # columns replaced (the tables are symmetric to the bit).  Every row
-        # is computed from contiguous operands, as a row of a single
-        # state's full table is, so it equals that row to the bit
-        refs = ref.reshape(-1, n_total, 3)
-        flat = pos.reshape(len(refs), -1, n_total, 3)
-        per_ref = flat.shape[1]
-        differs = flat != refs[:, None]
-        owner, k, moved = np.nonzero(differs[..., 0] | differs[..., 1] | differs[..., 2])
-        g = owner * per_ref + k
-        geoms = flat.reshape(-1, n_total, 3)
+        # Rows of distances, gains and proximity terms, in one batch, for
+        # each (geometry g, node) that differs from g's reference geometry
+        # (every node without a reference).  Each row is computed from
+        # contiguous operands, as a row of a single state's full table is,
+        # so it equals that row to the bit; the tables are symmetric to the bit
+        geoms = pos.reshape(-1, n_total, 3)
         if reference is None:
-            geoms = np.concatenate([refs, geoms])
-            at = np.concatenate([np.zeros(n_total, dtype=np.intp), g + 1])
-            nodes = np.concatenate([np.arange(n_total), moved])
+            g = np.repeat(np.arange(len(geoms)), n_total)
+            moved = np.tile(np.arange(n_total), len(geoms))
         else:
-            at, nodes = g, moved
-        rows = np.linalg.norm(geoms[at, nodes][:, None, :] - geoms[at], axis=-1)
-        if reference is None:
-            base_rows, rows_moved = rows[None, :n_total], rows[n_total:]
-        else:
-            base_rows, rows_moved = reference.dist.reshape(-1, n_total, n_total), rows
+            refs = reference.positions.reshape(-1, n_total, 3)
+            per_ref = len(geoms) // len(refs)
+            differs = geoms.reshape(len(refs), per_ref, n_total, 3) != refs[:, None]
+            owner, k, moved = np.nonzero(differs[..., 0] | differs[..., 1] | differs[..., 2])
+            g = owner * per_ref + k
+        rows = np.linalg.norm(geoms[g, moved][:, None, :] - geoms[g], axis=-1)
 
-        def assemble(base, g, nodes, rows):
-            # each geometry's copy of its reference's table, with rows and
-            # columns ``nodes`` of geometry ``g`` replaced; the rows just
-            # computed for a lone geometry are its table as they are
-            if reference is None and len(base) * per_ref == 1 and not len(g):
-                return base.reshape(lead + base.shape[1:])
-            out = np.empty((len(base), per_ref) + base.shape[1:])
-            out[...] = base[:, None]
-            out = out.reshape((-1,) + base.shape[1:])
+        def assemble(name, g, nodes, rows):
+            # the rows as they are, or a copy of the reference's table per
+            # geometry with rows and columns ``nodes`` of geometry ``g`` replaced
+            if reference is None:
+                return rows.reshape(lead + rows.shape[-1:] * 2)
+            base = getattr(reference, name).reshape((len(refs), 1) + rows.shape[-1:] * 2)
+            out = np.repeat(base, per_ref, axis=1).reshape((-1,) + base.shape[2:])
             out[g, nodes] = rows
             out[g, :, nodes] = rows
-            return out.reshape(lead + base.shape[1:])
+            return out.reshape(lead + base.shape[2:])
 
-        self.dist = dist = assemble(base_rows, g, moved, rows_moved)
+        self.dist = dist = assemble("dist", g, moved, rows)
         if ((dist == 0.0) & off).any():
             raise ValueError("two nodes share a position; link gain undefined")
-        safe_d = np.where(off[nodes], rows, 1.0)
-        gains = g2_eta[nodes] * safe_d ** (-alpha[nodes])
-        gains[np.arange(len(nodes)), nodes] = 0.0
-        primary = nodes < n
-        terms = smoothed_step(rows[primary, :n] / saf.r_int_m, saf)
-        terms[np.arange(len(terms)), nodes[primary]] = 0.0
-        if reference is None:
-            base_gains, gains = gains[None, :n_total], gains[n_total:]
-            base_terms, terms = terms[None, :n], terms[n:]
-        else:
-            base_gains = reference.gain_sq.reshape(-1, n_total, n_total)
-            base_terms = reference.safety_u.reshape(-1, n, n)
+        safe_d = np.where(off[moved], rows, 1.0)
+        gains = g2_eta[moved] * safe_d ** (-alpha[moved])
+        gains[np.arange(len(moved)), moved] = 0.0
         mover = moved < n
+        terms = smoothed_step(rows[mover, :n] / saf.r_int_m, saf)
+        terms[np.arange(len(terms)), moved[mover]] = 0.0
         self.alpha = alpha
         self.a2a = a2a
-        self.gain_sq = gain = assemble(base_gains, g, moved, gains)
-        self.safety_u = u = assemble(base_terms, g[mover], moved[mover], terms)
+        self.gain_sq = gain = assemble("gain_sq", g, moved, gains)
+        self.safety_u = u = assemble("safety_u", g[mover], moved[mover], terms)
 
         si = list(scenario.si_indices)
         # aggregate interference from the fixed sources at each primary receiver.

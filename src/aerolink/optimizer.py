@@ -2,7 +2,8 @@
 
 One iteration moves the UAVs up the lambda2 gradient (at the current
 powers), re-solves the max-min power allocation at the new geometry, then
-scores the configuration by its max s-d flow.  The loop stops when the flow
+scores the configuration by its max s-d flow, which on the chain is the
+bottleneck edge rate (``power._chain_flow``).  The loop stops when the flow
 change between the two previous iterations falls to epsilon, mirroring a
 while-test with sentinels R(-1) = -inf and R(0) = 0, so the very first
 iteration always runs.
@@ -21,8 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelState, FadingModel
-from .flow import from_adjacency, max_flow
-from .power import solve_maxmin, verify_interference
+from .power import _chain_flow, solve_maxmin, verify_interference
 from .scenario import Scenario, validate
 from .spectral import LaplacianMode, connectivity_bundle
 from .trajectory import GradientMode, TrajectoryConfig, _each, lambda2_gradient, step
@@ -86,9 +86,7 @@ def _evaluate(scenario, fading, mode, state, powers, i_max_w=None):
     """Bundle, flows (a list, one per geometry) and interference report of a
     (stacked) state at ``powers``."""
     bundle = connectivity_bundle(scenario, fading, mode=mode, state=state, powers=powers)
-    n = scenario.n_primary
-    flows = [max_flow(from_adjacency(a, scenario.source, scenario.destination))[0]
-             for a in bundle.matrices.adjacency.reshape(-1, n, n)]
+    flows = _each(_chain_flow(scenario, bundle.matrices.adjacency))
     report = verify_interference(scenario, powers, fading, state=state, i_max_w=i_max_w)
     return bundle, flows, report
 

@@ -11,12 +11,14 @@ max-min rate is the bottleneck edge rate at the caps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .channel import ChannelState, FadingModel, _state_for, edge_rates
+from .flow import CAPACITY_FLOOR
 from .scenario import Scenario
 
 # relative slack for cap and threshold comparisons
@@ -87,6 +89,22 @@ def _binding_report(scenario, caps, state, i_max_w):
             for cs, ws in zip(capped.tolist(), which.tolist())]
 
 
+@functools.lru_cache(maxsize=64)
+def _require_chain(topology: tuple, n_primary: int) -> None:
+    edges = sorted(tuple(sorted(e)) for e in topology)
+    if edges != [(i, i + 1) for i in range(n_primary - 1)]:
+        raise ValueError("max-min power solve expects a chain topology")
+
+
+def _chain_flow(scenario: Scenario, adjacency: np.ndarray) -> np.ndarray:
+    """Max s-d flow over a chain's (..., n, n) rate matrix: the smallest
+    superdiagonal entry, 0.0 below ``flow.CAPACITY_FLOOR``, which
+    ``flow.max_flow`` finds along the chain's one augmenting path."""
+    _require_chain(scenario.topology, scenario.n_primary)
+    bottleneck = np.diagonal(adjacency, 1, -2, -1).min(axis=-1)
+    return np.where(bottleneck < CAPACITY_FLOOR, 0.0, bottleneck)
+
+
 def solve_maxmin(scenario: Scenario,
                  fading: FadingModel | None = None,
                  state: ChannelState | None = None,
@@ -98,11 +116,7 @@ def solve_maxmin(scenario: Scenario,
     ``i_max_w`` as in ``power_caps``) gives a tuple of solutions, one per
     geometry.
     """
-    edges = sorted(tuple(sorted(e)) for e in scenario.topology)
-    chain = [(i, i + 1) for i in range(scenario.n_primary - 1)]
-    if edges != chain:
-        raise ValueError("max-min power solve expects a chain topology")
-
+    _require_chain(scenario.topology, scenario.n_primary)
     st = _state_for(scenario, fading, state)
     caps = power_caps(scenario, state=st, i_max_w=i_max_w)
     binding = _binding_report(scenario, caps, st, i_max_w)

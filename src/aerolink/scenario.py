@@ -197,10 +197,6 @@ class Scenario:
         return tuple(i for i, c in enumerate(self.classes) if c is NodeClass.INTERFERENCE_SOURCE)
 
     @property
-    def nodes(self) -> list:
-        return [(c, self.positions[i].copy()) for i, c in enumerate(self.classes)]
-
-    @property
     def uav_positions(self) -> np.ndarray:
         return self.positions[list(self.uav_indices)].copy()
 

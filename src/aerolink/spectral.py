@@ -8,8 +8,10 @@ relayed flow.
 
 The matrix chain (``build_matrices``, ``GraphMatrices.from_adjacency``,
 ``weighted_laplacian``, ``eig_sym``) also takes stacks with leading axes.
-``connectivity_bundle`` (one geometry) and ``lambda2_stack`` (many, one
-batched ``eigh``) run it on a ``ChannelState`` over positions.
+``connectivity_bundle`` is the one pass that turns a (stacked)
+``ChannelState`` into rate matrices, weighted Laplacians and their spectra
+(one batched ``eigh``); ``lambda2_stack`` is that pass over a state built
+from a stack of positions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, _state_for, edge_rates
+from .channel import ChannelState, FadingModel, _endpoints, _state_for, edge_rates
 from .scenario import Scenario
 
 _EIG_TOL = 1.0e-9
@@ -73,9 +75,9 @@ def build_matrices(scenario: Scenario,
     st = _state_for(scenario, fading, state)
     n = scenario.n_primary
     rates = edge_rates(scenario, st, powers)
+    p, q = _endpoints(scenario.topology)
     a = np.zeros(rates.shape[:-1] + (n, n))
-    for e, (i, j) in enumerate(scenario.topology):
-        a[..., i, j] = a[..., j, i] = rates[..., e]
+    a[..., p, q] = a[..., q, p] = rates
     return GraphMatrices.from_adjacency(a)
 
 
@@ -114,17 +116,6 @@ def eig_sym(mat: np.ndarray) -> tuple:
     return vals, vecs
 
 
-def _checked_spectrum(vals: np.ndarray) -> np.ndarray:
-    """Scale max(1, |lambda|_max) of each spectrum in a stack, after the size
-    and positive-semidefiniteness checks ``fiedler_pair`` makes."""
-    if vals.shape[-1] < 2:
-        raise ValueError("connectivity needs at least two nodes")
-    scale = np.fmax(1.0, np.abs(vals).max(axis=-1))
-    if np.any(vals[..., 0] < -_EIG_TOL * scale):
-        raise ValueError("weighted Laplacian must be positive semidefinite")
-    return scale
-
-
 @dataclass(frozen=True)
 class FiedlerResult:
     lambda2: float
@@ -149,7 +140,11 @@ def fiedler_pair(weighted_lap: np.ndarray) -> FiedlerResult:
     """
     vals, vecs = eig_sym(weighted_lap)
     n = vals.shape[-1]
-    scale = _checked_spectrum(vals)
+    if n < 2:
+        raise ValueError("connectivity needs at least two nodes")
+    scale = np.fmax(1.0, np.abs(vals).max(axis=-1))
+    if np.any(vals[..., 0] < -_EIG_TOL * scale):
+        raise ValueError("weighted Laplacian must be positive semidefinite")
     lam2 = vals[..., 1]
     gap = vals[..., 2] - lam2 if n >= 3 else np.full(vals.shape[:-1], np.inf)
     degenerate = (gap < _EIG_TOL * scale) | (lam2 < _EIG_TOL * scale)
@@ -172,7 +167,6 @@ class LaplacianBundle:
     delta_max: float         # largest weighted degree
     w_min: float
 
-
     def take(self, index) -> "LaplacianBundle":
         """The bundle of the geometries ``index`` picks on the first leading axis."""
         m = self.matrices
@@ -182,13 +176,6 @@ class LaplacianBundle:
             weighted_laplacian=self.weighted_laplacian[index], lambda2=self.lambda2[index],
             fiedler=self.fiedler[index], spectral_gap=self.spectral_gap[index],
             degenerate=self.degenerate[index], delta_max=self.delta_max[index])
-
-
-def _laplacian(scenario, fading, weights, mode, state, powers=None):
-    """Weights, rate matrices and weighted Laplacian(s) of a (stacked) state."""
-    w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
-    matrices = build_matrices(scenario, fading, state, powers)
-    return w, matrices, weighted_laplacian(matrices, w, mode)
 
 
 def connectivity_bundle(scenario: Scenario,
@@ -201,7 +188,9 @@ def connectivity_bundle(scenario: Scenario,
     scenario's).  A stacked state gives one bundle whose per-geometry fields
     (matrices, lambda2, Fiedler vectors, gaps, flags, degrees) carry its
     leading axes, each entry equal to the bit to that geometry's own."""
-    w, matrices, lw = _laplacian(scenario, fading, weights, mode, state, powers)
+    w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
+    matrices = build_matrices(scenario, fading, state, powers)
+    lw = weighted_laplacian(matrices, w, mode)
     fr = fiedler_pair(lw)
     return LaplacianBundle(
         matrices=matrices,
@@ -226,18 +215,15 @@ def lambda2_stack(scenario: Scenario,
                   powers: np.ndarray | None = None) -> np.ndarray:
     """lambda2 of the scenario at every geometry of a (..., n_total, 3) stack.
 
-    One pass of ``connectivity_bundle``'s arithmetic with the stack's
-    leading axes carried through (one batched ``eigh``), so each entry is
-    the ``lambda2`` of that geometry's own bundle to the bit.  ``reference``
-    and ``powers`` are passed on to ``ChannelState`` and ``edge_rates``
-    (``powers`` broadcast against the stack's leading axes).  A stack that
-    fails a check raises what the first failing geometry, in C order,
-    raises alone.
+    ``connectivity_bundle`` of a ``ChannelState`` over the stack (with
+    ``reference``; ``powers`` broadcast against the stack's leading axes),
+    so each entry is that geometry's own ``lambda2`` to the bit.  A failing
+    stack is evaluated again geometry by geometry, to raise what the first
+    failing one, in C order, raises alone.
     """
     try:
         state = ChannelState(scenario, fading or FadingModel.unit_gain(), positions, reference)
-        vals, _ = eig_sym(_laplacian(scenario, fading, weights, mode, state, powers)[2])
-        _checked_spectrum(vals)
+        return connectivity_bundle(scenario, fading, weights, mode, state, powers).lambda2
     except ValueError:
         lead = positions.shape[:-2]
         if powers is not None:
@@ -247,7 +233,6 @@ def lambda2_stack(scenario: Scenario,
                                 _state_for(scenario, fading, positions=positions[g]),
                                 None if powers is None else powers[g])
         raise
-    return vals[..., 1]
 
 
 @dataclass(frozen=True)

@@ -104,22 +104,22 @@ def _analytic_gradient(scenario: Scenario, bundle: LaplacianBundle,
 def _fd_gradient(scenario: Scenario, fading, weights, mode, h: float) -> np.ndarray:
     """Central differences of lambda2 at the scenario's own geometry (see
     ``_fd_gradients``)."""
-    return _fd_gradients(scenario, fading, weights, mode, h)
+    return _fd_gradients(scenario, fading, weights, mode, h, _state_for(scenario, fading))
 
 
 def _fd_gradients(scenario: Scenario, fading, weights, mode, h: float,
-                  state: ChannelState | None = None, powers=None) -> np.ndarray:
+                  state: ChannelState, powers=None) -> np.ndarray:
     """Central differences of lambda2 in every UAV coordinate, in one pass.
 
-    The geometries are the scenario's own or, given, those of a stacked
-    ``state`` (at ``powers``, one row per geometry).  The 2 * 3 * n_uavs
-    bumped geometries of each (coordinate + h, then that value - 2h) form
-    one (..., n_uavs, 3, 2, n_total, 3) stack for ``lambda2_stack``, with
-    ``state`` as its reference, so each gradient is bit-identical to bumping
-    and evaluating one coordinate at a time, and a failing bump raises what
-    it raised there.
+    The geometries are those of a (stacked) ``state``, at ``powers`` (one
+    row per geometry).  The 2 * 3 * n_uavs bumped geometries of each
+    (coordinate + h, then that value - 2h) form one
+    (..., n_uavs, 3, 2, n_total, 3) stack for ``lambda2_stack``, with
+    ``state`` as its reference, so each bump computes one row, each gradient
+    is bit-identical to bumping and evaluating one coordinate at a time, and
+    a failing bump raises what it raised there.
     """
-    positions = scenario.positions if state is None else state.positions
+    positions = state.positions
     lead = positions.shape[:-2]
     uavs = list(scenario.uav_indices)
     n_uavs = len(uavs)
@@ -274,14 +274,16 @@ def step(scenario: Scenario,
     live = list(range(count))
     outcomes, parts = [None] * count, []
     while live:
-        pos = candidate(slice(None) if len(live) == count else live,
-                        np.array([dt[k] for k in live]))
+        pick = slice(None) if len(live) == count else live
+        pos = candidate(pick, np.array([dt[k] for k in live]))
         trial = full[live]
         trial[:, uavs] = pos
-        # a trial moves every UAV: its rows are computed, not copied from the
-        # input state
+        # a lone trial computes its own rows, with no copies; a stacked one
+        # copies the input state's rows of the nodes it does not move rather
+        # than compute every row of every point
         new_state = ChannelState(scenario, fading or FadingModel.unit_gain(),
-                                 trial[0] if lone else trial)
+                                 trial[0] if lone else trial,
+                                 None if lone else state._select(pick))
         lam_new = _each(connectivity_bundle(
             scenario, fading, mode=laplacian_mode, state=new_state,
             powers=powers if powers is None or lone else powers[live]).lambda2)

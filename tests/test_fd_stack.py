@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 import aerolink.trajectory as tj
 import fd_reference as ref
 from aerolink import channel as ch
-from aerolink.optimizer import OptimizerConfig, run
-from aerolink.scenario import build_default_scenario
 from aerolink.spectral import (LaplacianMode, build_matrices, connectivity_bundle, eig_sym,
                                lambda2_stack, weighted_laplacian)
-from aerolink.trajectory import GradientMode, TrajectoryConfig
 from conftest import make_line_scenario
 from test_channel_arrays import _same_bits, _same_error, deployments
 
@@ -117,21 +114,3 @@ def test_a_failing_stack_raises_what_its_first_failing_geometry_raises():
             lambda2_stack(s, np.stack(order))
     lam = lambda2_stack(s, np.stack([good, good]))
     assert lam[0] == lam[1] == connectivity_bundle(s).lambda2
-
-
-@pytest.mark.parametrize("mode", list(LaplacianMode))
-def test_fd_ascent_run_is_bit_identical_to_the_per_bump_loop(mode, monkeypatch):
-    config = OptimizerConfig(epsilon=1.0e-12, max_iterations=5, laplacian_mode=mode,
-                             trajectory=TrajectoryConfig(
-                                 gradient_mode=GradientMode.FINITE_DIFFERENCE))
-    scenario = build_default_scenario(7)
-    stacked = run(scenario, config)
-    monkeypatch.setattr(tj, "_fd_gradient", ref.fd_gradient)
-    reference = run(scenario, config)
-    assert len(stacked.records) == len(reference.records) == 6
-    for new, old in zip(stacked.records, reference.records):
-        assert new.gradient_mode is old.gradient_mode
-        assert _same_bits(new.uav_positions, old.uav_positions)
-        assert _same_bits(new.powers_w, old.powers_w)
-        assert _same_bits([new.lambda2, new.flow_bits_per_s],
-                          [old.lambda2, old.flow_bits_per_s])
