@@ -20,9 +20,7 @@ from .channel import (
     edge_rate,
     link_gain,
     path_loss_db,
-    rate_spatial_gradient,
     sir,
-    sir_spatial_gradient,
     smoothed_step,
 )
 from .spectral import (

@@ -20,9 +20,10 @@ geometries (leading axes before the node axes); ``sir_matrix``,
 table per geometry (at the scenario's powers or at a ``powers`` argument
 with the same leading axes), each equal to the bit to that geometry's own.
 A state computes the rows of the nodes that differ from its reference
-state's geometry, or every row without a reference.  The scalar lookups
-(``sir``, ``edge_rate``, ``sir_spatial_gradient``, ``rate_spatial_gradient``)
-index into these arrays and raise only for the pair they are asked about.
+state's geometry, or every row without a reference.  Every derivative is
+an entry of ``sir_jacobian`` or ``rate_jacobian``; the value lookups
+(``sir``, ``edge_rate``, ``link_gain``) index into the tables and raise only
+for the pair they are asked about.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import NodeClass, SafetyParams, Scenario, partition
+from .scenario import SafetyParams, Scenario, partition
 
 LN2 = float(np.log(2.0))
 
@@ -290,9 +291,6 @@ class ChannelState:
             tables.append(joined)
         return parts[0][0]._with(tables)
 
-    def sir_denominator(self, i: int, j: int) -> float:
-        return float(self.sir_denominators[i, j])
-
     # -- lazy gradient tables --------------------------------------------
 
     @functools.cached_property
@@ -340,10 +338,6 @@ class ChannelState:
         # for every geometry; then laid out as (i, j, axis)
         sums = np.take(terms, self._others, axis=-1).sum(axis=-1)
         return np.moveaxis(sums, -1, -3)
-
-    def safety_sum_gradient(self, i: int, j: int, axis: int) -> float:
-        """d/d(receiver j coordinate) of the proximity sum over k not in {i, j}."""
-        return float(self.safety_sum_gradients[i, j, axis])
 
 
 def build_state(scenario: Scenario, fading: FadingModel | None = None) -> ChannelState:
@@ -509,19 +503,6 @@ def _require_edge(i, j, scenario):
         raise ValueError(f"({i}, {j}) is not a topology edge")
 
 
-def _resolve_wrt(scenario, wrt):
-    t, axis = wrt
-    t = int(t)
-    if not (0 <= t < scenario.n_primary) or scenario.classes[t] is not NodeClass.RELAY_UAV:
-        raise ValueError(f"node {t} is not a relay UAV; only UAVs move")
-    if axis in ("x", "y", "z"):
-        axis = "xyz".index(axis)
-    axis = int(axis)
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be one of x, y, z")
-    return t, axis
-
-
 def _pair_jacobian(scenario, state, powers, i, j) -> np.ndarray:
     """(..., m, n_uavs, 3): d sir(i[k], j[k]) / d(UAV coordinate) for m
     ordered pairs with i[k] != j[k], one table per geometry of a stacked
@@ -570,10 +551,11 @@ def sir_jacobian(scenario: Scenario, state: ChannelState,
     one table per geometry of a stacked state, at ``powers`` as in
     ``sir_matrix``; the diagonal is zero.
 
-    Unchecked like ``sir_matrix``; ``sir_spatial_gradient`` is the checked
-    lookup of one entry.  Each entry is dnum/denom - (num/denom)*(dden/denom)
-    with the per-pair formula's association, including its ``0.0 +`` start
-    of the denominator derivative (which turns a -0.0 term into +0.0).
+    Unchecked like ``sir_matrix``; with chi > 0 the proximity penalty gives
+    a third-party UAV a nonzero derivative.  Each entry is
+    dnum/denom - (num/denom)*(dden/denom) with the per-pair formula's
+    association, including its ``0.0 +`` start of the denominator
+    derivative (which turns a -0.0 term into +0.0).
     """
     n = scenario.n_primary
     i, j = np.nonzero(~np.eye(n, dtype=bool))
@@ -583,28 +565,14 @@ def sir_jacobian(scenario: Scenario, state: ChannelState,
     return out
 
 
-def sir_spatial_gradient(i: int, j: int, wrt, scenario: Scenario,
-                         fading: FadingModel | None = None,
-                         state: ChannelState | None = None) -> float:
-    """Exact partial derivative of sir(i, j) w.r.t. one UAV coordinate.
-
-    Three mechanisms contribute: the numerator gain when the moving UAV is an
-    endpoint, the source interference at j when the mover is j itself, and the
-    proximity penalty, which couples every primary node within range of the
-    receiver (so with chi > 0 a third-party UAV has a nonzero derivative).
-    """
-    t, c = _resolve_wrt(scenario, wrt)
-    if i == j:
-        raise ValueError("SIR undefined for a node talking to itself")
-    st = _state_for(scenario, fading, state)
-    if st.sir_denominators[i, j] == 0.0:
-        raise ValueError(_ZERO_DENOMINATOR)
-    g = _pair_jacobian(scenario, st, None, np.array([i]), np.array([j]))
-    return float(g[0, scenario.uav_indices.index(t), c])
-
-
-def _rate_jacobian(scenario, state, sirs, edges, powers=None) -> np.ndarray:
-    p, q = _endpoints(edges)
+def rate_jacobian(scenario: Scenario, state: ChannelState,
+                  powers: np.ndarray | None = None) -> np.ndarray:
+    """(..., n_edges, n_uavs, 3): derivative of each topology edge rate, in
+    topology order, w.r.t. every UAV coordinate (the chain rule through both
+    directed SIRs), one table per geometry of a stacked state, at ``powers``
+    as in ``sir_matrix``; a loop edge's rows are zero."""
+    sirs = _checked_sirs(scenario.topology, scenario, state, powers)
+    p, q = _endpoints(scenario.topology)
     # both directions of every edge (a loop's rows are zeroed below)
     g = _pair_jacobian(scenario, state, powers, np.concatenate([p, q]), np.concatenate([q, p]))
     forward, backward = g[..., :len(p), :, :], g[..., len(p):, :, :]
@@ -613,31 +581,3 @@ def _rate_jacobian(scenario, state, sirs, edges, powers=None) -> np.ndarray:
                              + backward / (1.0 + sirs[..., q, p])[..., None, None])
     jac[..., p == q, :, :] = 0.0
     return jac
-
-
-def rate_jacobian(scenario: Scenario, state: ChannelState,
-                  powers: np.ndarray | None = None) -> np.ndarray:
-    """(..., n_edges, n_uavs, 3): derivative of each topology edge rate, in
-    topology order, w.r.t. every UAV coordinate (see
-    ``rate_spatial_gradient``), one table per geometry of a stacked state, at
-    ``powers`` as in ``sir_matrix``."""
-    sirs = _checked_sirs(scenario.topology, scenario, state, powers)
-    return _rate_jacobian(scenario, state, sirs, scenario.topology, powers)
-
-
-def rate_spatial_gradient(p: int, q: int, wrt, scenario: Scenario,
-                          fading: FadingModel | None = None,
-                          state: ChannelState | None = None) -> float:
-    """Exact partial derivative of edge_rate(p, q) w.r.t. one UAV coordinate.
-
-    Chain rule through both directed SIRs of the edge, including the
-    1/(2 ln 2) factor from differentiating log2.
-    """
-    if p == q:
-        return 0.0
-    _require_edge(p, q, scenario)
-    st = _state_for(scenario, fading, state)
-    edge = ((p, q),)
-    sirs = _checked_sirs(edge, scenario, st)
-    t, c = _resolve_wrt(scenario, wrt)
-    return float(_rate_jacobian(scenario, st, sirs, edge)[0, scenario.uav_indices.index(t), c])

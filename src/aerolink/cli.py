@@ -48,6 +48,10 @@ def _write_json(path: str, obj) -> None:
 # -- config plumbing ----------------------------------------------------
 
 
+# what reading a malformed config raises (a huge dBm value overflows a float)
+_CONFIG_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError)
+
+
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -95,7 +99,7 @@ def _load_run(config_path: str, seed: int | None, mask: str | None):
     try:
         cfg = _load_config(config_path)
         return _scenario_from_args(cfg, seed), _optimizer_config(cfg, mask)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
 
@@ -213,23 +217,28 @@ def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
         diffs = np.diff(values)
         if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")
-        # validate scenario and masks up front so a bad sweep emits nothing
+        # validate every value's scenario and the masks up front so a bad
+        # sweep emits nothing
         base = _scenario_from_args(cfg, seed)
+        scenarios = {value: _apply_sweep_value(base, variable, value) for value in values}
+        for value, scenario in scenarios.items():
+            if errs := scen.validate(scenario):
+                raise ValueError(f"invalid scenario at {variable} = {value}: {'; '.join(errs)}")
         configs = {mask: _optimizer_config(cfg, mask) for mask in masks}
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     grid = [(value, mask) for value in values for mask in masks]
     try:
         # one batch of every grid point; --jobs K runs it as K contiguous
-        # chunks, so the first failing point's error is still the one raised
-        scenarios = {value: _apply_sweep_value(base, variable, value) for value in values}
+        # chunks (at most one per point), one worker each, so the first
+        # failing point's error is still the one raised
         batch = [(scenarios[value], configs[mask]) for value, mask in grid]
         bounds = np.linspace(0, len(batch), min(max(jobs, 1), len(batch)) + 1).astype(int)
         chunks = [batch[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if len(chunks) > 1:
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
                 rows = [row for chunk in pool.map(_sweep_chunk, chunks) for row in chunk]
         else:
             rows = _sweep_chunk(batch)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelState, FadingModel
 from .power import _chain_flow, solve_maxmin, verify_interference
-from .scenario import Scenario, validate
+from .scenario import Scenario, _require_finite, validate
 from .spectral import LaplacianMode, connectivity_bundle
 from .trajectory import GradientMode, TrajectoryConfig, _each, lambda2_gradient, step
 
@@ -47,6 +47,7 @@ class OptimizerConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        _require_finite(self, ("epsilon",))
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,13 @@ def free_space_offset_db(carrier_hz: float) -> float:
     return 10.0 * math.log10((4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S) ** 2)
 
 
-def _require_finite(params) -> None:
-    """Reject a NaN or infinite float field (a None offset means "derive it")."""
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
+def _require_finite(params, names=None) -> None:
+    """Reject a NaN or infinite float field (a None offset means "derive it"),
+    of the fields ``names`` or of every field."""
+    for name in names or [f.name for f in dataclasses.fields(params)]:
+        value = getattr(params, name)
         if value is not None and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelState, FadingModel, _endpoints, _state_for, rate_jacobian
-from .scenario import Scenario
+from .scenario import Scenario, _require_finite
 from .spectral import LaplacianBundle, LaplacianMode, connectivity_bundle, lambda2_stack
 
 
@@ -68,6 +68,7 @@ class TrajectoryConfig:
             raise ValueError("max_step_m must be positive")
         if self.fd_step_m <= 0.0:
             raise ValueError("fd_step_m must be positive")
+        _require_finite(self, ("dt", "max_step_m", "min_altitude_m", "fd_step_m"))
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,6 @@ def _analytic_gradient(scenario: Scenario, bundle: LaplacianBundle,
     for e in range(len(p)):
         grad += terms[..., e, :, :]
     return grad
-
-
-def _fd_gradient(scenario: Scenario, fading, weights, mode, h: float) -> np.ndarray:
-    """Central differences of lambda2 at the scenario's own geometry (see
-    ``_fd_gradients``)."""
-    return _fd_gradients(scenario, fading, weights, mode, h, _state_for(scenario, fading))
 
 
 def _fd_gradients(scenario: Scenario, fading, weights, mode, h: float,

@@ -5,12 +5,28 @@ kept verbatim apart from reading the masks and lazy tables through
 ``ChannelState``'s public attributes.  Every SIR, rate and derivative is
 computed one pair and one coordinate at a time, each with its own masked 1-D
 sums, so a test can compare the arrays against an independent evaluation
-with ``np.array_equal``.
+with ``np.array_equal``.  ``_resolve_wrt`` is a verbatim copy of the check
+the library's scalar derivative lookups made before they were deleted in
+favour of ``sir_jacobian`` and ``rate_jacobian``.
 """
 
 import numpy as np
 
-from aerolink.channel import LN2, _require_edge, _resolve_wrt, _state_for
+from aerolink.channel import LN2, _require_edge, _state_for
+from aerolink.scenario import NodeClass
+
+
+def _resolve_wrt(scenario, wrt):
+    t, axis = wrt
+    t = int(t)
+    if not (0 <= t < scenario.n_primary) or scenario.classes[t] is not NodeClass.RELAY_UAV:
+        raise ValueError(f"node {t} is not a relay UAV; only UAVs move")
+    if axis in ("x", "y", "z"):
+        axis = "xyz".index(axis)
+    axis = int(axis)
+    if axis not in (0, 1, 2):
+        raise ValueError("axis must be one of x, y, z")
+    return t, axis
 
 
 def sir_denominator(st, i, j):

@@ -225,8 +225,8 @@ def test_edge_rate_unit_sir_gives_full_bandwidth():
     st = ch.build_state(s)
     i, j = 0, 1
     p = s.node_powers_w.copy()
-    p[i] = st.sir_denominator(i, j) / st.gain_sq[i, j]
-    p[j] = st.sir_denominator(j, i) / st.gain_sq[j, i]
+    p[i] = st.sir_denominators[i, j] / st.gain_sq[i, j]
+    p[j] = st.sir_denominators[j, i] / st.gain_sq[j, i]
     s = s.with_node_powers(p)
     assert ch.sir(i, j, s) == pytest.approx(1.0, rel=1e-12)
     assert ch.sir(j, i, s) == pytest.approx(1.0, rel=1e-12)
@@ -253,6 +253,12 @@ def test_edge_rate_rejects_non_edges():
 
 
 # -- spatial gradients -------------------------------------------------------
+# every derivative is an entry of ``sir_jacobian`` (pair, pair, UAV slot,
+# axis) or ``rate_jacobian`` (edge in topology order, UAV slot, axis)
+
+
+def _slot(s, t):
+    return s.uav_indices.index(t)
 
 
 def _fd_sir(i, j, t, axis, s, h=1e-4):
@@ -270,15 +276,15 @@ def _fd_sir(i, j, t, axis, s, h=1e-4):
 def test_sir_gradient_zero_for_uninvolved_uav_without_safety():
     s = make_line_scenario(np.random.default_rng(14), n_uavs=3, n_si=2, chi=0.0)
     # uav 3 appears nowhere in sir(1, 2) once the proximity term is off
-    for axis in range(3):
-        assert ch.sir_spatial_gradient(1, 2, (3, axis), s) == 0.0
+    jac = ch.sir_jacobian(s, ch.build_state(s))
+    assert np.all(jac[1, 2, _slot(s, 3)] == 0.0)
 
 
 def test_sir_gradient_sign_moving_toward_receiver():
     s = make_line_scenario(np.random.default_rng(15), n_uavs=2, n_si=1, chi=0.0,
                            jitter=False)
     # transmitter uav1 at smaller x than receiver uav2: moving +x shrinks d
-    g = ch.sir_spatial_gradient(1, 2, (1, 0), s)
+    g = ch.sir_jacobian(s, ch.build_state(s))[1, 2, _slot(s, 1), 0]
     assert g > 0.0
 
 
@@ -290,8 +296,7 @@ def test_sir_gradient_matches_finite_differences():
         s = make_line_scenario(rng)
         st = ch.build_state(s)
         i, j = s.topology[int(rng.integers(0, len(s.topology)))]
-        got = np.array([[ch.sir_spatial_gradient(i, j, (t, axis), s, state=st)
-                         for axis in range(3)] for t in s.uav_indices])
+        got = ch.sir_jacobian(s, st)[i, j]
         ref = np.array([[_fd_sir(i, j, t, axis, s, h=h)
                          for axis in range(3)] for t in s.uav_indices])
         # the FD oracle itself carries roundoff of order ulp(SIR)/2h, which
@@ -303,23 +308,20 @@ def test_sir_gradient_matches_finite_differences():
     assert checked > 100
 
 
-def test_sir_gradient_validates_wrt():
-    s = make_line_scenario(np.random.default_rng(17), n_uavs=2)
-    with pytest.raises(ValueError, match="not a relay UAV"):
-        ch.sir_spatial_gradient(0, 1, (0, 0), s)
-    with pytest.raises(ValueError, match="axis"):
-        ch.sir_spatial_gradient(0, 1, (1, 5), s)
-
-
 def test_rate_gradient_zero_for_self_pair():
+    # a loop edge carries no rate, so its rows are zero (the rows of the
+    # real edges are unchanged by it)
     s = make_line_scenario(np.random.default_rng(18))
-    assert ch.rate_spatial_gradient(1, 1, (1, 0), s) == 0.0
+    looped = dataclasses.replace(s, topology=s.topology + ((1, 1),))
+    jac = ch.rate_jacobian(looped, ch.build_state(looped))
+    assert np.all(jac[-1] == 0.0)
+    assert np.array_equal(jac[:-1], ch.rate_jacobian(s, ch.build_state(s)))
 
 
 def test_rate_gradient_zero_for_third_party_without_safety():
     s = make_line_scenario(np.random.default_rng(19), n_uavs=3, n_si=2, chi=0.0)
-    for axis in range(3):
-        assert ch.rate_spatial_gradient(1, 2, (3, axis), s) == 0.0
+    jac = ch.rate_jacobian(s, ch.build_state(s))
+    assert np.all(jac[s.topology.index((1, 2)), _slot(s, 3)] == 0.0)
 
 
 def test_rate_gradient_matches_finite_differences():
@@ -342,8 +344,7 @@ def test_rate_gradient_matches_finite_differences():
         s = make_line_scenario(rng)
         st = ch.build_state(s)
         p, q = s.topology[int(rng.integers(0, len(s.topology)))]
-        got = np.array([[ch.rate_spatial_gradient(p, q, (t, axis), s, state=st)
-                         for axis in range(3)] for t in s.uav_indices])
+        got = ch.rate_jacobian(s, st)[s.topology.index((p, q))]
         ref = np.array([[fd_rate(p, q, t, axis, s, h=h)
                          for axis in range(3)] for t in s.uav_indices])
         noise = 20.0 * ch.edge_rate(p, q, s, state=st) * np.finfo(float).eps / (2.0 * h)

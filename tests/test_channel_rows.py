@@ -27,7 +27,7 @@ def _assert_every_geometry_matches(s, fading, stack):
 
 
 def _fd_stack(s, h):
-    # the stack ``_fd_gradient`` evaluates: one UAV coordinate bumped per geometry
+    # the stack ``_fd_gradients`` evaluates: one UAV coordinate bumped per geometry
     n_uavs = s.n_uavs
     stack = np.tile(s.positions, (n_uavs, 3, 2, 1, 1))
     uav, axis = np.arange(n_uavs)[:, None], np.arange(3)[None, :]
@@ -125,8 +125,9 @@ def test_the_fd_stack_computes_proximity_rows_only(monkeypatch):
         return step(y, safety)
 
     monkeypatch.setattr(ch, "smoothed_step", recording)
-    tj._fd_gradient(s, ch.FadingModel.unit_gain(), s.weights,
-                    LaplacianMode.COMBINATORIAL_WEIGHTED, 1.0e-3)
+    # the base state is built under the patch, so its full table counts too
+    tj._fd_gradients(s, ch.FadingModel.unit_gain(), s.weights,
+                     LaplacianMode.COMBINATORIAL_WEIGHTED, 1.0e-3, ch.build_state(s))
     n_bumps = 2 * 3 * s.n_uavs
     assert n_bumps == 48
     assert 0 < sum(sizes) <= n * n + n_bumps * n

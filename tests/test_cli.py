@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from aerolink import cli
 from aerolink.cli import cmd_run, main
 from aerolink.optimizer import TerminationReason
 from aerolink.scenario import build_default_scenario, scenario_to_config
@@ -112,6 +113,14 @@ def test_bad_config_exits_one_and_writes_nothing(tmp_path):
     assert main(["run", "--config", str(incomplete), "--out", str(out)]) == 1
     assert not out.exists()
 
+    # a dBm value too large for a float overflows while the config is read
+    cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
+    cfg["powers"]["p_max_dbm"] = 5000.0
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", "--config", str(huge), "--out", str(out)]) == 1
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("field", ["p_max_dbm", "si_dbm", "i_max_dbm", "weights"])
 def test_non_finite_config_value_exits_one(tmp_path, field):
@@ -142,6 +151,23 @@ def test_non_finite_radio_parameter_exits_one(tmp_path, section, field):
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "out"
     assert cmd_run(str(cfg_path), str(out)) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["dt", "max_step_m", "min_altitude_m", "fd_step_m",
+                                   "epsilon"])
+def test_non_finite_optimizer_setting_exits_one(tmp_path, capsys, field, value):
+    # NaN passes a ``<= 0`` check; each of these used to run on (or fail
+    # mid-run with a misleading message) instead of failing at load
+    cfg_path = tmp_path / "config.json"
+    if field == "epsilon":
+        _write_config(cfg_path, epsilon=value, max_iterations=3)
+    else:
+        _write_config(cfg_path, max_iterations=3, trajectory={field: value})
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg_path), str(out)) == 1
+    assert "config error:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -256,7 +282,51 @@ def test_sweep_spec_validation(tmp_path):
     assert attempt({"variable": "ue_altitude_m", "values": [0.0, 100.0, 50.0]}) == 1
     assert attempt({"variable": "ue_altitude_m", "values": [0.0, 50.0],
                     "masks": ["zz"]}) == 1
+    # values that make an invalid scenario fail at load, not mid-sweep
+    assert attempt({"variable": "interference_threshold_dbm", "values": [float("nan")]}) == 1
+    assert attempt({"variable": "interference_threshold_dbm",
+                    "values": [-50.0, float("inf")]}) == 1
+    assert attempt({"variable": "ue_altitude_m", "values": [-5.0, 10.0]}) == 1
+    assert attempt({"variable": "interference_threshold_dbm", "values": [5000.0]}) == 1
     assert not out.exists()
+
+
+def test_sweep_pool_has_one_worker_per_chunk(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, max_iterations=3)
+
+    def sweep(values, *jobs):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"variable": "ue_altitude_m", "values": values}),
+                        encoding="utf-8")
+        out = tmp_path / f"out-{len(values)}-{'-'.join(jobs) or 'serial'}"
+        assert main(["sweep", "--config", str(cfg_path), "--sweep", str(spec),
+                     "--out", str(out), *jobs]) == 0
+        return (out / "sweep.csv").read_bytes()
+
+    # 3 points under --jobs 20: 3 chunks, so 3 workers, not 20
+    assert sweep([50.0, 100.0, 150.0], "--jobs", "20") == sweep([50.0, 100.0, 150.0])
+    # one point is one chunk, run without a pool
+    assert sweep([50.0], "--jobs", "4") == sweep([50.0])
+    assert sizes == [3]
 
 
 # ---------------------------------------------------------------- gradcheck
