@@ -10,7 +10,9 @@ working tree and on the ref, from the same generated configs:
 - ``aerolink run`` (history.csv, summary.json, trajectory.json) on the
   pinned config (seed 7, epsilon 1e-12, 500 analytic iterations) and the
   fd-ascent config (200 finite-difference iterations), each in both
-  Laplacian modes;
+  Laplacian modes, and on the seed-7 config with every threshold at
+  -50 dBm (100 analytic iterations, whose powers move on some iterations
+  and not on others);
 - ``aerolink sweep`` (sweep.csv): the interference threshold over masks
   xy, xz, yz and xyz with ``--jobs 1`` and ``--jobs 2``, the UE altitude
   over masks xy and xyz, and a 40-iteration finite-difference threshold
@@ -58,6 +60,9 @@ def _configs(workdir: str) -> dict:
                 "epsilon": 1e-12, "max_iterations": iterations, "laplacian_mode": mode,
                 "trajectory": {"mask": "xyz", "gradient_mode": gradient}}))
         write(f"default-{mode}", dict(base, optimizer={"laplacian_mode": mode}))
+    write("capped", dict(base, powers=dict(
+        base["powers"], i_max_dbm=[-50.0] * len(base["powers"]["i_max_dbm"])), optimizer={
+        "epsilon": 1e-12, "max_iterations": 100, "trajectory": {"gradient_mode": "analytic"}}))
     write("fd-sweep", dict(base, optimizer={
         "epsilon": 1e-12, "max_iterations": 40,
         "trajectory": {"gradient_mode": "finite-difference"}}))
@@ -79,6 +84,7 @@ def _commands(files: dict) -> list:
             out.append((f"run-{name}-{mode}", cli + ["run", "--config", config], True))
         out.append((f"gradcheck-{mode}",
                     cli + ["gradcheck", "--config", files[f"default-{mode}"]], False))
+    out.append(("run-capped", cli + ["run", "--config", files["capped"]], True))
     default = files[f"default-{MODES[0]}"]
     for jobs in (1, 2):
         out.append((f"sweep-threshold-jobs{jobs}",

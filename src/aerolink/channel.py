@@ -262,7 +262,11 @@ class ChannelState:
     def _select(self, index) -> "ChannelState":
         """The state of the geometries ``index`` picks on the first leading
         axis: views of these tables, built without computing anything."""
-        return self._with(getattr(self, name)[index] for name in _GEOMETRY_TABLES)
+        return self._with(table[index] for table in self._tables())
+
+    def _tables(self) -> list:
+        """The per-geometry tables, positions first."""
+        return [getattr(self, name) for name in _GEOMETRY_TABLES]
 
     def _with(self, tables) -> "ChannelState":
         out = ChannelState.__new__(ChannelState)
@@ -270,26 +274,6 @@ class ChannelState:
                             a2a=self.a2a, _others=self._others)
         out.__dict__.update(zip(_GEOMETRY_TABLES, tables))
         return out
-
-    @staticmethod
-    def _join(parts, count: int) -> "ChannelState":
-        """One state over ``count`` geometries from (state, picks, slots) parts
-        with a leading axis each: geometry ``picks[i]`` of a part becomes
-        geometry ``slots[i]``.  A part that fills every slot in order with its
-        own geometries in order is returned as it is."""
-        whole = np.arange(count)
-        for state, picks, slots in parts:
-            if (len(state.positions) == count and np.array_equal(picks, whole)
-                    and np.array_equal(slots, whole)):
-                return state
-        tables = []
-        for name in _GEOMETRY_TABLES:
-            table = getattr(parts[0][0], name)
-            joined = np.empty((count,) + table.shape[1:])
-            for state, picks, slots in parts:
-                joined[slots] = getattr(state, name)[picks]
-            tables.append(joined)
-        return parts[0][0]._with(tables)
 
     # -- lazy gradient tables --------------------------------------------
 
@@ -338,6 +322,26 @@ class ChannelState:
         # for every geometry; then laid out as (i, j, axis)
         sums = np.take(terms, self._others, axis=-1).sum(axis=-1)
         return np.moveaxis(sums, -1, -3)
+
+
+def _join(parts, count: int):
+    """One object over ``count`` geometries from (obj, picks, slots) parts,
+    each obj a stacked ``ChannelState`` or ``LaplacianBundle`` (its
+    per-geometry arrays from ``_tables()``, rebuilt by ``_with``): geometry
+    ``picks[i]`` of a part becomes geometry ``slots[i]``.  A part that fills
+    every slot in order with its own geometries in order is returned as it is."""
+    whole = np.arange(count)
+    for obj, picks, slots in parts:
+        if (len(obj._tables()[0]) == count and np.array_equal(picks, whole)
+                and np.array_equal(slots, whole)):
+            return obj
+    joined = []
+    for k, table in enumerate(parts[0][0]._tables()):
+        out = np.empty((count,) + table.shape[1:], dtype=table.dtype)
+        for obj, picks, slots in parts:
+            out[slots] = obj._tables()[k][picks]
+        joined.append(out)
+    return parts[0][0]._with(joined)
 
 
 def build_state(scenario: Scenario, fading: FadingModel | None = None) -> ChannelState:

@@ -8,6 +8,13 @@ change between the two previous iterations falls to epsilon, mirroring a
 while-test with sentinels R(-1) = -inf and R(0) = 0, so the very first
 iteration always runs.
 
+Each accepted geometry is evaluated once per iteration.  The step returns
+the spectral bundle of the positions it accepts, at the powers it stepped
+with; the record takes that bundle when the power allocation leaves every
+power as it was, bit for bit (always, while no interference cap binds),
+and evaluates its stack again at the new powers otherwise.  eta is the
+bottleneck of the record's rates, so no rates are computed for it alone.
+
 The loop carries arrays (positions in a ``ChannelState``, powers,
 thresholds), not a ``Scenario`` per iteration.  It runs a batch of points
 sharing one layout in lockstep, each array with a leading point axis; a
@@ -22,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelState, FadingModel
-from .power import _chain_flow, solve_maxmin, verify_interference
+from .power import _allocation, _chain_flow, _chain_rates, _eta, verify_interference
 from .scenario import Scenario, _require_finite, validate
 from .spectral import LaplacianMode, connectivity_bundle
 from .trajectory import GradientMode, TrajectoryConfig, _each, lambda2_gradient, step
@@ -83,10 +90,12 @@ class RunHistory:
         return self.records[-1].iteration
 
 
-def _evaluate(scenario, fading, mode, state, powers, i_max_w=None):
+def _evaluate(scenario, fading, mode, state, powers, i_max_w=None, bundle=None):
     """Bundle, flows (a list, one per geometry) and interference report of a
-    (stacked) state at ``powers``."""
-    bundle = connectivity_bundle(scenario, fading, mode=mode, state=state, powers=powers)
+    (stacked) state at ``powers``; a given ``bundle`` is the state's at
+    ``powers`` already."""
+    if bundle is None:
+        bundle = connectivity_bundle(scenario, fading, mode=mode, state=state, powers=powers)
     flows = _each(_chain_flow(scenario, bundle.matrices.adjacency))
     report = verify_interference(scenario, powers, fading, state=state, i_max_w=i_max_w)
     return bundle, flows, report
@@ -217,15 +226,18 @@ def _lockstep(scenarios, configs, lone: bool) -> list:
         moved = step(layout, grads, trajectories[0] if lone else trajectories, fading,
                      laplacian_mode=mode, bundle=bundle, state=state, powers=powers)
         grads, moved = ((grads,), (moved,)) if lone else (grads, moved)
-        state = moved[0].state
+        state, bundle = moved[0].state, moved[0].bundle
 
-        solutions = solve_maxmin(layout, fading, state=state, i_max_w=i_max)
-        solutions = (solutions,) if lone else solutions
-        powers = stacked([sol.powers_w for sol in solutions])
-
-        evaluated = _evaluate(layout, fading, mode, state, powers, i_max)
+        _, feasible, new_powers = _allocation(layout, state, i_max)
+        # the step's bundle is at the step's powers: the record takes it when
+        # no point's powers moved, signed zeros included
+        if not np.array_equal(new_powers.view(np.uint64), powers.view(np.uint64)):
+            bundle = None
+        powers = new_powers
+        evaluated = _evaluate(layout, fading, mode, state, powers, i_max, bundle)
+        etas = _each(_eta(feasible, _chain_rates(evaluated[0].matrices.adjacency)))
         stalls = [m.stalled for m in moved]
-        _append(records, ids, t, state, powers, evaluated, [sol.eta for sol in solutions],
+        _append(records, ids, t, state, powers, evaluated, etas,
                 [g.mode_used for g in grads], stalls)
         flows = np.array(evaluated[1])
         stop = np.array(stalls) & (flows == last)

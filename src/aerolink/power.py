@@ -96,13 +96,34 @@ def _require_chain(topology: tuple, n_primary: int) -> None:
         raise ValueError("max-min power solve expects a chain topology")
 
 
+def _chain_rates(adjacency: np.ndarray) -> np.ndarray:
+    """A chain's (..., n - 1) edge rates, in chain order, from its (..., n, n)
+    rate matrix: the superdiagonal."""
+    return np.diagonal(adjacency, 1, -2, -1)
+
+
 def _chain_flow(scenario: Scenario, adjacency: np.ndarray) -> np.ndarray:
     """Max s-d flow over a chain's (..., n, n) rate matrix: the smallest
-    superdiagonal entry, 0.0 below ``flow.CAPACITY_FLOOR``, which
-    ``flow.max_flow`` finds along the chain's one augmenting path."""
+    edge rate, 0.0 below ``flow.CAPACITY_FLOOR``, which ``flow.max_flow``
+    finds along the chain's one augmenting path."""
     _require_chain(scenario.topology, scenario.n_primary)
-    bottleneck = np.diagonal(adjacency, 1, -2, -1).min(axis=-1)
+    bottleneck = _chain_rates(adjacency).min(axis=-1)
     return np.where(bottleneck < CAPACITY_FLOOR, 0.0, bottleneck)
+
+
+def _allocation(scenario: Scenario, state: ChannelState, i_max_w=None) -> tuple:
+    """Caps, feasibility and powers of the max-min allocation of a (stacked)
+    state: every transmitter at its cap, which an infeasible geometry (a cap
+    not positive and finite) clips at 0.0."""
+    caps = power_caps(scenario, state=state, i_max_w=i_max_w)
+    feasible = np.all(caps > 0.0, axis=-1) & np.all(np.isfinite(caps), axis=-1)
+    return caps, feasible, np.maximum(caps, 0.0)
+
+
+def _eta(feasible: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The max-min rate: the smallest of the (..., n_edges) edge rates at the
+    caps, 0.0 where the caps are infeasible."""
+    return np.where(feasible, rates.min(axis=-1), 0.0)
 
 
 def solve_maxmin(scenario: Scenario,
@@ -118,15 +139,14 @@ def solve_maxmin(scenario: Scenario,
     """
     _require_chain(scenario.topology, scenario.n_primary)
     st = _state_for(scenario, fading, state)
-    caps = power_caps(scenario, state=st, i_max_w=i_max_w)
+    caps, feasible, powers = _allocation(scenario, st, i_max_w)
     binding = _binding_report(scenario, caps, st, i_max_w)
-    feasible = np.all(caps > 0.0, axis=-1) & np.all(np.isfinite(caps), axis=-1)
     # an infeasible geometry's rates are not needed; the budget keeps them finite
     at = np.where(feasible[..., None], caps, scenario.p_max_w)
-    eta = np.where(feasible, edge_rates(scenario, st, at).min(axis=-1), 0.0)
+    eta = _eta(feasible, edge_rates(scenario, st, at))
     solutions = tuple(
-        PowerSolution(powers_w=c if ok else np.maximum(c, 0.0), eta=e, binding=b, feasible=ok)
-        for c, e, b, ok in zip(caps.reshape(-1, scenario.n_primary), eta.reshape(-1).tolist(),
+        PowerSolution(powers_w=p, eta=e, binding=b, feasible=ok)
+        for p, e, b, ok in zip(powers.reshape(-1, scenario.n_primary), eta.reshape(-1).tolist(),
                                binding, feasible.reshape(-1).tolist()))
     return solutions[0] if caps.ndim == 1 else solutions
 

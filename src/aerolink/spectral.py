@@ -169,13 +169,21 @@ class LaplacianBundle:
 
     def take(self, index) -> "LaplacianBundle":
         """The bundle of the geometries ``index`` picks on the first leading axis."""
+        return self._with([table[index] for table in self._tables()])
+
+    def _tables(self) -> tuple:
+        """The per-geometry fields, the matrices first."""
         m = self.matrices
+        return (m.adjacency, m.degree, m.laplacian, self.weighted_laplacian, self.lambda2,
+                self.fiedler, self.spectral_gap, self.degenerate, self.delta_max)
+
+    def _with(self, tables) -> "LaplacianBundle":
+        """This bundle with its per-geometry fields replaced, in ``_tables`` order."""
+        adjacency, degree, laplacian, lw, lam2, fiedler, gap, degenerate, delta_max = tables
         return dataclasses.replace(
-            self, matrices=GraphMatrices(m.adjacency[index], m.degree[index],
-                                         m.laplacian[index]),
-            weighted_laplacian=self.weighted_laplacian[index], lambda2=self.lambda2[index],
-            fiedler=self.fiedler[index], spectral_gap=self.spectral_gap[index],
-            degenerate=self.degenerate[index], delta_max=self.delta_max[index])
+            self, matrices=GraphMatrices(adjacency, degree, laplacian), weighted_laplacian=lw,
+            lambda2=lam2, fiedler=fiedler, spectral_gap=gap, degenerate=degenerate,
+            delta_max=delta_max)
 
 
 def connectivity_bundle(scenario: Scenario,

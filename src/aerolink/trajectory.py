@@ -9,9 +9,10 @@ as the honest option for the normalized Laplacian, whose Fiedler formula
 is only a heuristic.  They evaluate every +-h bump of every UAV coordinate
 in one stacked lambda2 pass, bit-identical to bumping one coordinate at a
 time.  A step evaluates each trial as a ``ChannelState`` over its positions
-(no new ``Scenario``) and returns the state of the positions it accepts,
-so the caller need not build it again.  Both the gradient and the step
-also run on a stacked state, one geometry per batch point.
+(no new ``Scenario``) and returns the state and spectral bundle of the
+positions it accepts, at the powers it stepped with, so the caller need not
+evaluate them again.  Both the gradient and the step also run on a stacked
+state, one geometry per batch point.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, _endpoints, _state_for, rate_jacobian
+from .channel import ChannelState, FadingModel, _endpoints, _join, _state_for, rate_jacobian
 from .scenario import Scenario, _require_finite
 from .spectral import LaplacianBundle, LaplacianMode, connectivity_bundle, lambda2_stack
 
@@ -68,6 +69,10 @@ class TrajectoryConfig:
             raise ValueError("max_step_m must be positive")
         if self.fd_step_m <= 0.0:
             raise ValueError("fd_step_m must be positive")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be non-negative")
+        if self.min_altitude_m < 0.0:
+            raise ValueError("min_altitude_m must be non-negative")
         _require_finite(self, ("dt", "max_step_m", "min_altitude_m", "fd_step_m"))
 
 
@@ -198,6 +203,8 @@ class StepResult:
     stalled: bool            # backtracking exhausted; positions unchanged
     state: ChannelState      # tables of the accepted positions (powers do not enter);
                              # of a stacked step: every geometry's, in order
+    bundle: LaplacianBundle | None = None  # spectral data of the accepted positions at
+                                           # the step's powers, stacked as ``state``
 
 
 @functools.lru_cache(maxsize=64)
@@ -226,7 +233,9 @@ def step(scenario: Scenario,
     min_altitude_m (only enforced when z is an active axis).  With
     backtracking on, dt is halved until lambda2 does not decrease; if
     max_backtracks halvings all fail the step stalls and returns the
-    original positions.
+    original positions.  The result carries the accepted positions'
+    ``ChannelState`` and ``LaplacianBundle`` at ``powers``: the accepted
+    trial's, or on a stall the input ones.
 
     A stacked ``state`` (with its bundle, ``powers`` and a gradient field
     and trajectory config per geometry; one config serves all) steps every
@@ -279,9 +288,10 @@ def step(scenario: Scenario,
         new_state = ChannelState(scenario, fading or FadingModel.unit_gain(),
                                  trial[0] if lone else trial,
                                  None if lone else state._select(pick))
-        lam_new = _each(connectivity_bundle(
+        new_bundle = connectivity_bundle(
             scenario, fading, mode=laplacian_mode, state=new_state,
-            powers=powers if powers is None or lone else powers[live]).lambda2)
+            powers=powers if powers is None or lone else powers[live])
+        lam_new = _each(new_bundle.lambda2)
         took, gave_up, halving = [], [], []
         for i, k in enumerate(live):
             c = configs[k]
@@ -296,16 +306,18 @@ def step(scenario: Scenario,
                 dt[k] *= 0.5
                 halvings[k] += 1
                 halving.append(k)
-        # where each point's accepted tables are: a trial's, or the input's
-        parts.append((new_state, took, [live[i] for i in took]))
-        parts.append((state, gave_up, gave_up))
+        # where each point's accepted tables and bundle are: a trial's, or the input's
+        parts += [(new_state, new_bundle, took, [live[i] for i in took]),
+                  (state, bundle, gave_up, gave_up)]
         live = halving
     if lone:
-        accepted = state if outcomes[0][5] else new_state
+        accepted = (state, bundle) if outcomes[0][5] else (new_state, new_bundle)
     else:
-        accepted = ChannelState._join([p for p in parts if p[2]], count)
+        parts = [p for p in parts if p[3]]
+        accepted = (_join([(s, picks, slots) for s, _, picks, slots in parts], count),
+                    _join([(b, picks, slots) for _, b, picks, slots in parts], count))
     results = tuple(
         StepResult(positions=p, lambda2_before=before, lambda2_after=after, dt_used=used,
-                   halvings=h, stalled=stalled, state=accepted)
+                   halvings=h, stalled=stalled, state=accepted[0], bundle=accepted[1])
         for p, before, after, used, h, stalled in outcomes)
     return results[0] if lone else results

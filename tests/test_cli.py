@@ -171,6 +171,18 @@ def test_non_finite_optimizer_setting_exits_one(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("max_backtracks", -3), ("min_altitude_m", -1.0)])
+def test_negative_trajectory_setting_exits_one(tmp_path, capsys, field, value):
+    # a negative max_backtracks used to run as 0 and a negative altitude
+    # floor as given, both exiting 0
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, max_iterations=3, trajectory={field: value})
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg_path), str(out)) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_source_positions_must_be_triples(tmp_path):
     # three [x, y] pairs would reshape into two 3-D sources
     cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))

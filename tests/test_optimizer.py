@@ -9,6 +9,7 @@ import aerolink.channel as ch
 import aerolink.flow as fl
 import aerolink.optimizer as opt
 import aerolink.spectral as sp
+import aerolink.trajectory as tj
 from aerolink.optimizer import (OptimizerConfig, TerminationReason, replay_flow,
                                 run)
 from aerolink.scenario import build_default_scenario
@@ -198,3 +199,77 @@ def test_each_geometry_gets_one_channel_state(max_backtracks, monkeypatch):
     assert any(r.stalled for r in steps) == (max_backtracks == 3)
     assert len(builds) == 1 + sum(1 + r.halvings for r in steps)
     assert len(steps) == history.iterations
+
+
+# ------------------------------------------------------------ bundle calls
+
+
+def _count_bundles(monkeypatch):
+    """Calls of ``connectivity_bundle`` from the loop and from the step, and
+    every step's result."""
+    calls, steps = [], []
+    for module in (opt, tj):
+        def counted(*args, _bundle=module.connectivity_bundle, **kwargs):
+            calls.append(1)
+            return _bundle(*args, **kwargs)
+
+        monkeypatch.setattr(module, "connectivity_bundle", counted)
+    step = opt.step
+
+    def recorded_step(*args, **kwargs):
+        result = step(*args, **kwargs)
+        steps.append(result if isinstance(result, tuple) else (result,))
+        return result
+
+    monkeypatch.setattr(opt, "step", recorded_step)
+    return calls, steps
+
+
+def _moved(history, t):
+    """Whether record t's powers differ from record t - 1's, signed zeros included."""
+    a, b = history.records[t - 1].powers_w, history.records[t].powers_w
+    return not np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _halving(max_backtracks=20):
+    return OptimizerConfig(epsilon=1e-12, max_iterations=20, trajectory=TrajectoryConfig(
+        dt=1.0e4, max_backtracks=max_backtracks))
+
+
+@pytest.mark.parametrize("i_max_dbm, max_backtracks", [(None, 20), (None, 11), (-50.0, 20)])
+def test_each_accepted_geometry_is_evaluated_once(i_max_dbm, max_backtracks, monkeypatch):
+    # the step evaluates 1 + halvings geometries; the record reuses the
+    # accepted one's bundle (the input's on a stall) unless the power solve
+    # moved a power, which costs one more evaluation
+    s = build_default_scenario(7)
+    if i_max_dbm is not None:
+        s = s.with_i_max_dbm(i_max_dbm)
+    calls, steps = _count_bundles(monkeypatch)
+    history = run(s, _halving(max_backtracks))
+    assert len(steps) == history.iterations
+    moved = [_moved(history, t) for t in range(1, len(history.records))]
+    if i_max_dbm is None:
+        # the caps never bind: P_max throughout
+        assert not any(moved)
+        assert sum(r.halvings for (r,) in steps) > 0
+        assert any(r.stalled for (r,) in steps) == (max_backtracks == 11)
+    else:
+        assert 0 < sum(moved) < len(moved)
+    assert len(calls) == 1 + sum(1 + r.halvings for (r,) in steps) + sum(moved)
+
+
+def test_a_batch_evaluates_each_accepted_stack_once(monkeypatch):
+    # one trial stack per backtracking round; the records' stack is evaluated
+    # again only on iterations where some live point's powers moved
+    s = build_default_scenario(7)
+    points = [s, s, s.with_i_max_dbm(-50.0)]
+    calls, steps = _count_bundles(monkeypatch)
+    histories = run(points, [_halving(20), _halving(11), _halving(20)])
+    moved = [any(_moved(h, t) for h in histories if t < len(h.records))
+             for t in range(1, max(len(h.records) for h in histories))]
+    assert len(steps) == len(moved)
+    assert 0 < sum(moved) < len(moved)
+    assert any(r.stalled for results in steps for r in results)
+    assert any(len({r.halvings for r in results}) == 3 for results in steps)
+    rounds = sum(1 + max(r.halvings for r in results) for results in steps)
+    assert len(calls) == 1 + rounds + sum(moved)

@@ -7,6 +7,7 @@ import pytest
 
 import aerolink.spectral as sp
 import aerolink.trajectory as tj
+from aerolink.channel import ChannelState, FadingModel
 from aerolink.scenario import Scenario, build_default_scenario
 from aerolink.spectral import LaplacianMode
 from aerolink.trajectory import (AxisMask, GradientField, GradientMode,
@@ -183,6 +184,16 @@ def test_config_validation():
         TrajectoryConfig(fd_step_m=0.0)
 
 
+def test_negative_backtrack_budget_and_altitude_floor_are_rejected():
+    # a negative budget used to act as 0; a negative floor is below any
+    # altitude a scenario may have
+    with pytest.raises(ValueError, match="max_backtracks"):
+        TrajectoryConfig(max_backtracks=-1)
+    with pytest.raises(ValueError, match="min_altitude_m"):
+        TrajectoryConfig(min_altitude_m=-0.5)
+    TrajectoryConfig(max_backtracks=0, min_altitude_m=0.0)
+
+
 def test_axis_mask_parsing():
     assert AxisMask.from_string(" XZ ") is AxisMask.XZ
     assert AxisMask.from_string("xyz") is AxisMask.XYZ
@@ -225,3 +236,61 @@ def test_a_failing_stack_builds_no_scenario(monkeypatch):
     with pytest.raises(ValueError, match="two nodes share a position"):
         sp.lambda2_stack(s, np.stack([s.positions, s.positions, coincident]))
     assert built == []
+
+
+# ------------------------------------------------- the accepted geometry's bundle
+
+
+def _words(value):
+    return np.ascontiguousarray(value, dtype=float).view(np.uint64)
+
+
+def _assert_same_bundle(got, want):
+    """Every field equal, as uint64 words where it is a number."""
+    assert got.mode is want.mode
+    for name in ("adjacency", "degree", "laplacian"):
+        assert np.array_equal(_words(getattr(got.matrices, name)),
+                              _words(getattr(want.matrices, name))), name
+    for name in ("weighted_laplacian", "weights", "lambda2", "fiedler", "spectral_gap",
+                 "degenerate", "delta_max", "w_min"):
+        assert np.array_equal(_words(getattr(got, name)), _words(getattr(want, name))), name
+
+
+def _downhill(field):
+    return GradientField(d_lambda2=-field.d_lambda2, mode_used=field.mode_used,
+                         degenerate=field.degenerate)
+
+
+@pytest.mark.parametrize("stall", [False, True])
+def test_a_step_returns_the_bundle_of_its_accepted_geometry(stall):
+    # the bundle of the accepted positions at the step's powers: the
+    # accepted trial's, or the input one on a stall
+    s = build_default_scenario(7)
+    powers = s.p_max_w * np.linspace(0.3, 1.0, s.n_primary)
+    grad = tj.lambda2_gradient(s, powers=powers)
+    res = tj.step(s, _downhill(grad) if stall else grad,
+                  TrajectoryConfig(dt=1.0e2, max_step_m=20.0, max_backtracks=8), powers=powers)
+    assert res.stalled == stall and res.halvings >= 1
+    _assert_same_bundle(res.bundle, sp.connectivity_bundle(s, state=res.state, powers=powers))
+
+
+def test_a_batch_step_returns_the_joined_bundle_of_its_accepted_geometries():
+    # points halving a different number of times, one of them stalling, and
+    # one accepted on its first trial
+    s = build_default_scenario(7)
+    rng = np.random.default_rng(5)
+    positions = np.stack([s.positions] * 4)
+    positions[1:, list(s.uav_indices)] += rng.uniform(-2.0, 2.0, (3, s.n_uavs, 3))
+    state = ChannelState(s, FadingModel.unit_gain(), positions)
+    powers = s.p_max_w * rng.uniform(0.2, 1.0, (4, s.n_primary))
+    bundle = sp.connectivity_bundle(s, state=state, powers=powers)
+    grads = list(tj.lambda2_gradient(s, bundle=bundle, state=state, powers=powers))
+    grads[2] = _downhill(grads[2])
+    configs = [TrajectoryConfig(dt=dt, max_step_m=20.0, max_backtracks=14)
+               for dt in (1.0e2, 1.0e4, 1.0e2, 1.0)]
+    results = tj.step(s, grads, configs, bundle=bundle, state=state, powers=powers)
+    assert [r.stalled for r in results] == [False, False, True, False]
+    assert len({r.halvings for r in results}) == 4 and results[3].halvings == 0
+    assert all(r.bundle is results[0].bundle for r in results)
+    _assert_same_bundle(results[0].bundle,
+                        sp.connectivity_bundle(s, state=results[0].state, powers=powers))
