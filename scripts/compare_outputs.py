@@ -12,7 +12,9 @@ working tree and on the ref, from the same generated configs:
   fd-ascent config (200 finite-difference iterations), each in both
   Laplacian modes, and on the seed-7 config with every threshold at
   -50 dBm (100 analytic iterations, whose powers move on some iterations
-  and not on others);
+  and not on others), on the seed-7 config with empty ``channel`` and
+  ``safety`` sections (50 iterations, every other setting its default),
+  and on the seed-7 config with Rayleigh fading (seed 3) under mask xz;
 - ``aerolink sweep`` (sweep.csv): the interference threshold over masks
   xy, xz, yz and xyz with ``--jobs 1`` and ``--jobs 2``, the UE altitude
   over masks xy and xyz, and a 40-iteration finite-difference threshold
@@ -63,6 +65,10 @@ def _configs(workdir: str) -> dict:
     write("capped", dict(base, powers=dict(
         base["powers"], i_max_dbm=[-50.0] * len(base["powers"]["i_max_dbm"])), optimizer={
         "epsilon": 1e-12, "max_iterations": 100, "trajectory": {"gradient_mode": "analytic"}}))
+    write("defaults", dict(base, channel={}, safety={}, optimizer={"max_iterations": 50}))
+    write("rayleigh", dict(base, optimizer={
+        "max_iterations": 50, "fading": {"kind": "rayleigh", "seed": 3},
+        "trajectory": {"mask": "xz"}}))
     write("fd-sweep", dict(base, optimizer={
         "epsilon": 1e-12, "max_iterations": 40,
         "trajectory": {"gradient_mode": "finite-difference"}}))
@@ -84,7 +90,8 @@ def _commands(files: dict) -> list:
             out.append((f"run-{name}-{mode}", cli + ["run", "--config", config], True))
         out.append((f"gradcheck-{mode}",
                     cli + ["gradcheck", "--config", files[f"default-{mode}"]], False))
-    out.append(("run-capped", cli + ["run", "--config", files["capped"]], True))
+    for name in ("capped", "defaults", "rayleigh"):
+        out.append((f"run-{name}", cli + ["run", "--config", files[name]], True))
     default = files[f"default-{MODES[0]}"]
     for jobs in (1, 2):
         out.append((f"sweep-threshold-jobs{jobs}",

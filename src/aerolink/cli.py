@@ -22,10 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import scenario as scen
-from .channel import FadingModel
 from .optimizer import OptimizerConfig, RunHistory, run
-from .spectral import LaplacianMode
-from .trajectory import AxisMask, GradientMode, TrajectoryConfig, lambda2_gradient
+from .trajectory import AxisMask, GradientMode, lambda2_gradient
 
 GRADCHECK_TOL = 1.0e-4
 
@@ -58,33 +56,10 @@ def _load_config(path: str) -> dict:
 
 
 def _optimizer_config(cfg: dict, mask: str | None = None) -> OptimizerConfig:
-    opt = dict(cfg.get("optimizer", {}))
-    traj = dict(opt.get("trajectory", {}))
+    opt = cfg.get("optimizer", {})
     if mask is not None:
-        traj["mask"] = mask
-    fading_cfg = opt.get("fading", {"kind": "unit"})
-    fading = FadingModel(kind=fading_cfg.get("kind", "unit"),
-                         seed=int(fading_cfg.get("seed", 0)))
-    mode = LaplacianMode(opt.get("laplacian_mode",
-                                 LaplacianMode.COMBINATORIAL_WEIGHTED.value))
-    gmode = GradientMode(traj.get("gradient_mode", GradientMode.ANALYTIC.value))
-    tconf = TrajectoryConfig(
-        dt=float(traj.get("dt", 1.0)),
-        mask=AxisMask.from_string(traj.get("mask", "xyz")),
-        gradient_mode=gmode,
-        backtracking=bool(traj.get("backtracking", True)),
-        max_backtracks=int(traj.get("max_backtracks", 20)),
-        max_step_m=float(traj.get("max_step_m", 5.0)),
-        min_altitude_m=float(traj.get("min_altitude_m", 1.0)),
-        fd_step_m=float(traj.get("fd_step_m", 1.0e-3)),
-    )
-    return OptimizerConfig(
-        epsilon=float(opt.get("epsilon", 1.0)),
-        max_iterations=int(opt.get("max_iterations", 500)),
-        trajectory=tconf,
-        laplacian_mode=mode,
-        fading=fading,
-    )
+        opt = {**opt, "trajectory": {**opt.get("trajectory", {}), "mask": mask}}
+    return scen._read_section(OptimizerConfig, opt, "optimizer")
 
 
 def _scenario_from_args(cfg: dict, seed: int | None) -> scen.Scenario:

@@ -13,7 +13,9 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
+import typing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -406,6 +408,56 @@ def validate(scenario: Scenario) -> list:
 
 # -- config file I/O ----------------------------------------------------
 
+def _json_int(value, name: str) -> int:
+    """An integral number as an int (3.0 reads as 3); a bool is not one."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _json_bool(value, name: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def _read_section(cls, section, name: str):
+    """The frozen config dataclass ``cls`` read from its JSON object ``section``.
+
+    A key the section omits takes the field's default; a key that is no
+    field is an error.  Each value is read by its field's type: a nested
+    config dataclass by this reader, an Enum by its ``from_string`` where it
+    has one and by value otherwise, a bool from true/false only, an int from
+    an integral number only, a float (a ``float | None`` keeps a null) by
+    ``float()``; any other value as given.
+    """
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a JSON object, got {section!r}")
+    hints = typing.get_type_hints(cls)
+    types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    for key in section:
+        if key not in types:
+            raise ValueError(f"unknown key {key!r} in {name}")
+    return cls(**{key: _read_value(types[key], value, f"{name}.{key}")
+                  for key, value in section.items()})
+
+
+def _read_value(hint, value, name: str):
+    if dataclasses.is_dataclass(hint):
+        return _read_section(hint, value, name)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return getattr(hint, "from_string", hint)(value)
+    if hint is bool:
+        return _json_bool(value, name)
+    if hint is int:
+        return _json_int(value, name)
+    if hint is float or (hint == float | None and value is not None):
+        return float(value)
+    return value
+
+
 def _uavs_from_config(section: dict, bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
     """Explicit positions, or `count` relays evenly spaced between BS and UE."""
     if "positions_m" in section:
@@ -413,7 +465,7 @@ def _uavs_from_config(section: dict, bs: np.ndarray, ue: np.ndarray) -> np.ndarr
         if uavs.ndim != 2 or uavs.shape[1] != 3:
             raise ValueError("uavs.positions_m must be a list of [x, y, z] triples")
         return uavs
-    count = int(section.get("count", 0))
+    count = _json_int(section.get("count", 0), "nodes.uavs.count")
     if count < 1:
         raise ValueError("uavs need positions_m or a positive count")
     alt = float(section.get("initial_altitude_m", 30.0))
@@ -431,12 +483,12 @@ def _sis_from_config(section: dict, seed) -> np.ndarray:
         if sis.size and (sis.ndim != 2 or sis.shape[1] != 3):
             raise ValueError("sis.positions_m must be a list of [x, y, z] triples")
         return sis.reshape(-1, 3)
-    count = int(section.get("count", 0))
+    count = _json_int(section.get("count", 0), "nodes.sis.count")
     if count == 0:
         return np.zeros((0, 3))
     if seed is None:
         raise ValueError("drawing interference sources by count needs a seed")
-    return _drawn_sources(int(seed), count, section.get("region_m", {}))
+    return _drawn_sources(seed, count, section.get("region_m", {}))
 
 
 def scenario_to_config(scenario: Scenario) -> dict:
@@ -452,21 +504,8 @@ def scenario_to_config(scenario: Scenario) -> dict:
             "uavs": {"positions_m": uavs.tolist()},
             "sis": {"positions_m": sis.tolist()},
         },
-        "channel": {
-            "alpha_a2a": scenario.channel.alpha_a2a,
-            "alpha_a2g": scenario.channel.alpha_a2g,
-            "eta_a2a_db": scenario.channel.eta_a2a_db,
-            "eta_a2g_db": scenario.channel.eta_a2g_db,
-            "carrier_hz": scenario.channel.carrier_hz,
-            "bandwidth_hz": scenario.channel.bandwidth_hz,
-        },
-        "safety": {
-            "chi": scenario.safety.chi,
-            "zeta": scenario.safety.zeta,
-            "kappa": scenario.safety.kappa,
-            "y0": scenario.safety.y0,
-            "r_int_m": scenario.safety.r_int_m,
-        },
+        "channel": dataclasses.asdict(scenario.channel),
+        "safety": dataclasses.asdict(scenario.safety),
         "powers": {
             "p_max_dbm": watts_to_dbm(scenario.p_max_w),
             "node_dbm": [watts_to_dbm(p) for p in scenario.node_powers_w],
@@ -487,34 +526,23 @@ def scenario_from_config(cfg: dict) -> Scenario:
         if key not in cfg:
             raise ValueError(f"config is missing required key {key!r}")
 
+    seed = cfg.get("seed")
+    if seed is not None:
+        seed = _json_int(seed, "seed")
     nodes = cfg["nodes"]
     try:
         bs = np.asarray(nodes["bs"]["position_m"], dtype=float)
         ue = np.asarray(nodes["ue"]["position_m"], dtype=float)
         uavs = _uavs_from_config(nodes["uavs"], bs, ue)
-        sis = _sis_from_config(nodes.get("sis", {}), cfg.get("seed"))
+        sis = _sis_from_config(nodes.get("sis", {}), seed)
+        ue_aerial = _json_bool(nodes["ue"].get("aerial", False), "nodes.ue.aerial")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed nodes section: {exc}") from exc
     n_uavs, n_si = uavs.shape[0], sis.shape[0]
     n_primary = n_uavs + 2
 
-    ch = cfg["channel"]
-    channel = ChannelParams(
-        alpha_a2a=float(ch.get("alpha_a2a", 2.05)),
-        alpha_a2g=float(ch.get("alpha_a2g", 2.32)),
-        eta_a2a_db=None if ch.get("eta_a2a_db") is None else float(ch["eta_a2a_db"]),
-        eta_a2g_db=None if ch.get("eta_a2g_db") is None else float(ch["eta_a2g_db"]),
-        carrier_hz=float(ch.get("carrier_hz", 2.0e9)),
-        bandwidth_hz=float(ch.get("bandwidth_hz", 1.0e4)),
-    )
-    sf = cfg["safety"]
-    safety = SafetyParams(
-        chi=float(sf.get("chi", 1.0)),
-        zeta=float(sf.get("zeta", 1.0)),
-        kappa=float(sf.get("kappa", 10.0)),
-        y0=float(sf.get("y0", 1.0e-3)),
-        r_int_m=float(sf.get("r_int_m", 5.0)),
-    )
+    channel = _read_section(ChannelParams, cfg["channel"], "channel")
+    safety = _read_section(SafetyParams, cfg["safety"], "safety")
 
     pw = cfg["powers"]
     p_max_w = dbm_to_watts(float(pw["p_max_dbm"]))
@@ -555,8 +583,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
         safety=safety,
         weights=weights,
         topology=topology,
-        ue_aerial=bool(nodes["ue"].get("aerial", False)),
-        seed=cfg.get("seed"),
+        ue_aerial=ue_aerial,
+        seed=seed,
     )
     problems = validate(scen)
     if problems:

@@ -164,8 +164,6 @@ class LaplacianBundle:
     fiedler: np.ndarray
     spectral_gap: float
     degenerate: bool
-    delta_max: float         # largest weighted degree
-    w_min: float
 
     def take(self, index) -> "LaplacianBundle":
         """The bundle of the geometries ``index`` picks on the first leading axis."""
@@ -175,15 +173,14 @@ class LaplacianBundle:
         """The per-geometry fields, the matrices first."""
         m = self.matrices
         return (m.adjacency, m.degree, m.laplacian, self.weighted_laplacian, self.lambda2,
-                self.fiedler, self.spectral_gap, self.degenerate, self.delta_max)
+                self.fiedler, self.spectral_gap, self.degenerate)
 
     def _with(self, tables) -> "LaplacianBundle":
         """This bundle with its per-geometry fields replaced, in ``_tables`` order."""
-        adjacency, degree, laplacian, lw, lam2, fiedler, gap, degenerate, delta_max = tables
+        adjacency, degree, laplacian, lw, lam2, fiedler, gap, degenerate = tables
         return dataclasses.replace(
             self, matrices=GraphMatrices(adjacency, degree, laplacian), weighted_laplacian=lw,
-            lambda2=lam2, fiedler=fiedler, spectral_gap=gap, degenerate=degenerate,
-            delta_max=delta_max)
+            lambda2=lam2, fiedler=fiedler, spectral_gap=gap, degenerate=degenerate)
 
 
 def connectivity_bundle(scenario: Scenario,
@@ -194,8 +191,8 @@ def connectivity_bundle(scenario: Scenario,
                         powers: np.ndarray | None = None) -> LaplacianBundle:
     """The spectral data of a state's geometry at ``powers`` (default: the
     scenario's).  A stacked state gives one bundle whose per-geometry fields
-    (matrices, lambda2, Fiedler vectors, gaps, flags, degrees) carry its
-    leading axes, each entry equal to the bit to that geometry's own."""
+    (matrices, lambda2, Fiedler vectors, gaps, flags) carry its leading
+    axes, each entry equal to the bit to that geometry's own."""
     w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
     matrices = build_matrices(scenario, fading, state, powers)
     lw = weighted_laplacian(matrices, w, mode)
@@ -209,8 +206,6 @@ def connectivity_bundle(scenario: Scenario,
         fiedler=fr.vector,
         spectral_gap=fr.spectral_gap,
         degenerate=fr.degenerate,
-        delta_max=_unstacked(np.diagonal(matrices.degree, axis1=-2, axis2=-1).max(axis=-1)),
-        w_min=float(w.min()),
     )
 
 

@@ -42,7 +42,7 @@ class AxisMask(Enum):
     def from_string(text: str) -> "AxisMask":
         try:
             return AxisMask(text.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise ValueError(f"unknown axis mask {text!r}; use xy, xz, yz or xyz") from None
 
 

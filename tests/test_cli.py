@@ -2,14 +2,15 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aerolink import cli
 from aerolink.cli import cmd_run, main
-from aerolink.optimizer import TerminationReason
-from aerolink.scenario import build_default_scenario, scenario_to_config
+from aerolink.optimizer import OptimizerConfig, TerminationReason
+from aerolink.scenario import build_default_scenario, scenario_from_config, scenario_to_config
 
 
 def _write_config(path, n_uavs=4, n_si=3, seed=3, **optimizer):
@@ -181,6 +182,72 @@ def test_negative_trajectory_setting_exits_one(tmp_path, capsys, field, value):
     assert cmd_run(str(cfg_path), str(out)) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _set_key(cfg, keys, value):
+    for key in keys[:-1]:
+        cfg = cfg.setdefault(key, {})
+    cfg[keys[-1]] = value
+
+
+# each of these used to run on, read as something else, or (a mask that is
+# no string) crash with a traceback
+_MISTYPED = [
+    (("optimizer", "trajectory", "backtracking"), "false"),
+    (("optimizer", "trajectory", "max_backtracks"), 2.7),
+    (("optimizer", "trajectory", "max_backtracks"), True),
+    (("optimizer", "trajectory", "mask"), 5),
+    (("optimizer", "max_iterations"), 10.9),
+    (("optimizer", "fading"), {"kind": "rayleigh", "seed": 2.5}),
+    (("seed",), 7.9),
+    (("nodes", "uavs"), {"count": 3.9}),
+    (("nodes", "ue", "aerial"), "false"),
+    (("optimizer", "max_iteration"), 10),
+    (("optimizer", "trajectory", "step"), 1.0),
+    (("optimizer", "fading", "sigma"), 1.0),
+    (("channel", "alpha"), 2.0),
+    (("safety", "r_int"), 5.0),
+]
+
+
+@pytest.mark.parametrize("keys, value", _MISTYPED,
+                         ids=[".".join(keys) for keys, _ in _MISTYPED])
+def test_mistyped_or_unknown_config_key_exits_one(tmp_path, capsys, keys, value):
+    cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
+    cfg["optimizer"] = {"epsilon": 200.0, "max_iterations": 3}
+    _set_key(cfg, keys, value)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg_path), str(out)) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and keys[-1] in err
+    assert not out.exists()
+
+
+def test_unknown_config_key_fails_a_sweep(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, max_iteration=10)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variable": "ue_altitude_m", "values": [50.0]}),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--sweep", str(spec),
+                 "--out", str(out)]) == 1
+    assert "config error: unknown key 'max_iteration' in optimizer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_empty_optimizer_section_is_the_default_config():
+    assert cli._optimizer_config({}) == OptimizerConfig()
+
+
+def test_the_readme_config_example_loads():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split("### Config file", 1)[1]
+    cfg = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+    scenario_from_config(cfg)
+    cli._optimizer_config(cfg)
 
 
 def test_source_positions_must_be_triples(tmp_path):

@@ -162,6 +162,8 @@ def test_config_count_based_generation_matches_builder():
     assert np.array_equal(got.positions, ref.positions)
     assert np.array_equal(got.node_powers_w, ref.node_powers_w)
     assert got.topology == ref.topology
+    assert got.channel == sc.ChannelParams()
+    assert got.safety == sc.SafetyParams()
 
 
 def test_config_rejects_wrong_schema_version():
