@@ -19,7 +19,10 @@ working tree and on the ref, from the same generated configs:
   xy, xz, yz and xyz with ``--jobs 1`` and ``--jobs 2``, the UE altitude
   over masks xy and xyz, and a 40-iteration finite-difference threshold
   sweep;
-- ``aerolink gradcheck`` in both Laplacian modes (exit codes 0 and 3);
+- ``aerolink gradcheck`` in both Laplacian modes (exit codes 0 and 3), and
+  on the seed-7 config with edge (0, 2) added to the chain, a topology
+  that is not a chain (``run`` and ``sweep`` refuse it; the gradient does
+  not need a chain);
 - every demo under ``demos/``.
 
 Each command's stdout, stderr and exit code are compared as well.  Prints
@@ -69,6 +72,7 @@ def _configs(workdir: str) -> dict:
     write("rayleigh", dict(base, optimizer={
         "max_iterations": 50, "fading": {"kind": "rayleigh", "seed": 3},
         "trajectory": {"mask": "xz"}}))
+    write("shortcut", dict(base, topology=base["topology"] + [[0, 2]]))
     write("fd-sweep", dict(base, optimizer={
         "epsilon": 1e-12, "max_iterations": 40,
         "trajectory": {"gradient_mode": "finite-difference"}}))
@@ -90,6 +94,8 @@ def _commands(files: dict) -> list:
             out.append((f"run-{name}-{mode}", cli + ["run", "--config", config], True))
         out.append((f"gradcheck-{mode}",
                     cli + ["gradcheck", "--config", files[f"default-{mode}"]], False))
+    out.append(("gradcheck-shortcut", cli + ["gradcheck", "--config", files["shortcut"]],
+                False))
     for name in ("capped", "defaults", "rayleigh"):
         out.append((f"run-{name}", cli + ["run", "--config", files[name]], True))
     default = files[f"default-{MODES[0]}"]

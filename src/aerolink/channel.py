@@ -425,38 +425,13 @@ def sir(i: int, j: int, scenario: Scenario,
     return _finite_sir(sir_matrix(scenario, st)[i, j])
 
 
-@functools.lru_cache(maxsize=64)
-def _checked_pairs(edges: tuple, n: int) -> tuple:
-    """The ordered pairs ``sir`` checks for the edges, in check order (both
-    directions of each edge that is not a loop), as index arrays; cut at the
-    first pair that is not a primary pair, with that pair's error."""
-    pairs, problem = [], None
-    for p, q in edges:
-        if p != q:
-            for i, j in ((p, q), (q, p)):
-                try:
-                    _require_primary_pair(i, j, n)
-                except ValueError as exc:
-                    problem = str(exc)
-                    break
-                pairs.append((i, j))
-            if problem:
-                break
-    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1], problem
-
-
 def _checked_sirs(edges: tuple, scenario, state, powers=None) -> np.ndarray:
     """SIR matrix, checked as ``sir`` checks them on both directions of each
-    edge, in every geometry of a stacked state: the first failing pair's
-    error is raised."""
+    edge, in every geometry of a stacked state."""
     sirs = sir_matrix(scenario, state, powers)
-    i, j, problem = _checked_pairs(edges, scenario.n_primary)
-    if not np.isfinite(sirs[..., i, j]).all():
-        # the first non-finite pair comes before any non-primary one
+    p, q = _endpoints(edges)
+    if not (np.isfinite(sirs[..., p, q]).all() and np.isfinite(sirs[..., q, p]).all()):
         raise ValueError(_ZERO_DENOMINATOR)
-    if problem:
-        raise ValueError(problem)
     return sirs
 
 
@@ -473,8 +448,7 @@ def _endpoints(edges: tuple) -> tuple:
 def _rates(scenario, sirs, edges) -> np.ndarray:
     p, q = _endpoints(edges)
     b = scenario.channel.bandwidth_hz
-    rates = 0.5 * b * (np.log2(1.0 + sirs[..., p, q]) + np.log2(1.0 + sirs[..., q, p]))
-    return np.where(p == q, 0.0, rates)
+    return 0.5 * b * (np.log2(1.0 + sirs[..., p, q]) + np.log2(1.0 + sirs[..., q, p]))
 
 
 def edge_rates(scenario: Scenario, state: ChannelState,
@@ -492,10 +466,8 @@ def edge_rate(i: int, j: int, scenario: Scenario,
     """Symmetric half-duplex rate of topology edge (i, j) in bit/s.
 
     Each direction gets half the bandwidth: B/2 * (log2(1+SIR_ij) +
-    log2(1+SIR_ji)).  Zero for i == j.
+    log2(1+SIR_ji)).
     """
-    if i == j:
-        return 0.0
     _require_edge(i, j, scenario)
     st = _state_for(scenario, fading, state)
     edge = ((i, j),)
@@ -521,13 +493,11 @@ def _pair_jacobian(scenario, state, powers, i, j) -> np.ndarray:
     d = st.dist[..., i, j][..., None]
     gain = st.gain_sq[..., i, j]
 
-    # numerator: the link gain moves with either endpoint (a loop, which
-    # callers zero, divides by its zero length here)
+    # numerator: the link gain moves with either endpoint
     dnum = np.zeros(lead + (len(i), n, 3))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = (powers[..., i] * (-st.alpha[i, j] * gain / d[..., 0]))[..., None]
-        dnum[..., pair, i, :] = k * ((pos[..., i, :] - pos[..., j, :]) / d)
-        dnum[..., pair, j, :] = k * ((pos[..., j, :] - pos[..., i, :]) / d)
+    k = (powers[..., i] * (-st.alpha[i, j] * gain / d[..., 0]))[..., None]
+    dnum[..., pair, i, :] = k * ((pos[..., i, :] - pos[..., j, :]) / d)
+    dnum[..., pair, j, :] = k * ((pos[..., j, :] - pos[..., i, :]) / d)
 
     # denominator: a third party t moves its own proximity term at j; the
     # receiver moves the source interference and the whole proximity sum
@@ -574,14 +544,12 @@ def rate_jacobian(scenario: Scenario, state: ChannelState,
     """(..., n_edges, n_uavs, 3): derivative of each topology edge rate, in
     topology order, w.r.t. every UAV coordinate (the chain rule through both
     directed SIRs), one table per geometry of a stacked state, at ``powers``
-    as in ``sir_matrix``; a loop edge's rows are zero."""
+    as in ``sir_matrix``."""
     sirs = _checked_sirs(scenario.topology, scenario, state, powers)
     p, q = _endpoints(scenario.topology)
-    # both directions of every edge (a loop's rows are zeroed below)
+    # both directions of every edge
     g = _pair_jacobian(scenario, state, powers, np.concatenate([p, q]), np.concatenate([q, p]))
     forward, backward = g[..., :len(p), :, :], g[..., len(p):, :, :]
     b = scenario.channel.bandwidth_hz
-    jac = b / (2.0 * LN2) * (forward / (1.0 + sirs[..., p, q])[..., None, None]
-                             + backward / (1.0 + sirs[..., q, p])[..., None, None])
-    jac[..., p == q, :, :] = 0.0
-    return jac
+    return b / (2.0 * LN2) * (forward / (1.0 + sirs[..., p, q])[..., None, None]
+                              + backward / (1.0 + sirs[..., q, p])[..., None, None])

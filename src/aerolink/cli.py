@@ -23,6 +23,7 @@ import numpy as np
 
 from . import scenario as scen
 from .optimizer import OptimizerConfig, RunHistory, run
+from .power import _require_chain
 from .trajectory import AxisMask, GradientMode, lambda2_gradient
 
 GRADCHECK_TOL = 1.0e-4
@@ -69,11 +70,15 @@ def _scenario_from_args(cfg: dict, seed: int | None) -> scen.Scenario:
     return scen.scenario_from_config(cfg)
 
 
-def _load_run(config_path: str, seed: int | None, mask: str | None):
-    """(scenario, optimizer config) of a config file; None after a config error."""
+def _load_run(config_path: str, seed: int | None, mask: str | None, chain: bool):
+    """(scenario, optimizer config) of a config file; None after a config error.
+    ``chain``: a topology that is not a chain is a config error."""
     try:
         cfg = _load_config(config_path)
-        return _scenario_from_args(cfg, seed), _optimizer_config(cfg, mask)
+        scenario = _scenario_from_args(cfg, seed)
+        if chain:
+            _require_chain(scenario.topology, scenario.n_primary)
+        return scenario, _optimizer_config(cfg, mask)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
@@ -130,7 +135,7 @@ def _summary_json(history: RunHistory, scenario: scen.Scenario,
 
 def cmd_run(config_path: str, out_dir: str,
             seed: int | None = None, mask: str | None = None) -> int:
-    loaded = _load_run(config_path, seed, mask)
+    loaded = _load_run(config_path, seed, mask, chain=True)
     if loaded is None:
         return 1
     scenario, config = loaded
@@ -180,7 +185,8 @@ def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
               seed: int | None = None, jobs: int = 1) -> int:
     try:
         cfg = _load_config(config_path)
-        spec = _load_config(sweep_path)
+        spec = scen._known_keys(_load_config(sweep_path), ("variable", "values", "masks"),
+                                "sweep spec")
         variable = spec["variable"]
         if variable not in _SWEEP_VARIABLES:
             raise ValueError(f"unknown sweep variable {variable!r}; "
@@ -195,6 +201,7 @@ def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
         # validate every value's scenario and the masks up front so a bad
         # sweep emits nothing
         base = _scenario_from_args(cfg, seed)
+        _require_chain(base.topology, base.n_primary)
         scenarios = {value: _apply_sweep_value(base, variable, value) for value in values}
         for value, scenario in scenarios.items():
             if errs := scen.validate(scenario):
@@ -256,7 +263,7 @@ def gradcheck_rows(scenario: scen.Scenario, config: OptimizerConfig) -> list:
 
 def cmd_gradcheck(config_path: str, seed: int | None = None,
                   mask: str | None = None) -> int:
-    loaded = _load_run(config_path, seed, mask)
+    loaded = _load_run(config_path, seed, mask, chain=False)
     if loaded is None:
         return 1
     scenario, config = loaded

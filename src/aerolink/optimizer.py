@@ -29,7 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelState, FadingModel
-from .power import _allocation, _chain_flow, _chain_rates, _eta, verify_interference
+from .power import (_allocation, _chain_flow, _chain_rates, _eta, _require_chain,
+                    verify_interference)
 from .scenario import Scenario, _require_finite, validate
 from .spectral import LaplacianMode, connectivity_bundle
 from .trajectory import GradientMode, TrajectoryConfig, _each, lambda2_gradient, step
@@ -96,7 +97,7 @@ def _evaluate(scenario, fading, mode, state, powers, i_max_w=None, bundle=None):
     ``powers`` already."""
     if bundle is None:
         bundle = connectivity_bundle(scenario, fading, mode=mode, state=state, powers=powers)
-    flows = _each(_chain_flow(scenario, bundle.matrices.adjacency))
+    flows = _each(_chain_flow(bundle.matrices.adjacency))
     report = verify_interference(scenario, powers, fading, state=state, i_max_w=i_max_w)
     return bundle, flows, report
 
@@ -132,6 +133,7 @@ def run(scenario, config: OptimizerConfig | None = None):
     Record 0 is the starting configuration with every transmitter at P_max;
     record t >= 1 holds the state after iteration t's trajectory step and
     power solve, so its powers always respect the interference thresholds.
+    A topology that is not a chain is refused before record 0.
 
     A sequence of scenarios, with one config or a sequence of one per
     scenario, is a batch: its points advance in lockstep, one stacked pass
@@ -174,6 +176,7 @@ def _lockstep(scenarios, configs, lone: bool) -> list:
     if not scenarios:
         return []
     layout, first = scenarios[0], configs[0]
+    _require_chain(layout.topology, layout.n_primary)
     fading, mode, trajectory = first.fading, first.laplacian_mode, first.trajectory
     count = len(scenarios)
     stacked = (lambda arrays: arrays[0]) if lone else np.stack
@@ -255,6 +258,7 @@ def replay_flow(history: RunHistory, scenario: Scenario,
     optimizer.  Raises IndexError for a record index outside the history.
     """
     config = config or OptimizerConfig()
+    _require_chain(scenario.topology, scenario.n_primary)
     rec = history.records[t]
     positions = scenario.positions.copy()
     positions[list(scenario.uav_indices)] = rec.uav_positions

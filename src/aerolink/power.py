@@ -11,7 +11,6 @@ max-min rate is the bottleneck edge rate at the caps.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,8 +88,9 @@ def _binding_report(scenario, caps, state, i_max_w):
             for cs, ws in zip(capped.tolist(), which.tolist())]
 
 
-@functools.lru_cache(maxsize=64)
 def _require_chain(topology: tuple, n_primary: int) -> None:
+    """Raise unless the topology is the chain 0-1-...-(n_primary-1), with
+    its edges in any order and orientation."""
     edges = sorted(tuple(sorted(e)) for e in topology)
     if edges != [(i, i + 1) for i in range(n_primary - 1)]:
         raise ValueError("max-min power solve expects a chain topology")
@@ -102,11 +102,11 @@ def _chain_rates(adjacency: np.ndarray) -> np.ndarray:
     return np.diagonal(adjacency, 1, -2, -1)
 
 
-def _chain_flow(scenario: Scenario, adjacency: np.ndarray) -> np.ndarray:
+def _chain_flow(adjacency: np.ndarray) -> np.ndarray:
     """Max s-d flow over a chain's (..., n, n) rate matrix: the smallest
     edge rate, 0.0 below ``flow.CAPACITY_FLOOR``, which ``flow.max_flow``
-    finds along the chain's one augmenting path."""
-    _require_chain(scenario.topology, scenario.n_primary)
+    finds along the chain's one augmenting path.  The caller has checked
+    that the topology is a chain (``_require_chain``)."""
     bottleneck = _chain_rates(adjacency).min(axis=-1)
     return np.where(bottleneck < CAPACITY_FLOOR, 0.0, bottleneck)
 

@@ -133,9 +133,10 @@ class Scenario:
 
     Node order is fixed: index 0 is the base station, 1..n_uavs the relay
     UAVs, n_uavs+1 the user terminal; interference sources follow.  The
-    relayed traffic flows over ``topology`` edges (pairs of node indices
-    within the first n_primary nodes); the default is the chain
-    0-1-...-(n_primary-1).
+    relayed traffic flows over ``topology`` edges; the default is the chain
+    0-1-...-(n_primary-1).  Each edge is a pair of distinct primary node
+    indices, listed once in one orientation, which construction checks
+    (``_edges``); nothing downstream checks it again.
     """
 
     classes: tuple
@@ -160,8 +161,7 @@ class Scenario:
         object.__setattr__(self, "si_powers_w", _own(self.si_powers_w, (n_si,)))
         object.__setattr__(self, "i_max_w", _own(self.i_max_w, (n_si,)))
         object.__setattr__(self, "weights", _own(self.weights, (n_primary,)))
-        object.__setattr__(self, "topology",
-                           tuple(tuple(int(v) for v in e) for e in self.topology))
+        object.__setattr__(self, "topology", _edges(self.topology, n_primary))
 
     # -- index helpers -------------------------------------------------
     # ``classes`` never changes on an instance and the functional updates
@@ -228,18 +228,11 @@ class Scenario:
     def __eq__(self, other):
         if not isinstance(other, Scenario):
             return NotImplemented
-        return (self.classes == other.classes
-                and np.array_equal(self.positions, other.positions)
-                and np.array_equal(self.node_powers_w, other.node_powers_w)
-                and np.array_equal(self.si_powers_w, other.si_powers_w)
-                and self.p_max_w == other.p_max_w
-                and np.array_equal(self.i_max_w, other.i_max_w)
-                and self.channel == other.channel
-                and self.safety == other.safety
-                and np.array_equal(self.weights, other.weights)
-                and self.topology == other.topology
-                and self.ue_aerial == other.ue_aerial
-                and self.seed == other.seed)
+        for f in dataclasses.fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
 
 
 def _own(a, shape) -> np.ndarray:
@@ -247,6 +240,28 @@ def _own(a, shape) -> np.ndarray:
     if out.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {out.shape}")
     return out
+
+
+def _edges(topology, n_primary: int) -> tuple:
+    """The topology as (i, j) int pairs, in order and orientation.  Each
+    entry must be a pair of distinct primary node indices (each an integral
+    number, as ``_json_int`` reads one) that no earlier entry joins in
+    either orientation."""
+    edges, seen = [], set()
+    for e in topology:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ValueError(f"topology entry {e!r} is not a pair")
+        i, j = edge = tuple(_json_int(v, f"topology edge {e} index") for v in e)
+        if not (0 <= i < n_primary and 0 <= j < n_primary):
+            raise ValueError(f"topology edge {edge} references a non-primary node")
+        if i == j:
+            raise ValueError(f"topology edge {edge} is a self loop")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"topology edge {key} is duplicated")
+        seen.add(key)
+        edges.append(edge)
+    return tuple(edges)
 
 
 def partition(scenario: Scenario) -> AerialPartition:
@@ -371,38 +386,21 @@ def validate(scenario: Scenario) -> list:
         if mid.size and (np.any(mid <= 0.0) or np.any(mid > 1.0)):
             errs.append("UAV weights must lie in (0, 1]")
 
-    n = scenario.n_primary
-    seen = set()
-    adj = [[] for _ in range(n)]
-    for e in scenario.topology:
-        if len(e) != 2:
-            errs.append(f"topology entry {e} is not a pair")
-            continue
-        i, j = e
-        if not (0 <= i < n and 0 <= j < n):
-            errs.append(f"topology edge {e} references a non-primary node")
-            continue
-        if i == j:
-            errs.append(f"topology edge {e} is a self loop")
-            continue
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            errs.append(f"topology edge {key} is duplicated")
-        seen.add(key)
+    # reachability of the terminal over topology edges
+    adj = [[] for _ in range(scenario.n_primary)]
+    for i, j in scenario.topology:
         adj[i].append(j)
         adj[j].append(i)
-    if not errs or all("topology" not in m for m in errs):
-        # reachability of the terminal over topology edges
-        reach = {scenario.source}
-        stack = [scenario.source]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in reach:
-                    reach.add(v)
-                    stack.append(v)
-        if scenario.destination not in reach:
-            errs.append("destination unreachable over the topology")
+    reach = {scenario.source}
+    stack = [scenario.source]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in reach:
+                reach.add(v)
+                stack.append(v)
+    if scenario.destination not in reach:
+        errs.append("destination unreachable over the topology")
     return errs
 
 
@@ -423,6 +421,16 @@ def _json_bool(value, name: str) -> bool:
     raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
+def _known_keys(section, keys, name: str) -> dict:
+    """``section``, checked to be a JSON object whose every key is in ``keys``."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a JSON object, got {section!r}")
+    for key in section:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {name}")
+    return section
+
+
 def _read_section(cls, section, name: str):
     """The frozen config dataclass ``cls`` read from its JSON object ``section``.
 
@@ -433,13 +441,9 @@ def _read_section(cls, section, name: str):
     an integral number only, a float (a ``float | None`` keeps a null) by
     ``float()``; any other value as given.
     """
-    if not isinstance(section, dict):
-        raise ValueError(f"{name} must be a JSON object, got {section!r}")
     hints = typing.get_type_hints(cls)
     types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
-    for key in section:
-        if key not in types:
-            raise ValueError(f"unknown key {key!r} in {name}")
+    _known_keys(section, types, name)
     return cls(**{key: _read_value(types[key], value, f"{name}.{key}")
                   for key, value in section.items()})
 
@@ -460,6 +464,7 @@ def _read_value(hint, value, name: str):
 
 def _uavs_from_config(section: dict, bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
     """Explicit positions, or `count` relays evenly spaced between BS and UE."""
+    _known_keys(section, ("positions_m", "count", "initial_altitude_m"), "nodes.uavs")
     if "positions_m" in section:
         uavs = np.asarray(section["positions_m"], dtype=float)
         if uavs.ndim != 2 or uavs.shape[1] != 3:
@@ -477,6 +482,9 @@ def _uavs_from_config(section: dict, bs: np.ndarray, ue: np.ndarray) -> np.ndarr
 
 def _sis_from_config(section: dict, seed) -> np.ndarray:
     """Explicit positions, or `count` sources drawn uniformly from the seed."""
+    _known_keys(section, ("positions_m", "count", "region_m"), "nodes.sis")
+    region = _known_keys(section.get("region_m", {}), ("x", "y", "altitude"),
+                         "nodes.sis.region_m")
     if "positions_m" in section:
         sis = np.asarray(section["positions_m"], dtype=float)
         # an empty list is the only input the reshape may fix
@@ -488,7 +496,7 @@ def _sis_from_config(section: dict, seed) -> np.ndarray:
         return np.zeros((0, 3))
     if seed is None:
         raise ValueError("drawing interference sources by count needs a seed")
-    return _drawn_sources(seed, count, section.get("region_m", {}))
+    return _drawn_sources(seed, count, region)
 
 
 def scenario_to_config(scenario: Scenario) -> dict:
@@ -529,13 +537,15 @@ def scenario_from_config(cfg: dict) -> Scenario:
     seed = cfg.get("seed")
     if seed is not None:
         seed = _json_int(seed, "seed")
-    nodes = cfg["nodes"]
+    nodes = _known_keys(cfg["nodes"], ("bs", "ue", "uavs", "sis"), "nodes")
     try:
-        bs = np.asarray(nodes["bs"]["position_m"], dtype=float)
-        ue = np.asarray(nodes["ue"]["position_m"], dtype=float)
+        bs = np.asarray(_known_keys(nodes["bs"], ("position_m",), "nodes.bs")["position_m"],
+                        dtype=float)
+        ue_section = _known_keys(nodes["ue"], ("position_m", "aerial"), "nodes.ue")
+        ue = np.asarray(ue_section["position_m"], dtype=float)
         uavs = _uavs_from_config(nodes["uavs"], bs, ue)
         sis = _sis_from_config(nodes.get("sis", {}), seed)
-        ue_aerial = _json_bool(nodes["ue"].get("aerial", False), "nodes.ue.aerial")
+        ue_aerial = _json_bool(ue_section.get("aerial", False), "nodes.ue.aerial")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed nodes section: {exc}") from exc
     n_uavs, n_si = uavs.shape[0], sis.shape[0]
@@ -544,7 +554,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     channel = _read_section(ChannelParams, cfg["channel"], "channel")
     safety = _read_section(SafetyParams, cfg["safety"], "safety")
 
-    pw = cfg["powers"]
+    pw = _known_keys(cfg["powers"], ("p_max_dbm", "node_dbm", "si_dbm", "i_max_dbm"),
+                     "powers")
     p_max_w = dbm_to_watts(float(pw["p_max_dbm"]))
     node_dbm = pw.get("node_dbm")
     if node_dbm is None:

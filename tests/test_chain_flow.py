@@ -5,7 +5,6 @@ chain is refused before record 0."""
 
 import dataclasses
 import json
-import types
 
 import numpy as np
 import pytest
@@ -88,12 +87,10 @@ def _chain_capacities(rng, n):
 def test_the_bottleneck_rule_is_max_flow_on_random_chains():
     rng = np.random.default_rng(808)
     for n in range(2, 9):
-        chain = types.SimpleNamespace(topology=tuple((i, i + 1) for i in range(n - 1)),
-                                      n_primary=n)
         stack = np.stack([_chain_capacities(rng, n) for _ in range(40)])
         expected = [max_flow(from_adjacency(a, 0, n - 1))[0] for a in stack]
-        assert _same_words(_chain_flow(chain, stack), expected)
-        assert _same_words([_chain_flow(chain, a) for a in stack], expected)
+        assert _same_words(_chain_flow(stack), expected)
+        assert _same_words([_chain_flow(a) for a in stack], expected)
         assert 0.0 in expected
 
 
@@ -125,7 +122,11 @@ def _with_shortcut(s):
 
 
 def test_a_non_chain_topology_is_refused_before_record_0(monkeypatch):
-    s = _with_shortcut(make_line_scenario(np.random.default_rng(809), n_uavs=3))
+    chain = make_line_scenario(np.random.default_rng(809), n_uavs=3)
+    s = _with_shortcut(chain)
+    history = run(chain, OptimizerConfig(max_iterations=1))
+    with pytest.raises(ValueError, match=CHAIN_MESSAGE):
+        replay_flow(history, s)
 
     def first_iteration(*args, **kwargs):
         raise AssertionError("the run got past record 0")
@@ -137,11 +138,17 @@ def test_a_non_chain_topology_is_refused_before_record_0(monkeypatch):
         run([s, s], OptimizerConfig(max_iterations=3))
 
 
-def test_a_non_chain_config_exits_two_and_writes_nothing(tmp_path, capsys):
+def test_a_non_chain_config_exits_one_and_writes_nothing(tmp_path, capsys):
     cfg = scenario_to_config(_with_shortcut(build_default_scenario(7)))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variable": "ue_altitude_m", "values": [50.0]}))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    assert CHAIN_MESSAGE in capsys.readouterr().err
-    assert not out.exists()
+    for argv in (["run"], ["sweep", "--sweep", str(spec)]):
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 1
+        assert f"config error: {CHAIN_MESSAGE}\n" in capsys.readouterr().err
+        assert not out.exists()
+    # the gradient needs no chain
+    assert main(["gradcheck", "--config", str(path)]) == 0
+    assert "OK: max relative error" in capsys.readouterr().out

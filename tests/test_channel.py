@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,9 +205,10 @@ def test_sir_safety_only_denominator():
 # -- edge rate --------------------------------------------------------------
 
 
-def test_edge_rate_zero_for_self():
+def test_edge_rate_of_a_self_pair_is_not_a_topology_edge():
     s = make_line_scenario(np.random.default_rng(9))
-    assert ch.edge_rate(1, 1, s) == 0.0
+    with pytest.raises(ValueError, match=re.escape("(1, 1) is not a topology edge")):
+        ch.edge_rate(1, 1, s)
 
 
 def test_edge_rate_symmetric_exactly():
@@ -306,16 +308,6 @@ def test_sir_gradient_matches_finite_differences():
         assert err.max() <= noise, (i, j, err.max(), noise)
         checked += got.size
     assert checked > 100
-
-
-def test_rate_gradient_zero_for_self_pair():
-    # a loop edge carries no rate, so its rows are zero (the rows of the
-    # real edges are unchanged by it)
-    s = make_line_scenario(np.random.default_rng(18))
-    looped = dataclasses.replace(s, topology=s.topology + ((1, 1),))
-    jac = ch.rate_jacobian(looped, ch.build_state(looped))
-    assert np.all(jac[-1] == 0.0)
-    assert np.array_equal(jac[:-1], ch.rate_jacobian(s, ch.build_state(s)))
 
 
 def test_rate_gradient_zero_for_third_party_without_safety():

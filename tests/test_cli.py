@@ -207,6 +207,13 @@ _MISTYPED = [
     (("optimizer", "fading", "sigma"), 1.0),
     (("channel", "alpha"), 2.0),
     (("safety", "r_int"), 5.0),
+    (("powers", "i_max_dmb"), -50.0),
+    (("nodes", "relays"), {}),
+    (("nodes", "bs", "altitude_m"), 15.0),
+    (("nodes", "ue", "aerial_ue"), True),
+    (("nodes", "uavs", "initial_altitude"), 30.0),
+    (("nodes", "sis", "counts"), 2),
+    (("nodes", "sis", "region_m", "z"), [0.0, 50.0]),
 ]
 
 
@@ -235,6 +242,19 @@ def test_unknown_config_key_fails_a_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--sweep", str(spec),
                  "--out", str(out)]) == 1
     assert "config error: unknown key 'max_iteration' in optimizer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_sweep_spec_key_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, max_iterations=3)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variable": "ue_altitude_m", "values": [50.0],
+                                "mask": ["xy"]}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--sweep", str(spec),
+                 "--out", str(out)]) == 1
+    assert "config error: unknown key 'mask' in sweep spec" in capsys.readouterr().err
     assert not out.exists()
 
 

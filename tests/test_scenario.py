@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from aerolink import scenario as sc
+from aerolink.cli import main
 
 
 def test_default_scenario_reference_values():
@@ -104,8 +106,43 @@ def test_validate_geometry_and_powers():
     assert any("exceed the power budget" in m
                for m in sc.validate(dataclasses.replace(s, node_powers_w=p)))
 
-    bad = dataclasses.replace(s, topology=s.topology + ((3, 3),))
-    assert any("self loop" in m for m in sc.validate(bad))
+    with pytest.raises(ValueError, match="self loop"):
+        dataclasses.replace(s, topology=s.topology + ((3, 3),))
+
+
+# an entry that is no edge between two distinct primary nodes, or that
+# repeats an edge of the seed-7 chain (10 primary nodes), with its error
+_MALFORMED_EDGES = [
+    ([1, 2, 3], "topology entry [1, 2, 3] is not a pair"),
+    ([2.9, 3], "topology edge [2.9, 3] index must be an integer, got 2.9"),
+    ([True, 3], "topology edge [True, 3] index must be an integer, got True"),
+    (["2", 3], "topology edge ['2', 3] index must be an integer, got '2'"),
+    ([4, 12], "topology edge (4, 12) references a non-primary node"),
+    ([3, 3], "topology edge (3, 3) is a self loop"),
+    ([5, 4], "topology edge (4, 5) is duplicated"),
+]
+
+
+@pytest.mark.parametrize("entry, message", _MALFORMED_EDGES,
+                         ids=["triple", "fraction", "bool", "string", "non-primary",
+                              "self-loop", "reversed-duplicate"])
+def test_a_malformed_topology_fails_when_the_scenario_is_built(tmp_path, capsys,
+                                                                entry, message):
+    s = sc.build_default_scenario(7)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(s, topology=s.topology + (entry,))
+    cfg = sc.scenario_to_config(s)
+    cfg["topology"].append(entry)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variable": "ue_altitude_m", "values": [50.0]}),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    for argv in (["run"], ["sweep", "--sweep", str(spec)]):
+        assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_partition_counts():
@@ -132,6 +169,28 @@ def test_config_round_trip_exact():
     c1 = json.dumps(sc.scenario_to_config(s), sort_keys=True)
     c2 = json.dumps(sc.scenario_to_config(again), sort_keys=True)
     assert c1 == c2
+
+
+def test_scenarios_differing_in_any_field_are_unequal():
+    s = sc.build_default_scenario(seed=7)
+    changed = {
+        "classes": (sc.NodeClass.BASE_STATION,) * 2 + s.classes[2:],
+        "positions": s.positions + 1.0,
+        "node_powers_w": s.node_powers_w / 2.0,
+        "si_powers_w": s.si_powers_w / 2.0,
+        "p_max_w": s.p_max_w * 2.0,
+        "i_max_w": s.i_max_w / 2.0,
+        "channel": sc.ChannelParams(alpha_a2a=2.0),
+        "safety": sc.SafetyParams(chi=0.5),
+        "weights": s.weights / 2.0,
+        "topology": ((1, 0),) + s.topology[1:],
+        "ue_aerial": True,
+        "seed": 8,
+    }
+    assert set(changed) == {f.name for f in dataclasses.fields(s)}
+    assert dataclasses.replace(s) == s
+    for name, value in changed.items():
+        assert dataclasses.replace(s, **{name: value}) != s, name
 
 
 def test_config_file_round_trip(tmp_path):

@@ -398,17 +398,13 @@ def test_stacks_over_reference_states_match_states_built_alone(case, data):
 
 
 def _checked_sirs_per_edge(edges, scenario, state):
-    # the per-edge, per-call check the cached pairs replaced
+    # the check pair by pair: both directions of each edge, in edge order
     sirs = ch.sir_matrix(scenario, state)
     finite = np.isfinite(sirs).all(axis=tuple(range(sirs.ndim - 2)))
-    n = scenario.n_primary
     for p, q in edges:
-        if p != q:
-            for i, j in ((p, q), (q, p)):
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ValueError("SIR is defined between primary nodes only")
-                if not finite[i, j]:
-                    raise ValueError(ch._ZERO_DENOMINATOR)
+        for i, j in ((p, q), (q, p)):
+            if not finite[i, j]:
+                raise ValueError(ch._ZERO_DENOMINATOR)
     return sirs
 
 
@@ -426,36 +422,19 @@ def test_a_stacked_check_raises_what_the_lone_check_raises():
     decayed[:n] = np.column_stack([400.0 * np.arange(n), np.zeros(n), np.full(n, 30.0)])
     half = s.positions.copy()
     half[n - 1] = [2000.0, 0.0, 30.0]           # only the last edge dies
-    outside = ((0, 1), (1, n), (2, 3))          # an edge to a non-primary node
     fading = ch.FadingModel.unit_gain()
-    for edges in (s.topology, outside, ((1, 2), (0, 1), (1, 1))):
-        for geometries in ((s.positions, decayed), (half, s.positions),
-                           (s.positions, s.positions), (decayed,), (half,)):
-            stacked = ch.ChannelState(s, fading, np.stack(geometries))
-            new = _outcome(ch._checked_sirs, edges, s, stacked)
-            old = _outcome(_checked_sirs_per_edge, edges, s, stacked)
-            lone = [_outcome(ch._checked_sirs, edges, s, ch.ChannelState(s, fading, g))
-                    for g in geometries]
-            failed = [m for m in lone if isinstance(m, str)]
-            if isinstance(old, str):
-                assert new == old
-                # one failing geometry: the stack raises exactly what it raises alone
-                assert len(failed) != 1 or new == failed[0]
-            else:
-                assert not failed
-                assert _same_words(new, old)
-
-
-def test_the_topology_is_checked_once_per_layout(monkeypatch):
-    calls = []
-    require = ch._require_primary_pair
-
-    def counted(i, j, n):
-        calls.append((i, j))
-        return require(i, j, n)
-
-    monkeypatch.setattr(ch, "_require_primary_pair", counted)
-    ch._checked_pairs.cache_clear()
-    s = build_default_scenario(7)
-    run(s, OptimizerConfig(epsilon=1e-12, max_iterations=6))
-    assert len(calls) == 2 * len(s.topology)
+    for geometries in ((s.positions, decayed), (half, s.positions),
+                       (s.positions, s.positions), (decayed,), (half,)):
+        stacked = ch.ChannelState(s, fading, np.stack(geometries))
+        new = _outcome(ch._checked_sirs, s.topology, s, stacked)
+        old = _outcome(_checked_sirs_per_edge, s.topology, s, stacked)
+        lone = [_outcome(ch._checked_sirs, s.topology, s, ch.ChannelState(s, fading, g))
+                for g in geometries]
+        failed = [m for m in lone if isinstance(m, str)]
+        if isinstance(old, str):
+            assert new == old
+            # one failing geometry: the stack raises exactly what it raises alone
+            assert len(failed) != 1 or new == failed[0]
+        else:
+            assert not failed
+            assert _same_words(new, old)
