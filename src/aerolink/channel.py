@@ -261,7 +261,8 @@ class ChannelState:
 
     def _select(self, index) -> "ChannelState":
         """The state of the geometries ``index`` picks on the first leading
-        axis: views of these tables, built without computing anything."""
+        axis (``None`` adds one; an integer index gives a single geometry's
+        state): views of these tables, built without computing anything."""
         return self._with(table[index] for table in self._tables())
 
     def _tables(self) -> list:
@@ -327,13 +328,13 @@ class ChannelState:
 def _join(parts, count: int):
     """One object over ``count`` geometries from (obj, picks, slots) parts,
     each obj a stacked ``ChannelState`` or ``LaplacianBundle`` (its
-    per-geometry arrays from ``_tables()``, rebuilt by ``_with``): geometry
-    ``picks[i]`` of a part becomes geometry ``slots[i]``.  A part that fills
-    every slot in order with its own geometries in order is returned as it is."""
-    whole = np.arange(count)
+    per-geometry arrays from ``_tables()``, rebuilt by ``_with``) and picks
+    and slots lists of indices (possibly empty): geometry ``picks[i]`` of a
+    part becomes geometry ``slots[i]``.  A part that fills every slot in
+    order with its own geometries in order is returned as it is."""
+    whole = list(range(count))
     for obj, picks, slots in parts:
-        if (len(obj._tables()[0]) == count and np.array_equal(picks, whole)
-                and np.array_equal(slots, whole)):
+        if slots == whole and picks == whole and len(obj._tables()[0]) == count:
             return obj
     joined = []
     for k, table in enumerate(parts[0][0]._tables()):
@@ -363,13 +364,10 @@ def link_gain(i: int, j: int, scenario: Scenario,
         raise ValueError("link endpoints must differ")
     st = _state_for(scenario, fading, state)
     d = float(st.dist[i, j])
-    return LinkGain(
-        path_loss_db=float(st.alpha[i, j] * 10.0 * np.log10(d)
-                           + scenario.channel.eta_db(bool(st.a2a[i, j]))),
-        gain_sq=float(st.gain_sq[i, j]),
-        distance_m=d,
-        a2a=bool(st.a2a[i, j]),
-    )
+    a2a = bool(st.a2a[i, j])
+    return LinkGain(path_loss_db=float(st.alpha[i, j] * 10.0 * np.log10(d)
+                                       + scenario.channel.eta_db(a2a)),
+                    gain_sq=float(st.gain_sq[i, j]), distance_m=d, a2a=a2a)
 
 
 _ZERO_DENOMINATOR = ("zero SIR denominator: no interference sources and no "

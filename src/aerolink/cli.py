@@ -51,9 +51,11 @@ def _write_json(path: str, obj) -> None:
 _CONFIG_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys=scen.CONFIG_KEYS + ("optimizer",), name="config") -> dict:
+    """The JSON object in ``path``, every key in ``keys``: by default a config
+    file, a scenario config plus an optional ``optimizer`` section."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return scen._known_keys(json.load(fh), keys, name)
 
 
 def _optimizer_config(cfg: dict, mask: str | None = None) -> OptimizerConfig:
@@ -64,10 +66,7 @@ def _optimizer_config(cfg: dict, mask: str | None = None) -> OptimizerConfig:
 
 
 def _scenario_from_args(cfg: dict, seed: int | None) -> scen.Scenario:
-    if seed is not None:
-        cfg = dict(cfg)
-        cfg["seed"] = int(seed)
-    return scen.scenario_from_config(cfg)
+    return scen.scenario_from_config(cfg if seed is None else {**cfg, "seed": int(seed)})
 
 
 def _load_run(config_path: str, seed: int | None, mask: str | None, chain: bool):
@@ -185,13 +184,13 @@ def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
               seed: int | None = None, jobs: int = 1) -> int:
     try:
         cfg = _load_config(config_path)
-        spec = scen._known_keys(_load_config(sweep_path), ("variable", "values", "masks"),
-                                "sweep spec")
+        spec = _load_config(sweep_path, ("variable", "values", "masks"), "sweep spec")
         variable = spec["variable"]
         if variable not in _SWEEP_VARIABLES:
             raise ValueError(f"unknown sweep variable {variable!r}; "
                              f"expected one of {', '.join(_SWEEP_VARIABLES)}")
-        values = [float(v) for v in spec.get("values", _SWEEP_DEFAULTS[variable])]
+        values = [scen._json_float(v, "sweep values")
+                  for v in spec.get("values", _SWEEP_DEFAULTS[variable])]
         masks = [AxisMask.from_string(m).value for m in spec.get("masks", ["xyz"])]
         if not values:
             raise ValueError("sweep values list is empty")

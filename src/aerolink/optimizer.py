@@ -18,7 +18,7 @@ bottleneck of the record's rates, so no rates are computed for it alone.
 The loop carries arrays (positions in a ``ChannelState``, powers,
 thresholds), not a ``Scenario`` per iteration.  It runs a batch of points
 sharing one layout in lockstep, each array with a leading point axis; a
-lone run is the same loop over unstacked arrays.
+lone run is the batch of one.
 """
 
 from __future__ import annotations
@@ -106,9 +106,8 @@ def _append(records, ids, t, state, powers, evaluated, etas, modes, stalls):
     """One record per point of a (stacked) evaluation, onto each point's list."""
     bundle, flows, report = evaluated
     scenario = state.scenario
-    uav_positions = state.positions[..., list(scenario.uav_indices), :].reshape(
-        -1, scenario.n_uavs, 3)
-    powers_w = np.array(powers).reshape(-1, scenario.n_primary)
+    uav_positions = state.positions[:, list(scenario.uav_indices)]
+    powers_w = np.array(powers)
     for k, fields in enumerate(zip(ids.tolist(), _each(bundle.lambda2), flows,
                                    _each(report.min_margin_w), _each(report.passed),
                                    etas, modes, stalls, _each(bundle.degenerate))):
@@ -146,7 +145,7 @@ def run(scenario, config: OptimizerConfig | None = None):
     raises what the first failing point raises alone.
     """
     if isinstance(scenario, Scenario):
-        return _lockstep([scenario], [config or OptimizerConfig()], lone=True)[0]
+        return _lockstep([scenario], [config or OptimizerConfig()])[0]
     scenarios = list(scenario)
     configs = (list(config) if isinstance(config, (list, tuple))
                else [config or OptimizerConfig()] * len(scenarios))
@@ -157,7 +156,7 @@ def run(scenario, config: OptimizerConfig | None = None):
         raise ValueError("a batch's points must share their layout, fading, Laplacian "
                          "mode, gradient mode and finite-difference step")
     try:
-        return _lockstep(scenarios, configs, lone=False)
+        return _lockstep(scenarios, configs)
     except Exception:
         # raise the error of the first point that fails on its own, as a
         # run of the points one after another would
@@ -166,9 +165,10 @@ def run(scenario, config: OptimizerConfig | None = None):
         raise
 
 
-def _lockstep(scenarios, configs, lone: bool) -> list:
+def _lockstep(scenarios, configs) -> list:
     """The histories of a batch's points, which share their layout (see
-    ``_shared``); ``lone``: one point, unstacked."""
+    ``_shared``), each array stacked on a leading point axis (a lone run is
+    a stack of one)."""
     for s in scenarios:
         problems = validate(s)
         if problems:
@@ -179,13 +179,11 @@ def _lockstep(scenarios, configs, lone: bool) -> list:
     _require_chain(layout.topology, layout.n_primary)
     fading, mode, trajectory = first.fading, first.laplacian_mode, first.trajectory
     count = len(scenarios)
-    stacked = (lambda arrays: arrays[0]) if lone else np.stack
 
-    # one point per row (lone: unstacked): geometry, powers and thresholds
-    positions = stacked([s.positions for s in scenarios])
-    i_max = stacked([s.i_max_w for s in scenarios])
-    powers = np.full(positions.shape[:-2] + (layout.n_primary,), layout.p_max_w)
-    state = ChannelState(layout, fading, positions)
+    # one point per row: geometry, powers and thresholds
+    state = ChannelState(layout, fading, np.stack([s.positions for s in scenarios]))
+    i_max = np.stack([s.i_max_w for s in scenarios])
+    powers = np.full((count, layout.n_primary), layout.p_max_w)
     evaluated = _evaluate(layout, fading, mode, state, powers, i_max)
     ids = np.arange(count)
     records = [[] for _ in range(count)]
@@ -212,23 +210,21 @@ def _lockstep(scenarios, configs, lone: bool) -> list:
         live = ~(stop | over | converged)
         if not live.any():
             break
+        bundle = evaluated[0]
         if not live.all():
             # finished points drop out of every stack
-            state, bundle = state._select(live), evaluated[0].take(live)
+            state, bundle = state._select(live), bundle.take(live)
             powers, i_max = powers[live], i_max[live]
             ids, r_prev2, r_prev1, last = ids[live], r_prev2[live], r_prev1[live], last[live]
             epsilon, budget = epsilon[live], budget[live]
             trajectories = tuple(c for c, keep in zip(trajectories, live) if keep)
-        else:
-            bundle = evaluated[0]
 
         grads = lambda2_gradient(layout, fading, laplacian_mode=mode,
                                  gradient_mode=trajectory.gradient_mode,
                                  fd_step_m=trajectory.fd_step_m,
                                  bundle=bundle, state=state, powers=powers)
-        moved = step(layout, grads, trajectories[0] if lone else trajectories, fading,
+        moved = step(layout, grads, trajectories, fading,
                      laplacian_mode=mode, bundle=bundle, state=state, powers=powers)
-        grads, moved = ((grads,), (moved,)) if lone else (grads, moved)
         state, bundle = moved[0].state, moved[0].bundle
 
         _, feasible, new_powers = _allocation(layout, state, i_max)

@@ -76,13 +76,10 @@ def power_caps(scenario: Scenario,
 def _binding_report(scenario, caps, state, i_max_w):
     """Per node: (BindingConstraint, si index or None); one tuple per geometry."""
     n = scenario.n_primary
-    flat_caps = caps.reshape(-1, n)
-    if scenario.si_indices:
-        capped = ~(flat_caps >= scenario.p_max_w * (1.0 - _SLACK))
-        which = _limits(scenario, state, i_max_w).argmin(axis=-1).reshape(-1, n)
-    else:
-        capped = np.zeros_like(flat_caps, dtype=bool)
-        which = np.zeros_like(capped, dtype=np.intp)
+    # without sources every cap is p_max itself, so none is capped
+    capped = ~(caps.reshape(-1, n) >= scenario.p_max_w * (1.0 - _SLACK))
+    which = (_limits(scenario, state, i_max_w).argmin(axis=-1).reshape(-1, n)
+             if scenario.si_indices else np.zeros_like(capped, dtype=np.intp))
     return [tuple((BindingConstraint.INTERFERENCE_CAP, w) if c
                   else (BindingConstraint.P_MAX, None) for c, w in zip(cs, ws))
             for cs, ws in zip(capped.tolist(), which.tolist())]

@@ -25,6 +25,10 @@ SPEED_OF_LIGHT_M_S = 3.0e8
 
 SCHEMA_VERSION = 1
 
+# the top-level keys of a scenario config; all but the first two are required
+CONFIG_KEYS = ("schema-version", "seed", "nodes", "channel", "safety", "powers", "weights",
+               "topology")
+
 
 class NodeClass(Enum):
     BASE_STATION = "bs"
@@ -286,9 +290,10 @@ def _node_classes(n_uavs: int, n_si: int) -> tuple:
 def _drawn_sources(seed, count: int, region: dict) -> np.ndarray:
     """``count`` sources, x and y uniform over ``region`` in one (count, 2)
     draw from ``seed``; by default [0,200] x [-100,100] at 20 m altitude."""
-    x_lo, x_hi = region.get("x", [0.0, 200.0])
-    y_lo, y_hi = region.get("y", [-100.0, 100.0])
-    alt = float(region.get("altitude", 20.0))
+    (x_lo, x_hi), (y_lo, y_hi) = (
+        _json_float(region.get(axis, default), f"nodes.sis.region_m.{axis}", array=True)
+        for axis, default in (("x", [0.0, 200.0]), ("y", [-100.0, 100.0])))
+    alt = _json_float(region.get("altitude", 20.0), "nodes.sis.region_m.altitude")
     rng = np.random.default_rng(seed)
     xy = rng.uniform(low=[x_lo, y_lo], high=[x_hi, y_hi], size=(count, 2))
     return np.column_stack([xy, np.full(count, alt)])
@@ -415,6 +420,15 @@ def _json_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _json_float(value, name: str, array: bool = False):
+    """A JSON number as a float, or with ``array`` a number or nested lists
+    of numbers as a float array; a bool or a string is not a number."""
+    for item in np.asarray(value, dtype=object).flat:
+        if isinstance(item, bool) or not isinstance(item, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {item!r}")
+    return np.asarray(value, dtype=float) if array else float(value)
+
+
 def _json_bool(value, name: str) -> bool:
     if isinstance(value, bool):
         return value
@@ -438,8 +452,8 @@ def _read_section(cls, section, name: str):
     field is an error.  Each value is read by its field's type: a nested
     config dataclass by this reader, an Enum by its ``from_string`` where it
     has one and by value otherwise, a bool from true/false only, an int from
-    an integral number only, a float (a ``float | None`` keeps a null) by
-    ``float()``; any other value as given.
+    an integral number only, a float (a ``float | None`` keeps a null) from
+    a number only; any other value as given.
     """
     hints = typing.get_type_hints(cls)
     types = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
@@ -458,7 +472,7 @@ def _read_value(hint, value, name: str):
     if hint is int:
         return _json_int(value, name)
     if hint is float or (hint == float | None and value is not None):
-        return float(value)
+        return _json_float(value, name)
     return value
 
 
@@ -466,14 +480,14 @@ def _uavs_from_config(section: dict, bs: np.ndarray, ue: np.ndarray) -> np.ndarr
     """Explicit positions, or `count` relays evenly spaced between BS and UE."""
     _known_keys(section, ("positions_m", "count", "initial_altitude_m"), "nodes.uavs")
     if "positions_m" in section:
-        uavs = np.asarray(section["positions_m"], dtype=float)
+        uavs = _json_float(section["positions_m"], "nodes.uavs.positions_m", array=True)
         if uavs.ndim != 2 or uavs.shape[1] != 3:
             raise ValueError("uavs.positions_m must be a list of [x, y, z] triples")
         return uavs
     count = _json_int(section.get("count", 0), "nodes.uavs.count")
     if count < 1:
         raise ValueError("uavs need positions_m or a positive count")
-    alt = float(section.get("initial_altitude_m", 30.0))
+    alt = _json_float(section.get("initial_altitude_m", 30.0), "nodes.uavs.initial_altitude_m")
     frac = np.arange(1, count + 1) / (count + 1)
     return np.column_stack([bs[0] + frac * (ue[0] - bs[0]),
                             bs[1] + frac * (ue[1] - bs[1]),
@@ -486,7 +500,7 @@ def _sis_from_config(section: dict, seed) -> np.ndarray:
     region = _known_keys(section.get("region_m", {}), ("x", "y", "altitude"),
                          "nodes.sis.region_m")
     if "positions_m" in section:
-        sis = np.asarray(section["positions_m"], dtype=float)
+        sis = _json_float(section["positions_m"], "nodes.sis.positions_m", array=True)
         # an empty list is the only input the reshape may fix
         if sis.size and (sis.ndim != 2 or sis.shape[1] != 3):
             raise ValueError("sis.positions_m must be a list of [x, y, z] triples")
@@ -502,7 +516,7 @@ def _sis_from_config(section: dict, seed) -> np.ndarray:
 def scenario_to_config(scenario: Scenario) -> dict:
     uavs = scenario.uav_positions
     sis = scenario.positions[list(scenario.si_indices)]
-    cfg = {
+    return {
         "schema-version": SCHEMA_VERSION,
         "seed": scenario.seed,
         "nodes": {
@@ -523,14 +537,13 @@ def scenario_to_config(scenario: Scenario) -> dict:
         "weights": scenario.weights.tolist(),
         "topology": [list(e) for e in scenario.topology],
     }
-    return cfg
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
     version = cfg.get("schema-version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema-version {version!r}; expected {SCHEMA_VERSION}")
-    for key in ("nodes", "channel", "safety", "powers", "weights", "topology"):
+    for key in CONFIG_KEYS[2:]:
         if key not in cfg:
             raise ValueError(f"config is missing required key {key!r}")
 
@@ -539,10 +552,10 @@ def scenario_from_config(cfg: dict) -> Scenario:
         seed = _json_int(seed, "seed")
     nodes = _known_keys(cfg["nodes"], ("bs", "ue", "uavs", "sis"), "nodes")
     try:
-        bs = np.asarray(_known_keys(nodes["bs"], ("position_m",), "nodes.bs")["position_m"],
-                        dtype=float)
+        bs = _json_float(_known_keys(nodes["bs"], ("position_m",), "nodes.bs")["position_m"],
+                         "nodes.bs.position_m", array=True)
         ue_section = _known_keys(nodes["ue"], ("position_m", "aerial"), "nodes.ue")
-        ue = np.asarray(ue_section["position_m"], dtype=float)
+        ue = _json_float(ue_section["position_m"], "nodes.ue.position_m", array=True)
         uavs = _uavs_from_config(nodes["uavs"], bs, ue)
         sis = _sis_from_config(nodes.get("sis", {}), seed)
         ue_aerial = _json_bool(ue_section.get("aerial", False), "nodes.ue.aerial")
@@ -556,14 +569,14 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
     pw = _known_keys(cfg["powers"], ("p_max_dbm", "node_dbm", "si_dbm", "i_max_dbm"),
                      "powers")
-    p_max_w = dbm_to_watts(float(pw["p_max_dbm"]))
+    p_max_w = dbm_to_watts(_json_float(pw["p_max_dbm"], "powers.p_max_dbm"))
     node_dbm = pw.get("node_dbm")
     if node_dbm is None:
         node_powers = np.full(n_primary, p_max_w)
     else:
         if len(node_dbm) != n_primary:
             raise ValueError("node_dbm must list one power per primary node")
-        node_powers = np.array([dbm_to_watts(float(p)) for p in node_dbm])
+        node_powers = np.array([dbm_to_watts(_json_float(p, "powers.node_dbm")) for p in node_dbm])
     si_dbm = pw.get("si_dbm", [])
     if np.isscalar(si_dbm):
         si_dbm = [si_dbm] * n_si
@@ -575,7 +588,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if len(imax_dbm) != n_si:
         raise ValueError("i_max_dbm must list one threshold per interference source")
 
-    weights = np.asarray(cfg["weights"], dtype=float)
+    weights = _json_float(cfg["weights"], "weights", array=True)
     if weights.shape != (n_primary,):
         raise ValueError("weights must list one value per primary node")
 
@@ -587,9 +600,9 @@ def scenario_from_config(cfg: dict) -> Scenario:
         classes=_node_classes(n_uavs, n_si),
         positions=np.vstack([bs[None, :], uavs, ue[None, :], sis]),
         node_powers_w=node_powers,
-        si_powers_w=np.array([dbm_to_watts(float(p)) for p in si_dbm]),
+        si_powers_w=np.array([dbm_to_watts(_json_float(p, "powers.si_dbm")) for p in si_dbm]),
         p_max_w=p_max_w,
-        i_max_w=np.array([dbm_to_watts(float(p)) for p in imax_dbm]),
+        i_max_w=np.array([dbm_to_watts(_json_float(p, "powers.i_max_dbm")) for p in imax_dbm]),
         channel=channel,
         safety=safety,
         weights=weights,

@@ -112,8 +112,7 @@ def eig_sym(mat: np.ndarray) -> tuple:
     scale = np.fmax(1.0, np.abs(m).max(axis=(-2, -1)))
     if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1.0e-12 * scale):
         raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (m + mt))
-    return vals, vecs
+    return np.linalg.eigh(0.5 * (m + mt))
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,10 @@ class LaplacianBundle:
     degenerate: bool
 
     def take(self, index) -> "LaplacianBundle":
-        """The bundle of the geometries ``index`` picks on the first leading axis."""
-        return self._with([table[index] for table in self._tables()])
+        """The bundle of the geometries ``index`` picks on the first leading
+        axis (``None`` adds one; an integer index gives a single geometry's
+        bundle, its scalars as Python scalars)."""
+        return self._with([_unstacked(np.asarray(table)[index]) for table in self._tables()])
 
     def _tables(self) -> tuple:
         """The per-geometry fields, the matrices first."""
@@ -270,11 +271,7 @@ def cheeger_bruteforce(matrices: GraphMatrices,
     best_mask = None
     # node 0 pinned to S halves the enumeration without losing any cut
     for bits in range(2 ** (n - 1)):
-        mask = np.zeros(n, dtype=bool)
-        mask[0] = True
-        for b in range(n - 1):
-            if bits >> b & 1:
-                mask[b + 1] = True
+        mask = np.array([True] + [bool(bits >> b & 1) for b in range(n - 1)])
         if mask.all():
             continue
         cut = float(a[mask][:, ~mask].sum())

@@ -11,14 +11,15 @@ in one stacked lambda2 pass, bit-identical to bumping one coordinate at a
 time.  A step evaluates each trial as a ``ChannelState`` over its positions
 (no new ``Scenario``) and returns the state and spectral bundle of the
 positions it accepts, at the powers it stepped with, so the caller need not
-evaluate them again.  Both the gradient and the step also run on a stacked
-state, one geometry per batch point.
+evaluate them again.  Both the gradient and the step run on a stacked
+state, one geometry per batch point; the step lifts a single geometry to a
+stack of one, so one body serves both.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -235,42 +236,32 @@ def step(scenario: Scenario,
     max_backtracks halvings all fail the step stalls and returns the
     original positions.  The result carries the accepted positions'
     ``ChannelState`` and ``LaplacianBundle`` at ``powers``: the accepted
-    trial's, or on a stall the input ones.
+    trial's, or on a stall the input's.
 
     A stacked ``state`` (with its bundle, ``powers`` and a gradient field
     and trajectory config per geometry; one config serves all) steps every
     geometry at once and returns a tuple of results, one per geometry.  Each
     backtracking round evaluates one stack holding only the geometries
-    still halving.
+    still halving.  A single geometry is stepped as a stack of one and
+    gives one result.
     """
     state = _state_for(scenario, fading, state)
     if bundle is None:
         bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state,
                                      powers=powers)
+    # a single geometry is lifted to a stack of one (views; nothing is
+    # recomputed), and its result unwrapped at the return
     lone = state.positions.ndim == 2
-    grads = (gradient,) if lone else tuple(gradient)
-    count = len(grads)
+    if lone:
+        state, bundle, gradient = state._select(None), bundle.take(None), (gradient,)
+        powers = None if powers is None else powers[None]
+    grad = np.stack([g.d_lambda2 for g in gradient])
+    count = len(grad)
     configs = (config,) * count if isinstance(config, TrajectoryConfig) else tuple(config)
     uavs = list(scenario.uav_indices)
-    full = state.positions.reshape(-1, scenario.n_total, 3)
-    base = full[:, uavs]
-    grad = np.stack([g.d_lambda2 for g in grads])
+    base = state.positions[:, uavs]
     on, cap, floor = _step_settings(configs)
     lam_old = _each(bundle.lambda2)
-
-    def candidate(k, dt):
-        # k: the live points, or every point
-        on_k, base_k, cap_k = on[k], base[k], cap[k]
-        disp = np.where(on_k, dt[:, None, None] * grad[k], 0.0)
-        norms = np.linalg.norm(disp, axis=-1)
-        over = norms > cap_k
-        if over.any():
-            disp[over] *= (np.broadcast_to(cap_k, over.shape)[over] / norms[over])[:, None]
-        pos = np.where(on_k, base_k + disp, base_k)
-        z = on_k[:, 0, 2]
-        if z.any():
-            pos[z, :, 2] = np.maximum(pos[z, :, 2], floor[k][z])
-        return pos
 
     # per point, as Python scalars: dt halves exactly as a float does
     dt = [c.dt for c in configs]
@@ -278,19 +269,28 @@ def step(scenario: Scenario,
     live = list(range(count))
     outcomes, parts = [None] * count, []
     while live:
+        # the candidate positions of the live points
         pick = slice(None) if len(live) == count else live
-        pos = candidate(pick, np.array([dt[k] for k in live]))
-        trial = full[live]
+        on_k, base_k, cap_k = on[pick], base[pick], cap[pick]
+        disp = np.where(on_k, np.array([dt[k] for k in live])[:, None, None] * grad[pick], 0.0)
+        norms = np.linalg.norm(disp, axis=-1)
+        over = norms > cap_k
+        if over.any():
+            disp[over] *= (np.broadcast_to(cap_k, over.shape)[over] / norms[over])[:, None]
+        pos = np.where(on_k, base_k + disp, base_k)
+        z = on_k[:, 0, 2]
+        if z.any():
+            pos[z, :, 2] = np.maximum(pos[z, :, 2], floor[pick][z])
+        trial = state.positions[live]
         trial[:, uavs] = pos
-        # a lone trial computes its own rows, with no copies; a stacked one
-        # copies the input state's rows of the nodes it does not move rather
-        # than compute every row of every point
-        new_state = ChannelState(scenario, fading or FadingModel.unit_gain(),
-                                 trial[0] if lone else trial,
-                                 None if lone else state._select(pick))
-        new_bundle = connectivity_bundle(
-            scenario, fading, mode=laplacian_mode, state=new_state,
-            powers=powers if powers is None or lone else powers[live])
+        # a trial of one geometry computes its own rows, with no copies; a
+        # larger one copies the input state's rows of the nodes it does not
+        # move rather than compute every row of every point
+        new_state = ChannelState(scenario, fading or FadingModel.unit_gain(), trial,
+                                 None if len(live) == 1 else state._select(pick))
+        new_bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode,
+                                         state=new_state,
+                                         powers=None if powers is None else powers[live])
         lam_new = _each(new_bundle.lambda2)
         took, gave_up, halving = [], [], []
         for i, k in enumerate(live):
@@ -310,14 +310,12 @@ def step(scenario: Scenario,
         parts += [(new_state, new_bundle, took, [live[i] for i in took]),
                   (state, bundle, gave_up, gave_up)]
         live = halving
-    if lone:
-        accepted = (state, bundle) if outcomes[0][5] else (new_state, new_bundle)
-    else:
-        parts = [p for p in parts if p[3]]
-        accepted = (_join([(s, picks, slots) for s, _, picks, slots in parts], count),
-                    _join([(b, picks, slots) for _, b, picks, slots in parts], count))
+    state = _join([(s, picks, slots) for s, _, picks, slots in parts], count)
+    bundle = _join([(b, picks, slots) for _, b, picks, slots in parts], count)
     results = tuple(
         StepResult(positions=p, lambda2_before=before, lambda2_after=after, dt_used=used,
-                   halvings=h, stalled=stalled, state=accepted[0], bundle=accepted[1])
+                   halvings=h, stalled=stalled, state=state, bundle=bundle)
         for p, before, after, used, h, stalled in outcomes)
-    return results[0] if lone else results
+    if lone:
+        return replace(results[0], state=state._select(0), bundle=bundle.take(0))
+    return results

@@ -214,6 +214,27 @@ _MISTYPED = [
     (("nodes", "uavs", "initial_altitude"), 30.0),
     (("nodes", "sis", "counts"), 2),
     (("nodes", "sis", "region_m", "z"), [0.0, 50.0]),
+    (("optimiser",), {"max_iterations": 3}),
+    (("Seed",), 7),
+    # a float is read from a JSON number only: true and numeric strings used to load
+    (("powers", "i_max_dbm"), True),
+    (("powers", "p_max_dbm"), "20"),
+    (("powers", "node_dbm"), [20.0, 20.0, "20", 20.0, 20.0]),
+    (("powers", "si_dbm"), [30.0, False]),
+    (("weights",), [True, 0.01, 0.01, 0.01, True]),
+    (("channel", "alpha_a2a"), True),
+    (("channel", "carrier_hz"), "2e9"),
+    (("safety", "chi"), "1"),
+    (("optimizer", "trajectory", "dt"), "1.0"),
+    (("nodes", "bs", "position_m"), [0.0, "0", 15.0]),
+    (("nodes", "ue", "position_m"), [200.0, 0.0, True]),
+    (("nodes", "uavs", "positions_m"), [["50", 0.0, 30.0], [100.0, 0.0, 30.0],
+                                        [150.0, 0.0, 30.0]]),
+    (("nodes", "sis", "positions_m"), [[10.0, 5.0, 20.0], [60.0, -5.0, "20"]]),
+    (("nodes",), {"bs": {"position_m": [0.0, 0.0, 15.0]},
+                  "ue": {"position_m": [200.0, 0.0, 25.0]},
+                  "uavs": {"count": 3, "initial_altitude_m": "30"}, "sis": {"count": 2}}),
+    (("nodes", "sis"), {"count": 2, "region_m": {"altitude": True}}),
 ]
 
 
@@ -242,6 +263,38 @@ def test_unknown_config_key_fails_a_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--sweep", str(spec),
                  "--out", str(out)]) == 1
     assert "config error: unknown key 'max_iteration' in optimizer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "gradcheck"])
+def test_an_unknown_top_level_key_fails_a_sweep_and_a_gradcheck(tmp_path, capsys, command):
+    cfg_path = tmp_path / "config.json"
+    cfg = _write_config(cfg_path, max_iterations=3)
+    cfg["optimiser"] = cfg.pop("optimizer")
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variable": "ue_altitude_m", "values": [50.0]}),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg_path)]
+    if command == "sweep":
+        argv += ["--sweep", str(spec), "--out", str(out)]
+    assert main([command] + argv) == 1
+    assert "config error: unknown key 'optimiser' in config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [["50"], [True], [10.0, "60"]])
+def test_sweep_values_must_be_json_numbers(tmp_path, capsys, values):
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, max_iterations=3)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variable": "ue_altitude_m", "values": values}),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--sweep", str(spec),
+                 "--out", str(out)]) == 1
+    assert "config error: sweep values must be a number" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -84,8 +84,11 @@ def test_points_finish_on_their_own_terms():
                    (1e-12, 1, AxisMask.XYZ, 1.0), (1e-12, 12, AxisMask.XY, 1e4))]
     batch = run(scenarios, configs)
     lone = [run(sc, c) for sc, c in zip(scenarios, configs)]
-    for new, old in zip(batch, lone):
+    # a lone run is the batch of one, so the per-point loop, which shares no
+    # stacking, is the independent reference
+    for new, old, sc, c in zip(batch, lone, scenarios, configs):
         _assert_same_history(new, old)
+        _assert_same_history(old, ref.run(sc, c))
     assert {h.termination for h in lone} >= {TerminationReason.MAX_ITERATIONS,
                                             TerminationReason.CONVERGED}
 
@@ -101,6 +104,7 @@ def test_a_stalling_point_drops_out_of_the_batch():
     assert batch[0].termination is TerminationReason.STALLED
     for new, (sc, c) in zip(batch, [(rested, stall), (s, keep), (rested, keep)]):
         _assert_same_history(new, run(sc, c))
+        _assert_same_history(new, ref.run(sc, c))
 
 
 @pytest.mark.parametrize("mode", list(LaplacianMode))
@@ -110,6 +114,7 @@ def test_normalized_and_combinatorial_batches_equal_lone_runs(mode):
     scenarios = [s.with_ue_altitude(a) for a in (10.0, 60.0, 300.0)]
     for new, sc in zip(run(scenarios, config), scenarios):
         _assert_same_history(new, run(sc, config))
+        _assert_same_history(new, ref.run(sc, config))
 
 
 @pytest.mark.parametrize("mode", list(LaplacianMode))
