@@ -23,10 +23,10 @@ print()
 print(f"{'edge':>8} {'dist_m':>8} {'class':>6} {'loss_dB':>8} "
       f"{'SIR_fwd':>10} {'rate_bit_s':>11}")
 for i, j in s.topology:
-    g = link_gain(i, j, s, state=st)
+    g = link_gain(i, j, st)
     kind = "a2a" if g.a2a else "a2g"
     print(f"{i:>4}-{j:<3} {g.distance_m:>8.2f} {kind:>6} {g.path_loss_db:>8.2f} "
-          f"{sir(i, j, s, state=st):>10.3e} {edge_rate(i, j, s, state=st):>11.2f}")
+          f"{sir(i, j, st):>10.3e} {edge_rate(i, j, st):>11.2f}")
 
 # the aggregate interference floor each receiver lives with
 print()
@@ -42,5 +42,5 @@ import dataclasses
 twice = dataclasses.replace(s, si_powers_w=s.si_powers_w * 2.0)
 print()
 print("SIR scales inversely with source power: bs->uav1 at 1x and 2x SI power")
-print(f"  1x: {sir(0, 1, s):.6e}")
-print(f"  2x: {sir(0, 1, twice):.6e}")
+print(f"  1x: {sir(0, 1, st):.6e}")
+print(f"  2x: {sir(0, 1, build_state(twice)):.6e}")

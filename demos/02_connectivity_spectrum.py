@@ -11,11 +11,12 @@ chain is weakest, and brackets the cheapest cut with the Cheeger bounds.
 import numpy as np
 
 from aerolink import (LaplacianMode, build_default_scenario, build_matrices,
-                      cheeger_bruteforce, connectivity_bundle, eig_sym,
+                      build_state, cheeger_bruteforce, connectivity_bundle, eig_sym,
                       weighted_laplacian)
 
 s = build_default_scenario()
-m = build_matrices(s)
+st = build_state(s)
+m = build_matrices(st)
 
 print("rate-weighted adjacency (kbit/s), chain edges only:")
 for i, j in s.topology:
@@ -33,7 +34,7 @@ for mode in LaplacianMode:
     print("  " + np.array2string(vals[:5], precision=4))
 
 # the Fiedler vector changes sign where the graph tears apart most easily
-b = connectivity_bundle(s)
+b = connectivity_bundle(st)
 print()
 print(f"lambda2 = {b.lambda2:.4f}, spectral gap = {b.spectral_gap:.4f}, "
       f"degenerate = {b.degenerate}")

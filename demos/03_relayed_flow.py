@@ -11,10 +11,10 @@ around a bottleneck, and verifies the min cut both ways.
 import numpy as np
 
 from aerolink import (brute_force_min_cut, build_default_scenario,
-                      build_matrices, from_adjacency, max_flow, min_cut)
+                      build_matrices, build_state, from_adjacency, max_flow, min_cut)
 
 s = build_default_scenario()
-m = build_matrices(s)
+m = build_matrices(build_state(s))
 net = from_adjacency(m, s.source, s.destination)
 
 value, flow = max_flow(net)

@@ -10,8 +10,8 @@ twenty steps and prints the climb, then repeats it with the z axis frozen.
 
 import numpy as np
 
-from aerolink import (AxisMask, TrajectoryConfig, build_default_scenario,
-                      lambda2_gradient, step)
+from aerolink import (AxisMask, TrajectoryConfig, build_default_scenario, build_state,
+                      connectivity_bundle, lambda2_gradient, step)
 
 s0 = build_default_scenario()
 
@@ -19,8 +19,9 @@ s0 = build_default_scenario()
 def climb(scenario, config, steps=20):
     out = []
     for _ in range(steps):
-        g = lambda2_gradient(scenario)
-        res = step(scenario, g, config)
+        state = build_state(scenario)
+        bundle = connectivity_bundle(state)
+        res = step(state, bundle, lambda2_gradient(state, bundle), config)
         scenario = scenario.with_uav_positions(res.positions)
         out.append(res)
     return scenario, out
@@ -49,8 +50,10 @@ print(f"  altitudes unchanged: "
 # the two gradient modes agree where the analytic form is exact
 from aerolink import GradientMode
 
-g_a = lambda2_gradient(s0, gradient_mode=GradientMode.ANALYTIC)
-g_f = lambda2_gradient(s0, gradient_mode=GradientMode.FINITE_DIFFERENCE)
+st0 = build_state(s0)
+b0 = connectivity_bundle(st0)
+g_a = lambda2_gradient(st0, b0, GradientMode.ANALYTIC)
+g_f = lambda2_gradient(st0, b0, GradientMode.FINITE_DIFFERENCE)
 gap = np.abs(g_a.d_lambda2 - g_f.d_lambda2).max()
 scale = np.abs(g_a.d_lambda2).max()
 print()

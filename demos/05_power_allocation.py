@@ -11,16 +11,17 @@ bottleneck rate, and margins respond.
 
 import numpy as np
 
-from aerolink import (build_default_scenario, power_caps, solve_maxmin,
+from aerolink import (build_default_scenario, build_state, power_caps, solve_maxmin,
                       verify_interference, watts_to_dbm)
 
 s = build_default_scenario()  # thresholds at -30 dBm: generous
 
 for threshold_dbm in (-30.0, -50.0, -60.0):
     t = s.with_i_max_dbm(threshold_dbm)
-    caps = power_caps(t)
-    sol = solve_maxmin(t)
-    report = verify_interference(t, sol.powers_w)
+    st = build_state(t)
+    caps = power_caps(st)
+    sol = solve_maxmin(st)
+    report = verify_interference(st, sol.powers_w)
     bound = [kind.value for kind, _ in sol.binding]
     n_capped = sum(1 for b in bound if b == "interference-cap")
     print(f"threshold {threshold_dbm:6.1f} dBm: "
@@ -31,7 +32,7 @@ for threshold_dbm in (-30.0, -50.0, -60.0):
     print(f"  caps (dBm): {row}")
 
 # at full budget the tight thresholds would be violated
-tight = s.with_i_max_dbm(-60.0)
+tight = build_state(s.with_i_max_dbm(-60.0))
 full = verify_interference(tight, np.full(s.n_primary, s.p_max_w))
 print()
 print(f"running everyone at the full budget under -60 dBm thresholds: "

@@ -14,7 +14,10 @@ working tree and on the ref, from the same generated configs:
   -50 dBm (100 analytic iterations, whose powers move on some iterations
   and not on others), on the seed-7 config with empty ``channel`` and
   ``safety`` sections (50 iterations, every other setting its default),
-  on the seed-7 config with Rayleigh fading (seed 3) under mask xz, and
+  on the seed-7 config with Rayleigh fading (seed 3) under mask xz, on the
+  seed-7 config with the finite-difference gradient under Rayleigh fading
+  (seed 3; epsilon 1e-12, 40 iterations: the one run whose
+  finite-difference stacks copy rows from a state without unit gains), and
   on the seed-7 config with dt 1e4 and at most 3 halvings (60 iterations
   allowed; its first 5 steps are accepted unhalved, and the sixth halves
   3 times, stalls and ends the run as stalled);
@@ -75,6 +78,9 @@ def _configs(workdir: str) -> dict:
     write("rayleigh", dict(base, optimizer={
         "max_iterations": 50, "fading": {"kind": "rayleigh", "seed": 3},
         "trajectory": {"mask": "xz"}}))
+    write("fd-rayleigh", dict(base, optimizer={
+        "epsilon": 1e-12, "max_iterations": 40, "fading": {"kind": "rayleigh", "seed": 3},
+        "trajectory": {"gradient_mode": "finite-difference"}}))
     write("stall", dict(base, optimizer={
         "epsilon": 1e-12, "max_iterations": 60,
         "trajectory": {"dt": 1e4, "max_backtracks": 3}}))
@@ -102,7 +108,7 @@ def _commands(files: dict) -> list:
                     cli + ["gradcheck", "--config", files[f"default-{mode}"]], False))
     out.append(("gradcheck-shortcut", cli + ["gradcheck", "--config", files["shortcut"]],
                 False))
-    for name in ("capped", "defaults", "rayleigh", "stall"):
+    for name in ("capped", "defaults", "rayleigh", "fd-rayleigh", "stall"):
         out.append((f"run-{name}", cli + ["run", "--config", files[name]], True))
     default = files[f"default-{MODES[0]}"]
     for jobs in (1, 2):

@@ -9,21 +9,21 @@ grows steeply once another primary node comes within the separation radius.
 
 Everything is computed as arrays, once per geometry.  ``ChannelState`` holds
 the power-independent tables (gains, the SIR denominator of every ordered
-primary pair, the proximity-sum gradients) of the positions it is given;
-the scenario only supplies the layout.  ``sir_matrix``, ``sir_jacobian``,
-``edge_rates`` and ``rate_jacobian`` combine them with a scenario's powers.
-Each array keeps the association of the per-pair formula it replaces (the
-same masked 1-D sums, ``(num/denom)*(dden/denom)``), so its entries equal a
-pair-at-a-time evaluation to the bit.  A state may also hold a stack of
-geometries (leading axes before the node axes); ``sir_matrix``,
-``edge_rates``, ``sir_jacobian`` and ``rate_jacobian`` then return one
-table per geometry (at the scenario's powers or at a ``powers`` argument
-with the same leading axes), each equal to the bit to that geometry's own.
-A state computes the rows of the nodes that differ from its reference
-state's geometry, or every row without a reference.  Every derivative is
-an entry of ``sir_jacobian`` or ``rate_jacobian``; the value lookups
-(``sir``, ``edge_rate``, ``link_gain``) index into the tables and raise only
-for the pair they are asked about.
+primary pair, the proximity-sum gradients) of the positions it is given,
+and the scenario (layout and powers) and fading it was built with; every
+function here reads both from the state.  ``sir_matrix``, ``sir_jacobian``,
+``edge_rates`` and ``rate_jacobian`` combine the tables with the state's
+scenario powers.  Each array keeps the association of the per-pair formula
+it replaces (the same masked 1-D sums, ``(num/denom)*(dden/denom)``), so
+its entries equal a pair-at-a-time evaluation to the bit.  A state may also
+hold a stack of geometries (leading axes before the node axes); the four
+then return one table per geometry (at those powers or at a ``powers``
+argument with the same leading axes), each equal to the bit to that
+geometry's own.  A state computes the rows of the nodes that differ
+from its reference state's geometry, or every row without a reference.
+Every derivative is an entry of ``sir_jacobian`` or ``rate_jacobian``; the
+value lookups (``sir``, ``edge_rate``, ``link_gain``) index into the tables
+and raise only for the pair they are asked about.
 """
 
 from __future__ import annotations
@@ -168,22 +168,26 @@ class ChannelState:
     built on first use.  The link tables that do not depend on the geometry
     (link classes, exponents, offsets and fading) are cached per node layout.
 
-    ``positions``, one (n_total, 3) geometry or a (..., n_total, 3) stack,
-    replaces the scenario's node positions and is kept as ``positions``;
-    every table, gradient tables included, is built from it, so each
-    geometry's entries equal those of a state built for it alone, to the
-    bit.  One rule decides which rows a state computes: those of every node
-    whose coordinates differ from its ``reference`` state's geometry (whose
-    leading axes must begin the stack's), or every row without a
-    reference.  A geometry takes the rest of its tables from its reference,
-    so a stack of one-node bumps costs one row per geometry and a geometry
-    equal to its reference none.  Every table carries the stack's leading
-    axes; the scalar lookups need a single geometry.
+    It keeps ``scenario`` (layout and powers) and ``fading``, which every
+    evaluation of the state reads.  ``positions``, one (n_total, 3) geometry
+    or a (..., n_total, 3) stack, replaces the scenario's node positions and
+    is kept as ``positions``; every table, gradient tables included, is
+    built from it, so each geometry's entries equal those of a state built
+    for it alone, to the bit.  One rule decides which rows a state computes:
+    those of every node whose coordinates differ from its ``reference``
+    state's geometry (whose leading axes must begin the stack's), or every
+    row without a reference.  A geometry takes the rest of its tables from
+    its reference, so a stack of one-node bumps costs one row per geometry
+    and a geometry equal to its reference none.  Every table carries the
+    stack's leading axes; the scalar lookups need a single geometry.
     """
 
     def __init__(self, scenario: Scenario, fading: FadingModel,
                  positions: np.ndarray | None = None,
                  reference: "ChannelState | None" = None):
+        if reference is not None and (reference.scenario is not scenario
+                                      or reference.fading != fading):
+            raise ValueError("a state over a reference takes its scenario and fading")
         self.scenario = scenario
         self.fading = fading
         self.positions = pos = scenario.positions if positions is None else positions
@@ -346,51 +350,37 @@ def _join(parts, count: int):
 
 
 def build_state(scenario: Scenario, fading: FadingModel | None = None) -> ChannelState:
-    return _state_for(scenario, fading)
+    """The state of the scenario's own positions (default: unit gains)."""
+    return ChannelState(scenario, fading or FadingModel.unit_gain())
 
 
-def _state_for(scenario, fading, state=None, positions=None) -> ChannelState:
-    """``state``, or a new one at ``positions`` (default: the scenario's)."""
-    if state is not None:
-        return state
-    return ChannelState(scenario, fading or FadingModel.unit_gain(), positions)
-
-
-def link_gain(i: int, j: int, scenario: Scenario,
-              fading: FadingModel | None = None,
-              state: ChannelState | None = None) -> LinkGain:
+def link_gain(i: int, j: int, state: ChannelState) -> LinkGain:
     """Full budget of link i -> j.  Errors on i == j or coincident nodes."""
     if i == j:
         raise ValueError("link endpoints must differ")
-    st = _state_for(scenario, fading, state)
-    d = float(st.dist[i, j])
-    a2a = bool(st.a2a[i, j])
-    return LinkGain(path_loss_db=float(st.alpha[i, j] * 10.0 * np.log10(d)
-                                       + scenario.channel.eta_db(a2a)),
-                    gain_sq=float(st.gain_sq[i, j]), distance_m=d, a2a=a2a)
+    d = float(state.dist[i, j])
+    a2a = bool(state.a2a[i, j])
+    return LinkGain(path_loss_db=float(state.alpha[i, j] * 10.0 * np.log10(d)
+                                       + state.scenario.channel.eta_db(a2a)),
+                    gain_sq=float(state.gain_sq[i, j]), distance_m=d, a2a=a2a)
 
 
 _ZERO_DENOMINATOR = ("zero SIR denominator: no interference sources and no "
                      "proximity term (chi = 0 or fully decayed)")
 
 
-def _powers(scenario, powers):
-    return scenario.node_powers_w if powers is None else powers
-
-
-def sir_matrix(scenario: Scenario, state: ChannelState,
-               powers: np.ndarray | None = None) -> np.ndarray:
+def sir_matrix(state: ChannelState, powers: np.ndarray | None = None) -> np.ndarray:
     """(..., n_primary, n_primary) SIR of every ordered pair, one table per
-    geometry of a stacked state, at ``powers`` (default: the scenario's;
-    (..., n_primary) gives each geometry its own).
+    geometry of a stacked state, at ``powers`` (default: the state's
+    scenario's; (..., n_primary) gives each geometry its own).
 
     Unchecked: a zero denominator gives inf or nan, and the diagonal means
     nothing.  ``sir`` is the checked lookup of one entry.
     """
-    n = scenario.n_primary
+    n = state.scenario.n_primary
+    powers = state.scenario.node_powers_w if powers is None else powers
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return (_powers(scenario, powers)[..., :, None] * state.gain_sq[..., :n, :n]
-                / state.sir_denominators)
+        return powers[..., :, None] * state.gain_sq[..., :n, :n] / state.sir_denominators
 
 
 def _require_primary_pair(i, j, n):
@@ -408,9 +398,7 @@ def _finite_sir(value) -> float:
     return float(value)
 
 
-def sir(i: int, j: int, scenario: Scenario,
-        fading: FadingModel | None = None,
-        state: ChannelState | None = None) -> float:
+def sir(i: int, j: int, state: ChannelState) -> float:
     """Signal-to-interference ratio of link i -> j at receiver j.
 
     The denominator adds the received powers of every fixed interference
@@ -418,15 +406,14 @@ def sir(i: int, j: int, scenario: Scenario,
     i and j, scaled by chi.  There is no thermal noise term; a scenario with
     no sources and chi = 0 therefore has no defined SIR.
     """
-    _require_primary_pair(i, j, scenario.n_primary)
-    st = _state_for(scenario, fading, state)
-    return _finite_sir(sir_matrix(scenario, st)[i, j])
+    _require_primary_pair(i, j, state.scenario.n_primary)
+    return _finite_sir(sir_matrix(state)[i, j])
 
 
-def _checked_sirs(edges: tuple, scenario, state, powers=None) -> np.ndarray:
+def _checked_sirs(edges: tuple, state, powers=None) -> np.ndarray:
     """SIR matrix, checked as ``sir`` checks them on both directions of each
     edge, in every geometry of a stacked state."""
-    sirs = sir_matrix(scenario, state, powers)
+    sirs = sir_matrix(state, powers)
     p, q = _endpoints(edges)
     if not (np.isfinite(sirs[..., p, q]).all() and np.isfinite(sirs[..., q, p]).all()):
         raise ValueError(_ZERO_DENOMINATOR)
@@ -443,33 +430,28 @@ def _endpoints(edges: tuple) -> tuple:
     return p, q
 
 
-def _rates(scenario, sirs, edges) -> np.ndarray:
+def _rates(state, edges, powers=None) -> np.ndarray:
+    sirs = _checked_sirs(edges, state, powers)
     p, q = _endpoints(edges)
-    b = scenario.channel.bandwidth_hz
+    b = state.scenario.channel.bandwidth_hz
     return 0.5 * b * (np.log2(1.0 + sirs[..., p, q]) + np.log2(1.0 + sirs[..., q, p]))
 
 
-def edge_rates(scenario: Scenario, state: ChannelState,
-               powers: np.ndarray | None = None) -> np.ndarray:
+def edge_rates(state: ChannelState, powers: np.ndarray | None = None) -> np.ndarray:
     """(..., n_edges) rates of the topology edges in topology order, bit/s
     (see ``edge_rate``), one row per geometry of a stacked state, at
     ``powers`` as in ``sir_matrix``."""
-    return _rates(scenario, _checked_sirs(scenario.topology, scenario, state, powers),
-                  scenario.topology)
+    return _rates(state, state.scenario.topology, powers)
 
 
-def edge_rate(i: int, j: int, scenario: Scenario,
-              fading: FadingModel | None = None,
-              state: ChannelState | None = None) -> float:
+def edge_rate(i: int, j: int, state: ChannelState) -> float:
     """Symmetric half-duplex rate of topology edge (i, j) in bit/s.
 
     Each direction gets half the bandwidth: B/2 * (log2(1+SIR_ij) +
     log2(1+SIR_ji)).
     """
-    _require_edge(i, j, scenario)
-    st = _state_for(scenario, fading, state)
-    edge = ((i, j),)
-    return float(_rates(scenario, _checked_sirs(edge, scenario, st), edge)[0])
+    _require_edge(i, j, state.scenario)
+    return float(_rates(state, ((i, j),))[0])
 
 
 def _require_edge(i, j, scenario):
@@ -477,16 +459,16 @@ def _require_edge(i, j, scenario):
         raise ValueError(f"({i}, {j}) is not a topology edge")
 
 
-def _pair_jacobian(scenario, state, powers, i, j) -> np.ndarray:
+def _pair_jacobian(state, powers, i, j) -> np.ndarray:
     """(..., m, n_uavs, 3): d sir(i[k], j[k]) / d(UAV coordinate) for m
     ordered pairs with i[k] != j[k], one table per geometry of a stacked
     state.  Each entry is the per-pair formula's, with its association."""
-    sc, st = scenario, state
+    sc, st = state.scenario, state
     n = sc.n_primary
     lead = st.dist.shape[:-2]
     pair = np.arange(len(i))
     pos = st.positions[..., :n, :]
-    powers = _powers(sc, powers)
+    powers = sc.node_powers_w if powers is None else powers
     chi = sc.safety.chi
     d = st.dist[..., i, j][..., None]
     gain = st.gain_sq[..., i, j]
@@ -517,8 +499,7 @@ def _pair_jacobian(scenario, state, powers, i, j) -> np.ndarray:
     return g[..., list(sc.uav_indices), :]
 
 
-def sir_jacobian(scenario: Scenario, state: ChannelState,
-                 powers: np.ndarray | None = None) -> np.ndarray:
+def sir_jacobian(state: ChannelState, powers: np.ndarray | None = None) -> np.ndarray:
     """(..., n_primary, n_primary, n_uavs, 3): d sir(i, j) / d(UAV coordinate),
     one table per geometry of a stacked state, at ``powers`` as in
     ``sir_matrix``; the diagonal is zero.
@@ -529,25 +510,25 @@ def sir_jacobian(scenario: Scenario, state: ChannelState,
     association, including its ``0.0 +`` start of the denominator
     derivative (which turns a -0.0 term into +0.0).
     """
-    n = scenario.n_primary
+    n = state.scenario.n_primary
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    g = _pair_jacobian(scenario, state, powers, i, j)
+    g = _pair_jacobian(state, powers, i, j)
     out = np.zeros(g.shape[:-3] + (n, n) + g.shape[-2:])
     out[..., i, j, :, :] = g
     return out
 
 
-def rate_jacobian(scenario: Scenario, state: ChannelState,
-                  powers: np.ndarray | None = None) -> np.ndarray:
+def rate_jacobian(state: ChannelState, powers: np.ndarray | None = None) -> np.ndarray:
     """(..., n_edges, n_uavs, 3): derivative of each topology edge rate, in
     topology order, w.r.t. every UAV coordinate (the chain rule through both
     directed SIRs), one table per geometry of a stacked state, at ``powers``
     as in ``sir_matrix``."""
-    sirs = _checked_sirs(scenario.topology, scenario, state, powers)
-    p, q = _endpoints(scenario.topology)
+    topology = state.scenario.topology
+    sirs = _checked_sirs(topology, state, powers)
+    p, q = _endpoints(topology)
     # both directions of every edge
-    g = _pair_jacobian(scenario, state, powers, np.concatenate([p, q]), np.concatenate([q, p]))
+    g = _pair_jacobian(state, powers, np.concatenate([p, q]), np.concatenate([q, p]))
     forward, backward = g[..., :len(p), :, :], g[..., len(p):, :, :]
-    b = scenario.channel.bandwidth_hz
+    b = state.scenario.channel.bandwidth_hz
     return b / (2.0 * LN2) * (forward / (1.0 + sirs[..., p, q])[..., None, None]
                               + backward / (1.0 + sirs[..., q, p])[..., None, None])

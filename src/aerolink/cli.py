@@ -22,8 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import scenario as scen
+from .channel import build_state
 from .optimizer import OptimizerConfig, RunHistory, run
 from .power import _require_chain
+from .spectral import connectivity_bundle
 from .trajectory import AxisMask, GradientMode, lambda2_gradient
 
 GRADCHECK_TOL = 1.0e-4
@@ -240,13 +242,11 @@ def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
 def gradcheck_rows(scenario: scen.Scenario, config: OptimizerConfig) -> list:
     """Analytic vs finite-difference gradient, one row per UAV coordinate on
     the trajectory mask's axes."""
-    analytic = lambda2_gradient(scenario, config.fading,
-                                laplacian_mode=config.laplacian_mode,
-                                gradient_mode=GradientMode.ANALYTIC).d_lambda2
-    fd = lambda2_gradient(scenario, config.fading,
-                          laplacian_mode=config.laplacian_mode,
-                          gradient_mode=GradientMode.FINITE_DIFFERENCE,
-                          fd_step_m=config.trajectory.fd_step_m).d_lambda2
+    state = build_state(scenario, config.fading)
+    bundle = connectivity_bundle(state, mode=config.laplacian_mode)
+    analytic = lambda2_gradient(state, bundle, GradientMode.ANALYTIC).d_lambda2
+    fd = lambda2_gradient(state, bundle, GradientMode.FINITE_DIFFERENCE,
+                          config.trajectory.fd_step_m).d_lambda2
     axes = list(config.trajectory.mask.axes)
     analytic, fd = analytic[:, axes], fd[:, axes]
     scale = max(float(np.abs(analytic).max()), float(np.abs(fd).max()), 1.0e-300)

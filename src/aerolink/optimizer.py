@@ -91,14 +91,14 @@ class RunHistory:
         return self.records[-1].iteration
 
 
-def _evaluate(scenario, fading, mode, state, powers, i_max_w=None, bundle=None):
-    """Bundle, flows (a list, one per geometry) and interference report of a
-    (stacked) state at ``powers``; a given ``bundle`` is the state's at
-    ``powers`` already."""
+def _evaluate(state, mode, powers, i_max_w=None, bundle=None):
+    """Bundle (in Laplacian ``mode``), flows (a list, one per geometry) and
+    interference report of a (stacked) state at ``powers``; a given
+    ``bundle`` is the state's at ``powers`` already."""
     if bundle is None:
-        bundle = connectivity_bundle(scenario, fading, mode=mode, state=state, powers=powers)
+        bundle = connectivity_bundle(state, mode=mode, powers=powers)
     flows = _each(_chain_flow(bundle.matrices.adjacency))
-    report = verify_interference(scenario, powers, fading, state=state, i_max_w=i_max_w)
+    report = verify_interference(state, powers, i_max_w)
     return bundle, flows, report
 
 
@@ -177,14 +177,14 @@ def _lockstep(scenarios, configs) -> list:
         return []
     layout, first = scenarios[0], configs[0]
     _require_chain(layout.topology, layout.n_primary)
-    fading, mode, trajectory = first.fading, first.laplacian_mode, first.trajectory
+    mode, trajectory = first.laplacian_mode, first.trajectory
     count = len(scenarios)
 
     # one point per row: geometry, powers and thresholds
-    state = ChannelState(layout, fading, np.stack([s.positions for s in scenarios]))
+    state = ChannelState(layout, first.fading, np.stack([s.positions for s in scenarios]))
     i_max = np.stack([s.i_max_w for s in scenarios])
     powers = np.full((count, layout.n_primary), layout.p_max_w)
-    evaluated = _evaluate(layout, fading, mode, state, powers, i_max)
+    evaluated = _evaluate(state, mode, powers, i_max)
     ids = np.arange(count)
     records = [[] for _ in range(count)]
     _append(records, ids, 0, state, powers, evaluated, [float("nan")] * count,
@@ -219,21 +219,18 @@ def _lockstep(scenarios, configs) -> list:
             epsilon, budget = epsilon[live], budget[live]
             trajectories = tuple(c for c, keep in zip(trajectories, live) if keep)
 
-        grads = lambda2_gradient(layout, fading, laplacian_mode=mode,
-                                 gradient_mode=trajectory.gradient_mode,
-                                 fd_step_m=trajectory.fd_step_m,
-                                 bundle=bundle, state=state, powers=powers)
-        moved = step(layout, grads, trajectories, fading,
-                     laplacian_mode=mode, bundle=bundle, state=state, powers=powers)
+        grads = lambda2_gradient(state, bundle, gradient_mode=trajectory.gradient_mode,
+                                 fd_step_m=trajectory.fd_step_m, powers=powers)
+        moved = step(state, bundle, grads, trajectories, powers=powers)
         state, bundle = moved[0].state, moved[0].bundle
 
-        _, feasible, new_powers = _allocation(layout, state, i_max)
+        _, feasible, new_powers = _allocation(state, i_max)
         # the step's bundle is at the step's powers: the record takes it when
         # no point's powers moved, signed zeros included
         if not np.array_equal(new_powers.view(np.uint64), powers.view(np.uint64)):
             bundle = None
         powers = new_powers
-        evaluated = _evaluate(layout, fading, mode, state, powers, i_max, bundle)
+        evaluated = _evaluate(state, mode, powers, i_max, bundle)
         etas = _each(_eta(feasible, _chain_rates(evaluated[0].matrices.adjacency)))
         stalls = [m.stalled for m in moved]
         _append(records, ids, t, state, powers, evaluated, etas,
@@ -259,4 +256,4 @@ def replay_flow(history: RunHistory, scenario: Scenario,
     positions = scenario.positions.copy()
     positions[list(scenario.uav_indices)] = rec.uav_positions
     state = ChannelState(scenario, config.fading, positions)
-    return _evaluate(scenario, config.fading, config.laplacian_mode, state, rec.powers_w)[1][0]
+    return _evaluate(state, config.laplacian_mode, rec.powers_w)[1][0]

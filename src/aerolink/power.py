@@ -16,9 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, _state_for, edge_rates
+from .channel import ChannelState, edge_rates
 from .flow import CAPACITY_FLOOR
-from .scenario import Scenario
 
 # relative slack for cap and threshold comparisons
 _SLACK = 1.0e-12
@@ -49,36 +48,36 @@ def _thresholds(scenario, i_max_w):
     return scenario.i_max_w if i_max_w is None else i_max_w
 
 
-def _limits(scenario, state, i_max_w):
+def _limits(state, i_max_w):
     """(..., n_primary, n_si): the power at which each transmitter lands each
     source's threshold."""
+    scenario = state.scenario
     n = scenario.n_primary
     gains = state.gain_sq[..., :n, list(scenario.si_indices)]
     return _thresholds(scenario, i_max_w)[..., None, :] / gains
 
 
-def power_caps(scenario: Scenario,
-               fading: FadingModel | None = None,
-               state: ChannelState | None = None,
-               i_max_w: np.ndarray | None = None) -> np.ndarray:
+def power_caps(state: ChannelState, i_max_w: np.ndarray | None = None) -> np.ndarray:
     """Largest allowed power per primary transmitter: budget and thresholds.
 
-    ``i_max_w`` replaces the scenario's thresholds; with leading axes it
-    gives each geometry of a stacked state its own, one row of caps each.
+    ``i_max_w`` replaces the state's scenario's thresholds; with leading
+    axes it gives each geometry of a stacked state its own, one row of caps
+    each.
     """
-    st = _state_for(scenario, fading, state)
-    caps = np.full(st.gain_sq.shape[:-2] + (scenario.n_primary,), scenario.p_max_w)
+    scenario = state.scenario
+    caps = np.full(state.gain_sq.shape[:-2] + (scenario.n_primary,), scenario.p_max_w)
     if scenario.si_indices:
-        caps = np.minimum(caps, _limits(scenario, st, i_max_w).min(axis=-1))
+        caps = np.minimum(caps, _limits(state, i_max_w).min(axis=-1))
     return caps
 
 
-def _binding_report(scenario, caps, state, i_max_w):
+def _binding_report(caps, state, i_max_w):
     """Per node: (BindingConstraint, si index or None); one tuple per geometry."""
+    scenario = state.scenario
     n = scenario.n_primary
     # without sources every cap is p_max itself, so none is capped
     capped = ~(caps.reshape(-1, n) >= scenario.p_max_w * (1.0 - _SLACK))
-    which = (_limits(scenario, state, i_max_w).argmin(axis=-1).reshape(-1, n)
+    which = (_limits(state, i_max_w).argmin(axis=-1).reshape(-1, n)
              if scenario.si_indices else np.zeros_like(capped, dtype=np.intp))
     return [tuple((BindingConstraint.INTERFERENCE_CAP, w) if c
                   else (BindingConstraint.P_MAX, None) for c, w in zip(cs, ws))
@@ -108,11 +107,11 @@ def _chain_flow(adjacency: np.ndarray) -> np.ndarray:
     return np.where(bottleneck < CAPACITY_FLOOR, 0.0, bottleneck)
 
 
-def _allocation(scenario: Scenario, state: ChannelState, i_max_w=None) -> tuple:
+def _allocation(state: ChannelState, i_max_w=None) -> tuple:
     """Caps, feasibility and powers of the max-min allocation of a (stacked)
     state: every transmitter at its cap, which an infeasible geometry (a cap
     not positive and finite) clips at 0.0."""
-    caps = power_caps(scenario, state=state, i_max_w=i_max_w)
+    caps = power_caps(state, i_max_w)
     feasible = np.all(caps > 0.0, axis=-1) & np.all(np.isfinite(caps), axis=-1)
     return caps, feasible, np.maximum(caps, 0.0)
 
@@ -123,10 +122,7 @@ def _eta(feasible: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return np.where(feasible, rates.min(axis=-1), 0.0)
 
 
-def solve_maxmin(scenario: Scenario,
-                 fading: FadingModel | None = None,
-                 state: ChannelState | None = None,
-                 i_max_w: np.ndarray | None = None):
+def solve_maxmin(state: ChannelState, i_max_w: np.ndarray | None = None):
     """Max-min edge rate power allocation on a chain topology.
 
     Every transmitter runs at its cap, and eta is the smallest edge rate
@@ -134,13 +130,13 @@ def solve_maxmin(scenario: Scenario,
     ``i_max_w`` as in ``power_caps``) gives a tuple of solutions, one per
     geometry.
     """
+    scenario = state.scenario
     _require_chain(scenario.topology, scenario.n_primary)
-    st = _state_for(scenario, fading, state)
-    caps, feasible, powers = _allocation(scenario, st, i_max_w)
-    binding = _binding_report(scenario, caps, st, i_max_w)
+    caps, feasible, powers = _allocation(state, i_max_w)
+    binding = _binding_report(caps, state, i_max_w)
     # an infeasible geometry's rates are not needed; the budget keeps them finite
     at = np.where(feasible[..., None], caps, scenario.p_max_w)
-    eta = _eta(feasible, edge_rates(scenario, st, at))
+    eta = _eta(feasible, edge_rates(state, at))
     solutions = tuple(
         PowerSolution(powers_w=p, eta=e, binding=b, feasible=ok)
         for p, e, b, ok in zip(powers.reshape(-1, scenario.n_primary), eta.reshape(-1).tolist(),
@@ -148,24 +144,22 @@ def solve_maxmin(scenario: Scenario,
     return solutions[0] if caps.ndim == 1 else solutions
 
 
-def verify_interference(scenario: Scenario,
+def verify_interference(state: ChannelState,
                         powers_w: np.ndarray,
-                        fading: FadingModel | None = None,
-                        state: ChannelState | None = None,
                         i_max_w: np.ndarray | None = None) -> InterferenceReport:
     """Check every transmitter against every source threshold.
 
-    ``powers_w`` and ``i_max_w`` (default: the scenario's thresholds) may
-    carry the leading axes of a stacked state; the report's fields then do
-    too, one check per geometry.
+    ``powers_w`` and ``i_max_w`` (default: the state's scenario's
+    thresholds) may carry the leading axes of a stacked state; the report's
+    fields then do too, one check per geometry.
     """
-    st = _state_for(scenario, fading, state)
+    scenario = state.scenario
     n = scenario.n_primary
     powers = np.asarray(powers_w, dtype=float)
     if powers.shape[-1:] != (n,):
         raise ValueError("need one power per primary node")
     limit = _thresholds(scenario, i_max_w)[..., None, :]
-    received = powers[..., :, None] * st.gain_sq[..., :n, list(scenario.si_indices)]
+    received = powers[..., :, None] * state.gain_sq[..., :n, list(scenario.si_indices)]
     margins = limit - received
     # without sources: an infinite margin, and passed
     min_margin = margins.min(axis=(-2, -1), initial=np.inf)

@@ -476,6 +476,14 @@ def _read_value(hint, value, name: str):
     return value
 
 
+def _position(section: dict, name: str) -> np.ndarray:
+    """The ``position_m`` of node section ``name``: one [x, y, z] triple."""
+    position = _json_float(section["position_m"], f"{name}.position_m", array=True)
+    if position.shape != (3,):
+        raise ValueError(f"{name}.position_m must be an [x, y, z] triple")
+    return position
+
+
 def _uavs_from_config(section: dict, bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
     """Explicit positions, or `count` relays evenly spaced between BS and UE."""
     _known_keys(section, ("positions_m", "count", "initial_altitude_m"), "nodes.uavs")
@@ -552,10 +560,9 @@ def scenario_from_config(cfg: dict) -> Scenario:
         seed = _json_int(seed, "seed")
     nodes = _known_keys(cfg["nodes"], ("bs", "ue", "uavs", "sis"), "nodes")
     try:
-        bs = _json_float(_known_keys(nodes["bs"], ("position_m",), "nodes.bs")["position_m"],
-                         "nodes.bs.position_m", array=True)
+        bs = _position(_known_keys(nodes["bs"], ("position_m",), "nodes.bs"), "nodes.bs")
         ue_section = _known_keys(nodes["ue"], ("position_m", "aerial"), "nodes.ue")
-        ue = _json_float(ue_section["position_m"], "nodes.ue.position_m", array=True)
+        ue = _position(ue_section, "nodes.ue")
         uavs = _uavs_from_config(nodes["uavs"], bs, ue)
         sis = _sis_from_config(nodes.get("sis", {}), seed)
         ue_aerial = _json_bool(ue_section.get("aerial", False), "nodes.ue.aerial")
@@ -574,18 +581,18 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if node_dbm is None:
         node_powers = np.full(n_primary, p_max_w)
     else:
-        if len(node_dbm) != n_primary:
+        if not isinstance(node_dbm, list) or len(node_dbm) != n_primary:
             raise ValueError("node_dbm must list one power per primary node")
         node_powers = np.array([dbm_to_watts(_json_float(p, "powers.node_dbm")) for p in node_dbm])
     si_dbm = pw.get("si_dbm", [])
     if np.isscalar(si_dbm):
         si_dbm = [si_dbm] * n_si
-    if len(si_dbm) != n_si:
+    if not isinstance(si_dbm, list) or len(si_dbm) != n_si:
         raise ValueError("si_dbm must list one power per interference source")
     imax_dbm = pw.get("i_max_dbm", -30.0)
     if np.isscalar(imax_dbm):
         imax_dbm = [imax_dbm] * n_si
-    if len(imax_dbm) != n_si:
+    if not isinstance(imax_dbm, list) or len(imax_dbm) != n_si:
         raise ValueError("i_max_dbm must list one threshold per interference source")
 
     weights = _json_float(cfg["weights"], "weights", array=True)

@@ -10,8 +10,8 @@ The matrix chain (``build_matrices``, ``GraphMatrices.from_adjacency``,
 ``weighted_laplacian``, ``eig_sym``) also takes stacks with leading axes.
 ``connectivity_bundle`` is the one pass that turns a (stacked)
 ``ChannelState`` into rate matrices, weighted Laplacians and their spectra
-(one batched ``eigh``); ``lambda2_stack`` is that pass over a state built
-from a stack of positions.
+(one batched ``eigh``); ``lambda2_stack`` is that pass over a stack of
+positions, under a reference state's scenario and fading.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, _endpoints, _state_for, edge_rates
-from .scenario import Scenario
+from .channel import ChannelState, _endpoints, edge_rates
 
 _EIG_TOL = 1.0e-9
 
@@ -66,16 +65,12 @@ class GraphMatrices:
         return self.adjacency.shape[-1]
 
 
-def build_matrices(scenario: Scenario,
-                   fading: FadingModel | None = None,
-                   state: ChannelState | None = None,
-                   powers: np.ndarray | None = None) -> GraphMatrices:
-    """Rate matrix over the scenario topology, plus degree and Laplacian
+def build_matrices(state: ChannelState, powers: np.ndarray | None = None) -> GraphMatrices:
+    """Rate matrix over the state's topology, plus degree and Laplacian
     (one per geometry of a stacked state), at ``powers`` as in ``edge_rates``."""
-    st = _state_for(scenario, fading, state)
-    n = scenario.n_primary
-    rates = edge_rates(scenario, st, powers)
-    p, q = _endpoints(scenario.topology)
+    n = state.scenario.n_primary
+    rates = edge_rates(state, powers)
+    p, q = _endpoints(state.scenario.topology)
     a = np.zeros(rates.shape[:-1] + (n, n))
     a[..., p, q] = a[..., q, p] = rates
     return GraphMatrices.from_adjacency(a)
@@ -184,18 +179,17 @@ class LaplacianBundle:
             lambda2=lam2, fiedler=fiedler, spectral_gap=gap, degenerate=degenerate)
 
 
-def connectivity_bundle(scenario: Scenario,
-                        fading: FadingModel | None = None,
+def connectivity_bundle(state: ChannelState,
                         weights: np.ndarray | None = None,
                         mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
-                        state: ChannelState | None = None,
                         powers: np.ndarray | None = None) -> LaplacianBundle:
     """The spectral data of a state's geometry at ``powers`` (default: the
-    scenario's).  A stacked state gives one bundle whose per-geometry fields
-    (matrices, lambda2, Fiedler vectors, gaps, flags) carry its leading
-    axes, each entry equal to the bit to that geometry's own."""
-    w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
-    matrices = build_matrices(scenario, fading, state, powers)
+    state's scenario's), with ``weights`` (default: the scenario's).  A
+    stacked state gives one bundle whose per-geometry fields (matrices,
+    lambda2, Fiedler vectors, gaps, flags) carry its leading axes, each
+    entry equal to the bit to that geometry's own."""
+    w = state.scenario.weights if weights is None else np.asarray(weights, dtype=float)
+    matrices = build_matrices(state, powers)
     lw = weighted_laplacian(matrices, w, mode)
     fr = fiedler_pair(lw)
     return LaplacianBundle(
@@ -210,31 +204,31 @@ def connectivity_bundle(scenario: Scenario,
     )
 
 
-def lambda2_stack(scenario: Scenario,
+def lambda2_stack(reference: ChannelState,
                   positions: np.ndarray,
-                  fading: FadingModel | None = None,
                   weights: np.ndarray | None = None,
                   mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
-                  reference: ChannelState | None = None,
                   powers: np.ndarray | None = None) -> np.ndarray:
-    """lambda2 of the scenario at every geometry of a (..., n_total, 3) stack.
+    """lambda2 of the reference state's scenario and fading at every geometry
+    of a (..., n_total, 3) stack.
 
-    ``connectivity_bundle`` of a ``ChannelState`` over the stack (with
-    ``reference``; ``powers`` broadcast against the stack's leading axes),
-    so each entry is that geometry's own ``lambda2`` to the bit.  A failing
-    stack is evaluated again geometry by geometry, to raise what the first
-    failing one, in C order, raises alone.
+    ``connectivity_bundle`` of a ``ChannelState`` over the stack, which
+    copies the rows of unmoved nodes from ``reference`` (``powers``
+    broadcast against the stack's leading axes), so each entry is that
+    geometry's own ``lambda2`` to the bit.  A failing stack is evaluated
+    again geometry by geometry, to raise what the first failing one, in C
+    order, raises alone.
     """
+    scenario, fading = reference.scenario, reference.fading
     try:
-        state = ChannelState(scenario, fading or FadingModel.unit_gain(), positions, reference)
-        return connectivity_bundle(scenario, fading, weights, mode, state, powers).lambda2
+        state = ChannelState(scenario, fading, positions, reference)
+        return connectivity_bundle(state, weights, mode, powers).lambda2
     except ValueError:
         lead = positions.shape[:-2]
         if powers is not None:
             powers = np.broadcast_to(powers, lead + powers.shape[-1:])
         for g in np.ndindex(lead):
-            connectivity_bundle(scenario, fading, weights, mode,
-                                _state_for(scenario, fading, positions=positions[g]),
+            connectivity_bundle(ChannelState(scenario, fading, positions[g]), weights, mode,
                                 None if powers is None else powers[g])
         raise
 

@@ -8,12 +8,14 @@ gradient of its rate.  Finite differences are available as a fallback and
 as the honest option for the normalized Laplacian, whose Fiedler formula
 is only a heuristic.  They evaluate every +-h bump of every UAV coordinate
 in one stacked lambda2 pass, bit-identical to bumping one coordinate at a
-time.  A step evaluates each trial as a ``ChannelState`` over its positions
-(no new ``Scenario``) and returns the state and spectral bundle of the
+time.  Both take a ``ChannelState`` (scenario, fading, positions) and its
+``LaplacianBundle`` (mode, weights), the one statement of what they
+evaluate.  A step evaluates each trial as a state over its positions (no
+new ``Scenario``) and returns the state and spectral bundle of the
 positions it accepts, at the powers it stepped with, so the caller need not
-evaluate them again.  Both the gradient and the step run on a stacked
-state, one geometry per batch point; the step lifts a single geometry to a
-stack of one, so one body serves both.
+evaluate them again.  Both run on a stacked state, one geometry per batch
+point; the step lifts a single geometry to a stack of one, so one body
+serves both.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, FadingModel, _endpoints, _join, _state_for, rate_jacobian
-from .scenario import Scenario, _require_finite
+from .channel import ChannelState, _endpoints, _join, rate_jacobian
+from .scenario import _require_finite
 from .spectral import LaplacianBundle, LaplacianMode, connectivity_bundle, lambda2_stack
 
 
@@ -84,14 +86,14 @@ class GradientField:
     degenerate: bool
 
 
-def _analytic_gradient(scenario: Scenario, bundle: LaplacianBundle,
-                       state, powers=None) -> np.ndarray:
+def _analytic_gradient(bundle: LaplacianBundle, state: ChannelState,
+                       powers=None) -> np.ndarray:
     """(..., n_uavs, 3): the per-edge formula, one gradient per geometry of a
     stacked state and bundle."""
     y = bundle.fiedler / np.sqrt(bundle.weights)
-    jac = rate_jacobian(scenario, state, powers)
-    grad = np.zeros(jac.shape[:-3] + (scenario.n_uavs, 3))
-    p, q = _endpoints(scenario.topology)
+    jac = rate_jacobian(state, powers)
+    grad = np.zeros(jac.shape[:-3] + (state.scenario.n_uavs, 3))
+    p, q = _endpoints(state.scenario.topology)
     gaps = y[..., p] - y[..., q]
     # squared one by one with C pow, as a scalar ``** 2`` squares: an array's
     # ``** 2`` multiplies, which differs in the last bit now and then
@@ -108,21 +110,21 @@ def _analytic_gradient(scenario: Scenario, bundle: LaplacianBundle,
     return grad
 
 
-def _fd_gradients(scenario: Scenario, fading, weights, mode, h: float,
-                  state: ChannelState, powers=None) -> np.ndarray:
+def _fd_gradients(state: ChannelState, weights, mode, h: float,
+                  powers=None) -> np.ndarray:
     """Central differences of lambda2 in every UAV coordinate, in one pass.
 
-    The geometries are those of a (stacked) ``state``, at ``powers`` (one
-    row per geometry).  The 2 * 3 * n_uavs bumped geometries of each
-    (coordinate + h, then that value - 2h) form one
-    (..., n_uavs, 3, 2, n_total, 3) stack for ``lambda2_stack``, with
+    The geometries are those of a (stacked) ``state``, under its scenario
+    and fading, at ``powers`` (one row per geometry).  The 2 * 3 * n_uavs
+    bumped geometries of each (coordinate + h, then that value - 2h) form
+    one (..., n_uavs, 3, 2, n_total, 3) stack for ``lambda2_stack``, with
     ``state`` as its reference, so each bump computes one row, each gradient
     is bit-identical to bumping and evaluating one coordinate at a time, and
     a failing bump raises what it raised there.
     """
     positions = state.positions
     lead = positions.shape[:-2]
-    uavs = list(scenario.uav_indices)
+    uavs = list(state.scenario.uav_indices)
     n_uavs = len(uavs)
     stack = np.empty(lead + (n_uavs, 3, 2) + positions.shape[-2:])
     stack[...] = positions[..., None, None, None, :, :]
@@ -133,7 +135,7 @@ def _fd_gradients(scenario: Scenario, fading, weights, mode, h: float,
     stack[..., uav, axis, 1, node, axis] = hi - 2.0 * h
     if powers is not None:
         powers = powers[..., None, None, None, :]
-    lam = lambda2_stack(scenario, stack, fading, weights, mode, state, powers)
+    lam = lambda2_stack(state, stack, weights, mode, powers)
     return (lam[..., 0] - lam[..., 1]) / (2.0 * h)
 
 
@@ -142,34 +144,30 @@ def _each(value) -> list:
     return np.reshape(value, -1).tolist()
 
 
-def lambda2_gradient(scenario: Scenario,
-                     fading: FadingModel | None = None,
-                     laplacian_mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
+def lambda2_gradient(state: ChannelState, bundle: LaplacianBundle,
                      gradient_mode: GradientMode = GradientMode.ANALYTIC,
-                     fd_step_m: float = 1.0e-3,
-                     bundle: LaplacianBundle | None = None,
-                     state=None, powers=None):
+                     fd_step_m: float = 1.0e-3, powers=None):
     """Gradient of lambda2 with respect to every UAV coordinate.
 
-    A degenerate Fiedler pair (tiny spectral gap) makes the analytic form
-    unreliable, so the call falls back to central finite differences and
-    flags it.  The analytic form is exact only for the combinatorial
-    weighted Laplacian; for the normalized one it is a known approximation
-    and finite differences should be preferred.
+    The lambda2 is ``bundle``'s: the state's ``connectivity_bundle`` at
+    ``powers`` (default: its scenario's), in the bundle's Laplacian mode and
+    weights, which the finite differences keep.  A degenerate Fiedler pair
+    (tiny spectral gap) makes the analytic form unreliable, so the call
+    falls back to central finite differences and flags it.  The analytic
+    form is exact only for the combinatorial weighted Laplacian; for the
+    normalized one it is a known approximation and finite differences
+    should be preferred.
 
     A stacked ``state`` (with its bundle and ``powers``, one row per
     geometry) gives a tuple of fields, one per geometry: one stacked
     analytic pass, then one finite-difference stack for every geometry that
     needs it.
     """
-    state = _state_for(scenario, fading, state)
-    if bundle is None:
-        bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state,
-                                     powers=powers)
+    n_uavs = state.scenario.n_uavs
     lead = state.positions.shape[:-2]
     degenerate = np.asarray(bundle.degenerate)
     fd = np.full(lead, gradient_mode is GradientMode.FINITE_DIFFERENCE)
-    grad = np.zeros(lead + (scenario.n_uavs, 3))
+    grad = np.zeros(lead + (n_uavs, 3))
     if gradient_mode is GradientMode.ANALYTIC:
         # the per-edge formula is the eigenvalue derivative of the
         # combinatorial weighted Laplacian; its Fiedler vector is used even
@@ -177,20 +175,19 @@ def lambda2_gradient(scenario: Scenario,
         # that gradcheck exists to expose)
         formula = bundle
         if bundle.mode is not LaplacianMode.COMBINATORIAL_WEIGHTED:
-            formula = connectivity_bundle(scenario, fading, bundle.weights,
-                                          LaplacianMode.COMBINATORIAL_WEIGHTED, state, powers)
+            formula = connectivity_bundle(state, bundle.weights,
+                                          LaplacianMode.COMBINATORIAL_WEIGHTED, powers)
         fd = degenerate = np.asarray(formula.degenerate)
         if not fd.all():
-            grad = _analytic_gradient(scenario, formula, state, powers)
+            grad = _analytic_gradient(formula, state, powers)
     if fd.any():
         # a boolean pick keeps a leading axis, also for a single geometry
-        grad[fd] = _fd_gradients(scenario, fading, bundle.weights, laplacian_mode, fd_step_m,
-                                 state._select(fd),
+        grad[fd] = _fd_gradients(state._select(fd), bundle.weights, bundle.mode, fd_step_m,
                                  None if powers is None else np.asarray(powers)[fd])
     fields = tuple(
         GradientField(d_lambda2=g, mode_used=GradientMode.FINITE_DIFFERENCE if f else gradient_mode,
                       degenerate=d)
-        for g, f, d in zip(grad.reshape(-1, scenario.n_uavs, 3), _each(fd), _each(degenerate)))
+        for g, f, d in zip(grad.reshape(-1, n_uavs, 3), _each(fd), _each(degenerate)))
     return fields if lead else fields[0]
 
 
@@ -220,17 +217,14 @@ def _step_settings(configs: tuple) -> tuple:
     return tables
 
 
-def step(scenario: Scenario,
-         gradient,
-         config,
-         fading: FadingModel | None = None,
-         laplacian_mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
-         bundle: LaplacianBundle | None = None,
-         state=None, powers=None):
+def step(state: ChannelState, bundle: LaplacianBundle, gradient, config, powers=None):
     """One ascent step with masking, step clipping, and optional backtracking.
 
-    Masked axes are left bit-for-bit untouched.  The displacement of each
-    UAV is clipped to max_step_m; accepted altitudes never drop below
+    ``bundle`` is the state's ``connectivity_bundle`` at ``powers``; each
+    trial is a state over its positions with the input's scenario and
+    fading, evaluated in the bundle's Laplacian mode and weights.  Masked
+    axes are left bit-for-bit untouched.  The displacement of each UAV is
+    clipped to max_step_m; accepted altitudes never drop below
     min_altitude_m (only enforced when z is an active axis).  With
     backtracking on, dt is halved until lambda2 does not decrease; if
     max_backtracks halvings all fail the step stalls and returns the
@@ -245,10 +239,6 @@ def step(scenario: Scenario,
     still halving.  A single geometry is stepped as a stack of one and
     gives one result.
     """
-    state = _state_for(scenario, fading, state)
-    if bundle is None:
-        bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state,
-                                     powers=powers)
     # a single geometry is lifted to a stack of one (views; nothing is
     # recomputed), and its result unwrapped at the return
     lone = state.positions.ndim == 2
@@ -258,7 +248,7 @@ def step(scenario: Scenario,
     grad = np.stack([g.d_lambda2 for g in gradient])
     count = len(grad)
     configs = (config,) * count if isinstance(config, TrajectoryConfig) else tuple(config)
-    uavs = list(scenario.uav_indices)
+    uavs = list(state.scenario.uav_indices)
     base = state.positions[:, uavs]
     on, cap, floor = _step_settings(configs)
     lam_old = _each(bundle.lambda2)
@@ -286,11 +276,10 @@ def step(scenario: Scenario,
         # a trial of one geometry computes its own rows, with no copies; a
         # larger one copies the input state's rows of the nodes it does not
         # move rather than compute every row of every point
-        new_state = ChannelState(scenario, fading or FadingModel.unit_gain(), trial,
+        new_state = ChannelState(state.scenario, state.fading, trial,
                                  None if len(live) == 1 else state._select(pick))
-        new_bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode,
-                                         state=new_state,
-                                         powers=None if powers is None else powers[live])
+        new_bundle = connectivity_bundle(new_state, bundle.weights, bundle.mode,
+                                         None if powers is None else powers[live])
         lam_new = _each(new_bundle.lambda2)
         took, gave_up, halving = [], [], []
         for i, k in enumerate(live):

@@ -5,14 +5,16 @@ kept verbatim apart from reading the masks and lazy tables through
 ``ChannelState``'s public attributes.  Every SIR, rate and derivative is
 computed one pair and one coordinate at a time, each with its own masked 1-D
 sums, so a test can compare the arrays against an independent evaluation
-with ``np.array_equal``.  ``_resolve_wrt`` is a verbatim copy of the check
-the library's scalar derivative lookups made before they were deleted in
-favour of ``sir_jacobian`` and ``rate_jacobian``.
+with ``np.array_equal``.  Each function reads its tables from the given
+state and its powers from the given scenario.  ``_resolve_wrt`` is a
+verbatim copy of the check the library's scalar derivative lookups made
+before they were deleted in favour of ``sir_jacobian`` and
+``rate_jacobian``.
 """
 
 import numpy as np
 
-from aerolink.channel import LN2, _require_edge, _state_for
+from aerolink.channel import LN2, _require_edge
 from aerolink.scenario import NodeClass
 
 
@@ -44,13 +46,13 @@ def safety_sum_gradient(st, i, j, axis):
     return float(terms[excl[i]].sum())
 
 
-def sir(i, j, scenario, fading=None, state=None):
+def sir(i, j, scenario, state):
     n = scenario.n_primary
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("SIR is defined between primary nodes only")
     if i == j:
         raise ValueError("SIR undefined for a node talking to itself")
-    st = _state_for(scenario, fading, state)
+    st = state
     denom = sir_denominator(st, i, j)
     if denom == 0.0:
         raise ValueError("zero SIR denominator: no interference sources and no "
@@ -63,21 +65,21 @@ def sir(i, j, scenario, fading=None, state=None):
     return value
 
 
-def edge_rate(i, j, scenario, fading=None, state=None):
+def edge_rate(i, j, scenario, state):
     if i == j:
         return 0.0
     _require_edge(i, j, scenario)
-    st = _state_for(scenario, fading, state)
+    st = state
     b = scenario.channel.bandwidth_hz
     return float(0.5 * b * (np.log2(1.0 + sir(i, j, scenario, state=st))
                             + np.log2(1.0 + sir(j, i, scenario, state=st))))
 
 
-def sir_spatial_gradient(i, j, wrt, scenario, fading=None, state=None):
+def sir_spatial_gradient(i, j, wrt, scenario, state):
     t, c = _resolve_wrt(scenario, wrt)
     if i == j:
         raise ValueError("SIR undefined for a node talking to itself")
-    st = _state_for(scenario, fading, state)
+    st = state
     sc = scenario
     pos = sc.positions
     denom = sir_denominator(st, i, j)
@@ -106,11 +108,11 @@ def sir_spatial_gradient(i, j, wrt, scenario, fading=None, state=None):
     return float(dnum / denom - (num / denom) * (dden / denom))
 
 
-def rate_spatial_gradient(p, q, wrt, scenario, fading=None, state=None):
+def rate_spatial_gradient(p, q, wrt, scenario, state):
     if p == q:
         return 0.0
     _require_edge(p, q, scenario)
-    st = _state_for(scenario, fading, state)
+    st = state
     b = scenario.channel.bandwidth_hz
     s_pq = sir(p, q, scenario, state=st)
     s_qp = sir(q, p, scenario, state=st)

@@ -8,6 +8,7 @@ evaluated every bump in one stacked pass, kept verbatim: each of the
 
 import numpy as np
 
+from aerolink.channel import build_state
 from aerolink.spectral import connectivity_bundle
 
 
@@ -18,10 +19,10 @@ def fd_gradient(scenario, fading, weights, mode, h):
         for axis in range(3):
             bumped = base.copy()
             bumped[uidx, axis] += h
-            hi = connectivity_bundle(scenario.with_uav_positions(bumped),
-                                     fading, weights, mode).lambda2
+            hi = connectivity_bundle(build_state(scenario.with_uav_positions(bumped), fading),
+                                     weights, mode).lambda2
             bumped[uidx, axis] -= 2.0 * h
-            lo = connectivity_bundle(scenario.with_uav_positions(bumped),
-                                     fading, weights, mode).lambda2
+            lo = connectivity_bundle(build_state(scenario.with_uav_positions(bumped), fading),
+                                     weights, mode).lambda2
             grad[uidx, axis] = (hi - lo) / (2.0 * h)
     return grad

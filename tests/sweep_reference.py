@@ -9,14 +9,16 @@ from ``power_caps``.  ``step`` and ``_analytic_gradient`` are the bodies
 scalar ``** 2`` per edge coefficient, zero coefficients skipped.  Every
 iteration builds a new ``Scenario`` for the accepted positions and one for
 the solved powers, and every call sees one geometry, so each record comes
-from single-geometry arithmetic only.  ``sweep_histories`` runs a sweep's
-grid one point after another, as ``aerolink sweep`` did.
+from single-geometry arithmetic only.  A state keeps the ``Scenario`` it was
+built with, so a library call is passed the current ``Scenario``'s powers.
+``sweep_histories`` runs a sweep's grid one point after another, as
+``aerolink sweep`` did.
 """
 
 import numpy as np
 
 import fd_reference
-from aerolink.channel import _state_for, edge_rates, rate_jacobian
+from aerolink.channel import ChannelState, build_state, edge_rates, rate_jacobian
 from aerolink.cli import _apply_sweep_value, _optimizer_config, _scenario_from_args
 from aerolink.flow import from_adjacency, max_flow
 from aerolink.optimizer import IterationRecord, RunHistory, TerminationReason
@@ -28,7 +30,7 @@ from aerolink.trajectory import GradientField, GradientMode, StepResult
 
 def _analytic_gradient(scenario, bundle, state):
     y = bundle.fiedler / np.sqrt(bundle.weights)
-    jac = rate_jacobian(scenario, state)
+    jac = rate_jacobian(state, scenario.node_powers_w)
     grad = np.zeros((scenario.n_uavs, 3))
     # edge by edge in topology order: each coordinate sums its terms in the
     # same order as a per-coordinate loop would
@@ -40,11 +42,7 @@ def _analytic_gradient(scenario, bundle, state):
     return grad
 
 
-def step(scenario, gradient, config, fading=None,
-         laplacian_mode=LaplacianMode.COMBINATORIAL_WEIGHTED, bundle=None, state=None):
-    state = _state_for(scenario, fading, state)
-    if bundle is None:
-        bundle = connectivity_bundle(scenario, fading, mode=laplacian_mode, state=state)
+def step(scenario, gradient, config, fading, laplacian_mode, bundle, state):
     lam_old = bundle.lambda2
     base = scenario.uav_positions
     uavs = list(scenario.uav_indices)
@@ -66,9 +64,8 @@ def step(scenario, gradient, config, fading=None,
     def lam_at(pos):
         full = scenario.positions.copy()
         full[uavs] = pos
-        moved_state = _state_for(scenario, fading, positions=full)
-        return connectivity_bundle(scenario, fading, mode=laplacian_mode,
-                                   state=moved_state).lambda2, moved_state
+        moved_state = ChannelState(scenario, fading, full)
+        return connectivity_bundle(moved_state, mode=laplacian_mode).lambda2, moved_state
 
     dt = config.dt
     halvings = 0
@@ -89,13 +86,13 @@ def step(scenario, gradient, config, fading=None,
 
 
 def _evaluate(scenario, config, state=None):
-    state = _state_for(scenario, config.fading, state)
-    bundle = connectivity_bundle(scenario, config.fading,
-                                 mode=config.laplacian_mode, state=state)
+    if state is None:
+        state = build_state(scenario, config.fading)
+    bundle = connectivity_bundle(state, mode=config.laplacian_mode,
+                                 powers=scenario.node_powers_w)
     net = from_adjacency(bundle.matrices, scenario.source, scenario.destination)
     value, _ = max_flow(net)
-    report = verify_interference(scenario, scenario.node_powers_w,
-                                 config.fading, state=state)
+    report = verify_interference(state, scenario.node_powers_w)
     return bundle, value, report, state
 
 
@@ -106,8 +103,9 @@ def _gradient(scenario, config, bundle, state):
     if used is GradientMode.ANALYTIC:
         formula = bundle
         if bundle.mode is not LaplacianMode.COMBINATORIAL_WEIGHTED:
-            formula = connectivity_bundle(scenario, fading, bundle.weights,
-                                          LaplacianMode.COMBINATORIAL_WEIGHTED, state)
+            formula = connectivity_bundle(state, bundle.weights,
+                                          LaplacianMode.COMBINATORIAL_WEIGHTED,
+                                          scenario.node_powers_w)
         if not formula.degenerate:
             return GradientField(_analytic_gradient(scenario, formula, state), used, False)
         return GradientField(fd_reference.fd_gradient(
@@ -157,8 +155,8 @@ def run(scenario, config):
         current = current.with_uav_positions(moved.positions)
         state = moved.state
 
-        caps = power_caps(current, config.fading, state=state)
-        eta = float(edge_rates(current.with_node_powers(caps), state).min())
+        caps = power_caps(state, current.i_max_w)
+        eta = float(edge_rates(state, caps).min())
         current = current.with_node_powers(caps)
 
         bundle, flow_value, report, state = _evaluate(current, config, state=state)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import aerolink.channel as ch
 import aerolink.flow as fl
 import aerolink.spectral as sp
 from aerolink.cli import gradcheck_rows, main
@@ -91,7 +92,7 @@ def test_criterion_2_analytic_gradient_matches_finite_differences():
     degenerate = 0
     for _ in range(50):
         s = make_line_scenario(rng)
-        if sp.connectivity_bundle(s).degenerate:
+        if sp.connectivity_bundle(ch.build_state(s)).degenerate:
             degenerate += 1
             continue
         worst = max(worst, max(r["rel_err"] for r in gradcheck_rows(s, cfg)))
@@ -120,19 +121,19 @@ def test_criterion_3_weighted_cheeger_inequalities():
 
 
 def test_criterion_4_power_solver_matches_all_at_caps_closed_form():
-    import aerolink.channel as ch
     rng = np.random.default_rng(230)
     worst = 0.0
     margin_floor = 0.0
     all_passed = True
     for _ in range(100):
         s = make_line_scenario(rng)
-        sol = solve_maxmin(s)
-        caps = power_caps(s)
-        at_caps = s.with_node_powers(caps)
+        state = ch.build_state(s)
+        sol = solve_maxmin(state)
+        caps = power_caps(state)
+        at_caps = ch.build_state(s.with_node_powers(caps))
         closed = min(ch.edge_rate(i, j, at_caps) for i, j in s.topology)
         worst = max(worst, abs(sol.eta - closed) / max(1.0, closed))
-        report = verify_interference(s, sol.powers_w)
+        report = verify_interference(state, sol.powers_w)
         all_passed &= report.passed
         if s.n_si:
             margin_floor = min(margin_floor,

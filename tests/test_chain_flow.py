@@ -31,7 +31,7 @@ def _assert_flows_are_max_flows(scenario, history, fading):
         positions = scenario.positions.copy()
         positions[list(scenario.uav_indices)] = rec.uav_positions
         state = ch.ChannelState(scenario, fading, positions)
-        rates = build_matrices(scenario, fading, state, rec.powers_w).adjacency
+        rates = build_matrices(state, rec.powers_w).adjacency
         value, _ = max_flow(from_adjacency(rates, scenario.source, scenario.destination))
         flows.append(rec.flow_bits_per_s)
         reference.append(value)
@@ -99,8 +99,8 @@ def test_a_batch_trial_computes_only_the_rows_of_the_moved_uavs(monkeypatch):
     points = [base.with_ue_altitude(v) for v in (20.0, 80.0, 200.0)]
     fading = ch.FadingModel.unit_gain()
     state = ch.ChannelState(base, fading, np.stack([p.positions for p in points]))
-    bundle = connectivity_bundle(base, fading, state=state)
-    grads = tj.lambda2_gradient(base, fading, bundle=bundle, state=state)
+    bundle = connectivity_bundle(state)
+    grads = tj.lambda2_gradient(state, bundle)
     sizes = []
     smoothed_step = ch.smoothed_step
 
@@ -110,8 +110,7 @@ def test_a_batch_trial_computes_only_the_rows_of_the_moved_uavs(monkeypatch):
 
     monkeypatch.setattr(ch, "smoothed_step", recording)
     # one trial round: the first candidate is accepted as it is
-    tj.step(base, grads, TrajectoryConfig(backtracking=False), fading,
-            bundle=bundle, state=state)
+    tj.step(state, bundle, grads, TrajectoryConfig(backtracking=False))
     assert len(sizes) == 1
     assert 0 < sizes[0] <= len(points) * base.n_uavs * base.n_primary
 

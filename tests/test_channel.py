@@ -52,7 +52,7 @@ def test_link_gain_reference_distance():
     pos = s.positions.copy()
     pos[2] = pos[1] + np.array([1.0, 0.0, 0.0])
     s = dataclasses.replace(s, positions=pos)
-    lg = ch.link_gain(1, 2, s)
+    lg = ch.link_gain(1, 2, ch.build_state(s))
     assert lg.a2a
     assert lg.distance_m == pytest.approx(1.0, abs=1e-12)
     assert lg.gain_sq == pytest.approx(10.0 ** (-_free_space_db() / 10.0), rel=1e-12)
@@ -64,7 +64,7 @@ def test_link_gain_100m_free_space_alpha_two():
     pos = s.positions.copy()
     pos[2] = pos[1] + np.array([100.0, 0.0, 0.0])
     s = dataclasses.replace(s, positions=pos)
-    lg = ch.link_gain(1, 2, s)
+    lg = ch.link_gain(1, 2, ch.build_state(s))
     # compose with the path loss oracle: offset + 20 dB/decade over two decades
     expected_db = ch.path_loss_db(True, 100.0, s.channel)
     assert expected_db == pytest.approx(_free_space_db() + 40.0, abs=1e-9)
@@ -79,8 +79,8 @@ def test_link_gain_reciprocity_unit_and_rayleigh():
             st = ch.build_state(s, fading)
             for i in range(s.n_primary):
                 for j in range(i + 1, s.n_primary):
-                    a = ch.link_gain(i, j, s, fading, state=st)
-                    b = ch.link_gain(j, i, s, fading, state=st)
+                    a = ch.link_gain(i, j, st)
+                    b = ch.link_gain(j, i, st)
                     assert a.gain_sq == b.gain_sq
                     assert a.path_loss_db == b.path_loss_db
 
@@ -96,7 +96,7 @@ def test_rayleigh_draw_is_seed_stable_and_order_free():
 def test_link_gain_rejects_self_link():
     s = make_line_scenario(np.random.default_rng(3))
     with pytest.raises(ValueError):
-        ch.link_gain(1, 1, s)
+        ch.link_gain(1, 1, ch.build_state(s))
 
 
 def test_coincident_nodes_rejected():
@@ -154,7 +154,7 @@ def test_sir_zero_denominator_is_an_error():
                            jitter=False)
     s = dataclasses.replace(s, safety=sc.SafetyParams(chi=0.0))
     with pytest.raises(ValueError, match="zero SIR denominator"):
-        ch.sir(0, 1, s)
+        ch.sir(0, 1, ch.build_state(s))
 
 
 def test_sir_underflowed_denominator_is_the_same_error():
@@ -166,22 +166,22 @@ def test_sir_underflowed_denominator_is_the_same_error():
                        [770.0, 0.0, 30.0], [1155.0, 0.0, 25.0]])
     s = dataclasses.replace(s, positions=spread)
     with pytest.raises(ValueError, match="zero SIR denominator"):
-        ch.sir(0, 1, s)
+        ch.sir(0, 1, ch.build_state(s))
 
 
 def test_sir_requires_primary_pair():
     s = make_line_scenario(np.random.default_rng(6), n_si=2)
     with pytest.raises(ValueError):
-        ch.sir(1, 1, s)
+        ch.sir(1, 1, ch.build_state(s))
     with pytest.raises(ValueError):
-        ch.sir(0, s.n_primary, s)  # an interference source index
+        ch.sir(0, s.n_primary, ch.build_state(s))  # an interference source index
 
 
 def test_sir_halves_when_si_power_doubles():
     s = make_line_scenario(np.random.default_rng(7), n_uavs=3, n_si=1, chi=0.0)
-    base = ch.sir(1, 2, s)
+    base = ch.sir(1, 2, ch.build_state(s))
     doubled = dataclasses.replace(s, si_powers_w=s.si_powers_w * 2.0)
-    assert ch.sir(1, 2, doubled) == pytest.approx(base / 2.0, rel=1e-12)
+    assert ch.sir(1, 2, ch.build_state(doubled)) == pytest.approx(base / 2.0, rel=1e-12)
 
 
 def test_sir_safety_only_denominator():
@@ -197,7 +197,7 @@ def test_sir_safety_only_denominator():
     u_terms = ch.smoothed_step(dists / saf.r_int_m, saf)
     assert np.all(u_terms < 1.0e-40)
     expected = s.node_powers_w[i] * st.gain_sq[i, j] / (saf.chi * u_terms.sum())
-    assert ch.sir(i, j, s) == pytest.approx(expected, rel=1e-12)
+    assert ch.sir(i, j, ch.build_state(s)) == pytest.approx(expected, rel=1e-12)
     # dominated by the largest term
     assert u_terms.sum() <= 2.0 * u_terms.max()
 
@@ -208,7 +208,7 @@ def test_sir_safety_only_denominator():
 def test_edge_rate_of_a_self_pair_is_not_a_topology_edge():
     s = make_line_scenario(np.random.default_rng(9))
     with pytest.raises(ValueError, match=re.escape("(1, 1) is not a topology edge")):
-        ch.edge_rate(1, 1, s)
+        ch.edge_rate(1, 1, ch.build_state(s))
 
 
 def test_edge_rate_symmetric_exactly():
@@ -217,7 +217,7 @@ def test_edge_rate_symmetric_exactly():
         s = make_line_scenario(rng)
         st = ch.build_state(s)
         for i, j in s.topology:
-            assert ch.edge_rate(i, j, s, state=st) == ch.edge_rate(j, i, s, state=st)
+            assert ch.edge_rate(i, j, st) == ch.edge_rate(j, i, st)
 
 
 def test_edge_rate_unit_sir_gives_full_bandwidth():
@@ -230,10 +230,10 @@ def test_edge_rate_unit_sir_gives_full_bandwidth():
     p[i] = st.sir_denominators[i, j] / st.gain_sq[i, j]
     p[j] = st.sir_denominators[j, i] / st.gain_sq[j, i]
     s = s.with_node_powers(p)
-    assert ch.sir(i, j, s) == pytest.approx(1.0, rel=1e-12)
-    assert ch.sir(j, i, s) == pytest.approx(1.0, rel=1e-12)
+    assert ch.sir(i, j, ch.build_state(s)) == pytest.approx(1.0, rel=1e-12)
+    assert ch.sir(j, i, ch.build_state(s)) == pytest.approx(1.0, rel=1e-12)
     # B/2 * (log2(2) + log2(2)) = B
-    assert ch.edge_rate(i, j, s) == pytest.approx(s.channel.bandwidth_hz, rel=1e-9)
+    assert ch.edge_rate(i, j, ch.build_state(s)) == pytest.approx(s.channel.bandwidth_hz, rel=1e-9)
 
 
 def test_edge_rate_matches_sir_composition():
@@ -243,15 +243,15 @@ def test_edge_rate_matches_sir_composition():
         st = ch.build_state(s)
         b = s.channel.bandwidth_hz
         for i, j in s.topology:
-            expected = 0.5 * b * (np.log2(1.0 + ch.sir(i, j, s, state=st))
-                                  + np.log2(1.0 + ch.sir(j, i, s, state=st)))
-            assert ch.edge_rate(i, j, s, state=st) == pytest.approx(expected, rel=1e-12)
+            expected = 0.5 * b * (np.log2(1.0 + ch.sir(i, j, st))
+                                  + np.log2(1.0 + ch.sir(j, i, st)))
+            assert ch.edge_rate(i, j, st) == pytest.approx(expected, rel=1e-12)
 
 
 def test_edge_rate_rejects_non_edges():
     s = make_line_scenario(np.random.default_rng(13), n_uavs=3)
     with pytest.raises(ValueError, match="not a topology edge"):
-        ch.edge_rate(0, 2, s)
+        ch.edge_rate(0, 2, ch.build_state(s))
 
 
 # -- spatial gradients -------------------------------------------------------
@@ -270,7 +270,7 @@ def _fd_sir(i, j, t, axis, s, h=1e-4):
     def at(delta):
         bumped = base.copy()
         bumped[uav_slot, axis] += delta
-        return ch.sir(i, j, s.with_uav_positions(bumped))
+        return ch.sir(i, j, ch.build_state(s.with_uav_positions(bumped)))
 
     return (at(h) - at(-h)) / (2.0 * h)
 
@@ -278,7 +278,7 @@ def _fd_sir(i, j, t, axis, s, h=1e-4):
 def test_sir_gradient_zero_for_uninvolved_uav_without_safety():
     s = make_line_scenario(np.random.default_rng(14), n_uavs=3, n_si=2, chi=0.0)
     # uav 3 appears nowhere in sir(1, 2) once the proximity term is off
-    jac = ch.sir_jacobian(s, ch.build_state(s))
+    jac = ch.sir_jacobian(ch.build_state(s))
     assert np.all(jac[1, 2, _slot(s, 3)] == 0.0)
 
 
@@ -286,7 +286,7 @@ def test_sir_gradient_sign_moving_toward_receiver():
     s = make_line_scenario(np.random.default_rng(15), n_uavs=2, n_si=1, chi=0.0,
                            jitter=False)
     # transmitter uav1 at smaller x than receiver uav2: moving +x shrinks d
-    g = ch.sir_jacobian(s, ch.build_state(s))[1, 2, _slot(s, 1), 0]
+    g = ch.sir_jacobian(ch.build_state(s))[1, 2, _slot(s, 1), 0]
     assert g > 0.0
 
 
@@ -298,12 +298,12 @@ def test_sir_gradient_matches_finite_differences():
         s = make_line_scenario(rng)
         st = ch.build_state(s)
         i, j = s.topology[int(rng.integers(0, len(s.topology)))]
-        got = ch.sir_jacobian(s, st)[i, j]
+        got = ch.sir_jacobian(st)[i, j]
         ref = np.array([[_fd_sir(i, j, t, axis, s, h=h)
                          for axis in range(3)] for t in s.uav_indices])
         # the FD oracle itself carries roundoff of order ulp(SIR)/2h, which
         # dominates for components many orders below the leading one
-        noise = 20.0 * ch.sir(i, j, s, state=st) * np.finfo(float).eps / (2.0 * h)
+        noise = 20.0 * ch.sir(i, j, st) * np.finfo(float).eps / (2.0 * h)
         err = np.abs(got - ref) - 1e-6 * np.maximum(np.abs(got), np.abs(ref))
         assert err.max() <= noise, (i, j, err.max(), noise)
         checked += got.size
@@ -312,7 +312,7 @@ def test_sir_gradient_matches_finite_differences():
 
 def test_rate_gradient_zero_for_third_party_without_safety():
     s = make_line_scenario(np.random.default_rng(19), n_uavs=3, n_si=2, chi=0.0)
-    jac = ch.rate_jacobian(s, ch.build_state(s))
+    jac = ch.rate_jacobian(ch.build_state(s))
     assert np.all(jac[s.topology.index((1, 2)), _slot(s, 3)] == 0.0)
 
 
@@ -326,7 +326,7 @@ def test_rate_gradient_matches_finite_differences():
         def at(delta):
             bumped = base.copy()
             bumped[uav_slot, axis] += delta
-            return ch.edge_rate(p, q, s.with_uav_positions(bumped))
+            return ch.edge_rate(p, q, ch.build_state(s.with_uav_positions(bumped)))
 
         return (at(h) - at(-h)) / (2.0 * h)
 
@@ -336,10 +336,10 @@ def test_rate_gradient_matches_finite_differences():
         s = make_line_scenario(rng)
         st = ch.build_state(s)
         p, q = s.topology[int(rng.integers(0, len(s.topology)))]
-        got = ch.rate_jacobian(s, st)[s.topology.index((p, q))]
+        got = ch.rate_jacobian(st)[s.topology.index((p, q))]
         ref = np.array([[fd_rate(p, q, t, axis, s, h=h)
                          for axis in range(3)] for t in s.uav_indices])
-        noise = 20.0 * ch.edge_rate(p, q, s, state=st) * np.finfo(float).eps / (2.0 * h)
+        noise = 20.0 * ch.edge_rate(p, q, st) * np.finfo(float).eps / (2.0 * h)
         err = np.abs(got - ref) - 1e-6 * np.maximum(np.abs(got), np.abs(ref))
         assert err.max() <= noise, (p, q, err.max(), noise)
         checked += got.size

@@ -26,10 +26,10 @@ def _assert_core_matches_reference(s, state):
     denominators = np.array([[ref.sir_denominator(state, i, j) if i != j else 0.0
                               for j in range(s.n_primary)] for i in range(s.n_primary)])
     assert _same_bits(state.sir_denominators[off], denominators[off])
-    assert _same_bits(ch.sir_matrix(s, state)[off], ref.sir_table(s, state)[off])
-    assert _same_bits(ch.sir_jacobian(s, state)[off], ref.sir_gradient_table(s, state)[off])
-    assert _same_bits(ch.edge_rates(s, state), ref.edge_rate_table(s, state))
-    assert _same_bits(ch.rate_jacobian(s, state), ref.rate_gradient_table(s, state))
+    assert _same_bits(ch.sir_matrix(state)[off], ref.sir_table(s, state)[off])
+    assert _same_bits(ch.sir_jacobian(state)[off], ref.sir_gradient_table(s, state)[off])
+    assert _same_bits(ch.edge_rates(state), ref.edge_rate_table(s, state))
+    assert _same_bits(ch.rate_jacobian(state), ref.rate_gradient_table(s, state))
 
 
 @pytest.mark.parametrize("chi", [0.0, 1.0])
@@ -42,8 +42,8 @@ def test_array_core_is_bit_identical_on_random_chains(chi, fading_kind):
         fading = ch.FadingModel(fading_kind, seed)
         state = ch.build_state(s, fading)
         _assert_core_matches_reference(s, state)
-        bundle = connectivity_bundle(s, fading, state=state)
-        assert _same_bits(_analytic_gradient(s, bundle, state),
+        bundle = connectivity_bundle(state)
+        assert _same_bits(_analytic_gradient(bundle, state),
                           ref.analytic_gradient(s, bundle, state))
 
 
@@ -64,8 +64,9 @@ def test_rates_use_the_passed_scenario_powers():
     s = make_line_scenario(np.random.default_rng(33), chi=1.0)
     state = ch.build_state(s)
     halved = s.with_node_powers(s.node_powers_w * np.linspace(0.2, 0.9, s.n_primary))
-    assert _same_bits(ch.edge_rates(halved, state), ref.edge_rate_table(halved, state))
-    adjacency = build_matrices(halved, state=state).adjacency
+    powers = halved.node_powers_w
+    assert _same_bits(ch.edge_rates(state, powers), ref.edge_rate_table(halved, state))
+    adjacency = build_matrices(state, powers).adjacency
     for (p, q), rate in zip(halved.topology, ref.edge_rate_table(halved, state)):
         assert adjacency[p, q] == adjacency[q, p] == rate
 
@@ -86,11 +87,11 @@ def test_scalar_lookups_raise_only_for_the_pair_asked_about():
     assert state.sir_denominators[0, 1] == 0.0 and state.sir_denominators[1, 2] > 0.0
     for fn in (ch.edge_rates, ch.rate_jacobian):
         with pytest.raises(ValueError, match="zero SIR denominator"):
-            fn(s, state)
-    assert ch.sir(1, 2, s, state=state) == ref.sir(1, 2, s, state=state)
-    assert ch.edge_rate(1, 2, s, state=state) == ref.edge_rate(1, 2, s, state=state)
+            fn(state)
+    assert ch.sir(1, 2, state) == ref.sir(1, 2, s, state=state)
+    assert ch.edge_rate(1, 2, state) == ref.edge_rate(1, 2, s, state=state)
     # the unchecked derivative table still has the healthy pair's entries
-    jac = ch.sir_jacobian(s, state)
+    jac = ch.sir_jacobian(state)
     for t, axis in ((1, 0), (2, 2)):
         assert (jac[2, 1, s.uav_indices.index(t), axis]
                 == ref.sir_spatial_gradient(2, 1, (t, axis), s, state=state))
@@ -105,6 +106,13 @@ def _same_error(fn_new, fn_ref, *args, **kwargs):
     return str(new.value)
 
 
+def _same_lookup_error(name, i, j, s, state):
+    """``_same_error`` of the library's lookup ``name`` of pair (i, j) and
+    the reference's, which reads the powers from ``s``."""
+    return _same_error(lambda: getattr(ch, name)(i, j, state),
+                       lambda: getattr(ref, name)(i, j, s, state=state))
+
+
 def test_a_dead_reverse_direction_fails_the_edge():
     # the base station sits 1 km from a tight triple: 1 -> 0 has no proximity
     # term left at the receiver, while 0 -> 1 does
@@ -114,22 +122,22 @@ def test_a_dead_reverse_direction_fails_the_edge():
                     [1003.0, 0.0, 30.0], [1006.0, 0.0, 25.0]])
     s = dataclasses.replace(s, positions=pos)
     state = ch.build_state(s)
-    assert ch.sir(0, 1, s, state=state) == ref.sir(0, 1, s, state=state)
-    _same_error(ch.sir, ref.sir, 1, 0, s, state=state)
-    _same_error(ch.edge_rate, ref.edge_rate, 0, 1, s, state=state)
+    assert ch.sir(0, 1, state) == ref.sir(0, 1, s, state=state)
+    _same_lookup_error("sir", 1, 0, s, state)
+    _same_lookup_error("edge_rate", 0, 1, s, state)
     for fn in (ch.edge_rates, ch.rate_jacobian):
         with pytest.raises(ValueError, match="zero SIR denominator"):
-            fn(s, state)
-    assert ch.edge_rate(1, 2, s, state=state) == ref.edge_rate(1, 2, s, state=state)
+            fn(state)
+    assert ch.edge_rate(1, 2, state) == ref.edge_rate(1, 2, s, state=state)
 
 
 def test_scalar_lookups_keep_their_error_messages():
     s = _split_pairs_scenario()
     state = ch.build_state(s)
     for i, j in ((0, 1), (1, 1), (0, s.n_primary)):
-        _same_error(ch.sir, ref.sir, i, j, s, state=state)
-    _same_error(ch.edge_rate, ref.edge_rate, 0, 2, s, state=state)
-    _same_error(ch.edge_rate, ref.edge_rate, 0, 1, s, state=state)
+        _same_lookup_error("sir", i, j, s, state)
+    _same_lookup_error("edge_rate", 0, 2, s, state)
+    _same_lookup_error("edge_rate", 0, 1, s, state)
 
 
 # -- property tests ------------------------------------------------------------
@@ -182,7 +190,7 @@ def test_array_core_matches_the_scalar_reference(case):
     state = ch.build_state(s, fading)
     _assert_core_matches_reference(s, state)
     for p, q in s.topology[:2]:
-        assert ch.edge_rate(q, p, s, state=state) == ref.edge_rate(q, p, s, state=state)
+        assert ch.edge_rate(q, p, state) == ref.edge_rate(q, p, s, state=state)
 
 
 @settings(max_examples=30, deadline=None)
@@ -198,13 +206,13 @@ def test_decayed_proximity_only_geometry_raises_the_same_error(spacing, n_uavs, 
     state = ch.build_state(s)
     p, q = s.topology[edge % len(s.topology)]
     t = data.draw(st.sampled_from(s.uav_indices))
-    message = _same_error(ch.sir, ref.sir, p, q, s, state=state)
+    message = _same_lookup_error("sir", p, q, s, state)
     assert message.startswith("zero SIR denominator")
-    _same_error(ch.edge_rate, ref.edge_rate, p, q, s, state=state)
+    _same_lookup_error("edge_rate", p, q, s, state)
     # the derivative table is unchecked: where the reference rejects an
     # exactly zero denominator its entry is not finite, and a denormal one
     # overflows to inf or nan in both paths
-    entry = ch.sir_jacobian(s, state)[q, p, s.uav_indices.index(t), 1]
+    entry = ch.sir_jacobian(state)[q, p, s.uav_indices.index(t), 1]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             expected = ref.sir_spatial_gradient(q, p, (t, 1), s, state=state)
@@ -214,5 +222,5 @@ def test_decayed_proximity_only_geometry_raises_the_same_error(spacing, n_uavs, 
         assert np.array_equal(entry, expected, equal_nan=True)
     for fn in (ch.edge_rates, ch.rate_jacobian):
         with pytest.raises(ValueError) as exc:
-            fn(s, state)
+            fn(state)
         assert str(exc.value) == message

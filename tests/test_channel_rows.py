@@ -126,8 +126,8 @@ def test_the_fd_stack_computes_proximity_rows_only(monkeypatch):
 
     monkeypatch.setattr(ch, "smoothed_step", recording)
     # the base state is built under the patch, so its full table counts too
-    tj._fd_gradients(s, ch.FadingModel.unit_gain(), s.weights,
-                     LaplacianMode.COMBINATORIAL_WEIGHTED, 1.0e-3, ch.build_state(s))
+    tj._fd_gradients(ch.build_state(s), s.weights, LaplacianMode.COMBINATORIAL_WEIGHTED,
+                     1.0e-3)
     n_bumps = 2 * 3 * s.n_uavs
     assert n_bumps == 48
     assert 0 < sum(sizes) <= n * n + n_bumps * n
@@ -144,8 +144,8 @@ def _assert_override_matches_a_moved_scenario(s, fading, positions):
     alone = ch.build_state(moved, fading)
     for table in TABLES + GRADIENT_TABLES:
         assert _same_bits(getattr(over, table), getattr(alone, table)), table
-    assert _same_bits(ch.sir_jacobian(s, over), ch.sir_jacobian(moved, alone))
-    assert _same_bits(ch.rate_jacobian(s, over), ch.rate_jacobian(moved, alone))
+    assert _same_bits(ch.sir_jacobian(over), ch.sir_jacobian(alone))
+    assert _same_bits(ch.rate_jacobian(over), ch.rate_jacobian(alone))
 
 
 def test_a_state_over_moved_uavs_has_the_gradient_tables_of_the_moved_scenario():
@@ -153,8 +153,8 @@ def test_a_state_over_moved_uavs_has_the_gradient_tables_of_the_moved_scenario()
     moved = s.with_uav_positions(s.uav_positions + np.array([3.0, -2.0, 1.5]))
     _assert_override_matches_a_moved_scenario(s, ch.FadingModel.unit_gain(), moved.positions)
     # the parent scenario's own tables differ: the check can tell them apart
-    own = ch.rate_jacobian(s, ch.build_state(s))
-    assert not np.array_equal(own, ch.rate_jacobian(moved, ch.build_state(moved)))
+    own = ch.rate_jacobian(ch.build_state(s))
+    assert not np.array_equal(own, ch.rate_jacobian(ch.build_state(moved)))
 
 
 @settings(max_examples=40, deadline=None,

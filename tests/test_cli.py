@@ -236,10 +236,21 @@ _MISTYPED = [
                   "uavs": {"count": 3, "initial_altitude_m": "30"}, "sis": {"count": 2}}),
     (("nodes", "sis"), {"count": 2, "region_m": {"altitude": True}}),
 ]
+# a node position that is no [x, y, z] triple used to crash with a traceback
+# (a number) or fail with numpy's message, which names no key; so did a
+# node_dbm that is a number, or a source power list that is null.  (keys,
+# value, id suffix)
+_MISSHAPEN = [(("nodes", node, "position_m"), value, tag)
+              for node in ("bs", "ue")
+              for value, tag in ((5, "number"), ([1.0, 2.0], "pair"), ([1, 2, 3, 4], "four"),
+                                 ([[0, 0, 15]], "nested"))]
+_MISSHAPEN += [(("powers", "node_dbm"), 20.0, "number")]
+_MISSHAPEN += [(("powers", key), None, "null") for key in ("si_dbm", "i_max_dbm")]
 
 
-@pytest.mark.parametrize("keys, value", _MISTYPED,
-                         ids=[".".join(keys) for keys, _ in _MISTYPED])
+@pytest.mark.parametrize("keys, value", _MISTYPED + [case[:2] for case in _MISSHAPEN],
+                         ids=[".".join(keys) for keys, _ in _MISTYPED]
+                         + [".".join(keys) + "-" + tag for keys, _, tag in _MISSHAPEN])
 def test_mistyped_or_unknown_config_key_exits_one(tmp_path, capsys, keys, value):
     cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
     cfg["optimizer"] = {"epsilon": 200.0, "max_iterations": 3}

@@ -10,7 +10,7 @@ means one of them changed.
 import numpy as np
 import pytest
 
-from aerolink.channel import edge_rate
+from aerolink.channel import build_state, edge_rate
 from aerolink.optimizer import OptimizerConfig, run
 from aerolink.power import power_caps, solve_maxmin
 
@@ -20,7 +20,8 @@ THRESHOLDS_DBM = (-90.0, -70.0, -50.0, -30.0, -10.0)
 
 
 def _min_edge_rate(scenario):
-    return min(edge_rate(i, j, scenario) for i, j in scenario.topology)
+    state = build_state(scenario)
+    return min(edge_rate(i, j, state) for i, j in scenario.topology)
 
 
 @pytest.mark.parametrize("p_max_dbm", [20.0, 40.0, 70.0])
@@ -30,9 +31,10 @@ def test_eta_equals_the_bottleneck_rate_at_caps_exactly(p_max_dbm):
         base = make_line_scenario(rng, p_max_dbm=p_max_dbm)
         for threshold in THRESHOLDS_DBM:
             s = base.with_i_max_dbm(threshold)
-            sol = solve_maxmin(s)
+            state = build_state(s)
+            sol = solve_maxmin(state)
             assert sol.feasible
-            assert sol.eta == _min_edge_rate(s.with_node_powers(power_caps(s)))
+            assert sol.eta == _min_edge_rate(s.with_node_powers(power_caps(state)))
 
 
 @pytest.mark.parametrize("p_max_dbm", [20.0, 70.0])

@@ -19,7 +19,7 @@ from test_channel_arrays import _same_bits, _same_error, deployments
 def _stacked_gradient(s, fading, weights, mode, h):
     """The stacked gradient at the scenario's own geometry, with the
     reference's arguments."""
-    return tj._fd_gradients(s, fading, weights, mode, h, ch.build_state(s, fading))
+    return tj._fd_gradients(ch.build_state(s, fading), weights, mode, h)
 
 
 @pytest.mark.parametrize("mode", list(LaplacianMode))
@@ -48,15 +48,15 @@ def test_every_stacked_layer_equals_the_single_geometry_one(fading_kind):
         fading = ch.FadingModel(fading_kind, k)
         stack = s.positions + rng.uniform(-2.0, 2.0, size=(2, 3) + s.positions.shape)
         stacked = ch.ChannelState(s, fading, stack)
-        matrices = build_matrices(s, state=stacked)
+        matrices = build_matrices(stacked)
         for g in np.ndindex(stack.shape[:-2]):
             alone = dataclasses.replace(s, positions=stack[g])
             state = ch.build_state(alone, fading)
             for table in ("dist", "gain_sq", "interference_w", "safety_u", "sir_denominators"):
                 assert _same_bits(getattr(stacked, table)[g], getattr(state, table)), table
-            assert _same_bits(ch.sir_matrix(s, stacked)[g], ch.sir_matrix(alone, state))
-            assert _same_bits(ch.edge_rates(s, stacked)[g], ch.edge_rates(alone, state))
-            own = build_matrices(alone, state=state)
+            assert _same_bits(ch.sir_matrix(stacked)[g], ch.sir_matrix(state))
+            assert _same_bits(ch.edge_rates(stacked)[g], ch.edge_rates(state))
+            own = build_matrices(state)
             for field in ("adjacency", "degree", "laplacian"):
                 assert _same_bits(getattr(matrices, field)[g], getattr(own, field)), field
             for mode in LaplacianMode:
@@ -88,7 +88,7 @@ def test_a_bump_onto_another_node_raises_the_reference_error():
     pos = s.positions.copy()
     pos[3] = pos[2] + np.array([1.0, 0.0, 0.0])
     s = dataclasses.replace(s, positions=pos)
-    connectivity_bundle(s)
+    connectivity_bundle(ch.build_state(s))
     args = (s, ch.FadingModel.unit_gain(), s.weights,
             LaplacianMode.COMBINATORIAL_WEIGHTED, 1.0)
     assert _same_error(_stacked_gradient, ref.fd_gradient, *args) == "two nodes share a position; link gain undefined"
@@ -117,6 +117,6 @@ def test_a_failing_stack_raises_what_its_first_failing_geometry_raises():
     for order, message in (((good, decayed, coincident), "zero SIR denominator"),
                            ((good, coincident, decayed), "two nodes share a position")):
         with pytest.raises(ValueError, match=message):
-            lambda2_stack(s, np.stack(order))
-    lam = lambda2_stack(s, np.stack([good, good]))
-    assert lam[0] == lam[1] == connectivity_bundle(s).lambda2
+            lambda2_stack(ch.build_state(s), np.stack(order))
+    lam = lambda2_stack(ch.build_state(s), np.stack([good, good]))
+    assert lam[0] == lam[1] == connectivity_bundle(ch.build_state(s)).lambda2

@@ -115,7 +115,7 @@ def test_final_flow_matches_exhaustive_min_cut():
         h = run(s, _small_cfg(max_iterations=15))
         last = h.records[-1]
         final = s.with_uav_positions(last.uav_positions).with_node_powers(last.powers_w)
-        m = sp.build_matrices(final)
+        m = sp.build_matrices(ch.build_state(final))
         net = fl.from_adjacency(m, final.source, final.destination)
         brute = fl.brute_force_min_cut(net)
         assert last.flow_bits_per_s == pytest.approx(brute.value, rel=1e-12)

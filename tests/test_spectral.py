@@ -56,11 +56,12 @@ def test_laplacian_row_sums_vanish():
 def test_build_matrices_matches_edge_rates():
     rng = np.random.default_rng(31)
     s = make_line_scenario(rng)
-    m = sp.build_matrices(s)
+    st = ch.build_state(s)
+    m = sp.build_matrices(st)
     k_edges = len(s.topology)
     assert np.count_nonzero(m.adjacency) == 2 * k_edges
     for i, j in s.topology:
-        r = ch.edge_rate(i, j, s)
+        r = ch.edge_rate(i, j, st)
         assert m.adjacency[i, j] == r
         assert m.adjacency[j, i] == r
     assert np.array_equal(m.laplacian, m.degree - m.adjacency)
@@ -243,9 +244,10 @@ def test_laplacian_kernel_counts_components():
 def test_connectivity_bundle_is_consistent():
     rng = np.random.default_rng(38)
     s = make_line_scenario(rng)
+    st = ch.build_state(s)
     for mode in LaplacianMode:
-        b = sp.connectivity_bundle(s, mode=mode)
-        m = sp.build_matrices(s)
+        b = sp.connectivity_bundle(st, mode=mode)
+        m = sp.build_matrices(st)
         lw = sp.weighted_laplacian(m, s.weights, mode)
         fr = sp.fiedler_pair(lw)
         assert np.array_equal(b.weighted_laplacian, lw)
@@ -259,8 +261,9 @@ def test_connectivity_bundle_weight_override():
     rng = np.random.default_rng(39)
     s = make_line_scenario(rng, n_uavs=3)
     w = np.ones(s.n_primary)
-    b = sp.connectivity_bundle(s, weights=w)
-    m = sp.build_matrices(s)
+    st = ch.build_state(s)
+    b = sp.connectivity_bundle(st, weights=w)
+    m = sp.build_matrices(st)
     assert np.array_equal(b.weighted_laplacian, m.laplacian)
 
 

@@ -269,14 +269,13 @@ def test_run_properties_hold_through_the_batch_path(case, gradient_mode, masks):
             if t == 0:
                 continue
             # solved powers: the caps at the record's geometry, inside every threshold
-            assert _same_bits(rec.powers_w, power_caps(sc, fading, state))
+            assert _same_bits(rec.powers_w, power_caps(state))
             assert rec.interference_ok
-            assert verify_interference(sc, rec.powers_w, fading, state).passed
+            assert verify_interference(state, rec.powers_w).passed
             # an accepted step never lowers lambda2 at the powers it was taken at
             if not rec.stalled:
                 before = records[t - 1]
-                at_old_powers = connectivity_bundle(sc, fading, state=state,
-                                                    powers=before.powers_w).lambda2
+                at_old_powers = connectivity_bundle(state, powers=before.powers_w).lambda2
                 assert at_old_powers >= before.lambda2
 
 
@@ -311,12 +310,11 @@ def test_stacked_gradient_tables_equal_each_geometry_alone(fading_kind):
                 assert _same_bits(alone.si_interference_grad, _einsum_interference_grad(alone))
             for table in ("safety_slope", "si_interference_grad", "safety_sum_gradients"):
                 assert _same_bits(getattr(stacked, table)[g], getattr(alone, table)), table
-            placed = dataclasses.replace(s, positions=stack[g], node_powers_w=powers[g])
-            assert _same_bits(ch.sir_jacobian(s, stacked, powers)[g],
-                              ch.sir_jacobian(placed, alone))
-            assert _same_bits(ch.rate_jacobian(s, stacked, powers)[g],
-                              ch.rate_jacobian(placed, alone))
-            assert _same_bits(ch.edge_rates(s, stacked, powers)[g], ch.edge_rates(placed, alone))
+            assert _same_bits(ch.sir_jacobian(stacked, powers)[g],
+                              ch.sir_jacobian(alone, powers[g]))
+            assert _same_bits(ch.rate_jacobian(stacked, powers)[g],
+                              ch.rate_jacobian(alone, powers[g]))
+            assert _same_bits(ch.edge_rates(stacked, powers)[g], ch.edge_rates(alone, powers[g]))
 
 
 def test_a_stacked_analytic_gradient_equals_the_per_geometry_formula():
@@ -330,12 +328,12 @@ def test_a_stacked_analytic_gradient_equals_the_per_geometry_formula():
         stack = s.positions + rng.uniform(-3.0, 3.0, size=(40, 8) + s.positions.shape)
         powers = rng.uniform(0.01, 0.1, size=(40, 8, s.n_primary))
         stacked = ch.ChannelState(s, fading, stack)
-        bundle = connectivity_bundle(s, fading, state=stacked, powers=powers)
-        grad = tj._analytic_gradient(s, bundle, stacked, powers)
+        bundle = connectivity_bundle(stacked, powers=powers)
+        grad = tj._analytic_gradient(bundle, stacked, powers)
         for g in np.ndindex(stack.shape[:-2]):
             placed = dataclasses.replace(s, positions=stack[g], node_powers_w=powers[g])
             alone = ch.build_state(placed, fading)
-            own = connectivity_bundle(placed, fading, state=alone)
+            own = connectivity_bundle(alone)
             assert _same_bits(grad[g], ref._analytic_gradient(placed, own, alone)), g
 
 
@@ -378,6 +376,23 @@ def test_a_state_over_a_reference_computes_only_the_moved_rows(monkeypatch):
         assert _same_bits(getattr(alone, table), getattr(placed, table)), table
 
 
+def test_a_state_over_a_reference_takes_the_reference_scenario_and_fading():
+    # rows copied from a reference of another fading or scenario would mix
+    # two channel models in one table
+    s = build_default_scenario(7)
+    reference = ch.build_state(s, ch.FadingModel.rayleigh(3))
+    moved = s.positions.copy()
+    moved[1, 0] += 1.0
+    for scenario, fading in ((s, ch.FadingModel.unit_gain()), (s, ch.FadingModel.rayleigh(4)),
+                             (s.with_i_max_dbm(-50.0), reference.fading)):
+        with pytest.raises(ValueError, match="takes its scenario and fading"):
+            ch.ChannelState(scenario, fading, moved, reference)
+    placed = ch.build_state(dataclasses.replace(s, positions=moved), reference.fading)
+    over = ch.ChannelState(s, ch.FadingModel.rayleigh(3), moved, reference)
+    for table in TABLES:
+        assert _same_bits(getattr(over, table), getattr(placed, table)), table
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(deployments(), st.data())
@@ -402,9 +417,9 @@ def test_stacks_over_reference_states_match_states_built_alone(case, data):
 # -------------------------------------------------- edge checks per layout
 
 
-def _checked_sirs_per_edge(edges, scenario, state):
+def _checked_sirs_per_edge(edges, state):
     # the check pair by pair: both directions of each edge, in edge order
-    sirs = ch.sir_matrix(scenario, state)
+    sirs = ch.sir_matrix(state)
     finite = np.isfinite(sirs).all(axis=tuple(range(sirs.ndim - 2)))
     for p, q in edges:
         for i, j in ((p, q), (q, p)):
@@ -431,9 +446,9 @@ def test_a_stacked_check_raises_what_the_lone_check_raises():
     for geometries in ((s.positions, decayed), (half, s.positions),
                        (s.positions, s.positions), (decayed,), (half,)):
         stacked = ch.ChannelState(s, fading, np.stack(geometries))
-        new = _outcome(ch._checked_sirs, s.topology, s, stacked)
-        old = _outcome(_checked_sirs_per_edge, s.topology, s, stacked)
-        lone = [_outcome(ch._checked_sirs, s.topology, s, ch.ChannelState(s, fading, g))
+        new = _outcome(ch._checked_sirs, s.topology, stacked)
+        old = _outcome(_checked_sirs_per_edge, s.topology, stacked)
+        lone = [_outcome(ch._checked_sirs, s.topology, ch.ChannelState(s, fading, g))
                 for g in geometries]
         failed = [m for m in lone if isinstance(m, str)]
         if isinstance(old, str):
