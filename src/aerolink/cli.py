@@ -166,12 +166,14 @@ _SWEEP_DEFAULTS = {
 
 
 def _apply_sweep_value(scenario: scen.Scenario, variable: str, value: float):
-    if variable == "interference_threshold_dbm":
-        return scenario.with_i_max_dbm(float(value))
-    if variable == "ue_altitude_m":
-        return scenario.with_ue_altitude(float(value))
-    raise ValueError(f"unknown sweep variable {variable!r}; "
-                     f"expected one of {', '.join(_SWEEP_VARIABLES)}")
+    """``scenario`` with ``variable`` (one of ``_SWEEP_VARIABLES``) at ``value``;
+    a value that makes it invalid raises an error naming the variable and value."""
+    update = (scenario.with_i_max_dbm if variable == "interference_threshold_dbm"
+              else scenario.with_ue_altitude)
+    try:
+        return update(float(value))
+    except (ValueError, OverflowError) as exc:  # a huge dBm value overflows
+        raise ValueError(f"{variable} = {value}: {exc}") from exc
 
 
 def _sweep_chunk(batch):
@@ -199,14 +201,11 @@ def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
         diffs = np.diff(values)
         if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")
-        # validate every value's scenario and the masks up front so a bad
-        # sweep emits nothing
+        # build every value's scenario and the masks' configs up front, so
+        # a bad sweep emits nothing
         base = _scenario_from_args(cfg, seed)
         _require_chain(base.topology, base.n_primary)
         scenarios = {value: _apply_sweep_value(base, variable, value) for value in values}
-        for value, scenario in scenarios.items():
-            if errs := scen.validate(scenario):
-                raise ValueError(f"invalid scenario at {variable} = {value}: {'; '.join(errs)}")
         configs = {mask: _optimizer_config(cfg, mask) for mask in masks}
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

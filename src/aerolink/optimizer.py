@@ -31,7 +31,7 @@ import numpy as np
 from .channel import ChannelState, FadingModel
 from .power import (_allocation, _chain_flow, _chain_rates, _eta, _require_chain,
                     verify_interference)
-from .scenario import Scenario, _require_finite, validate
+from .scenario import Scenario, _require_finite
 from .spectral import LaplacianMode, connectivity_bundle
 from .trajectory import GradientMode, TrajectoryConfig, _each, lambda2_gradient, step
 
@@ -169,10 +169,6 @@ def _lockstep(scenarios, configs) -> list:
     """The histories of a batch's points, which share their layout (see
     ``_shared``), each array stacked on a leading point axis (a lone run is
     a stack of one)."""
-    for s in scenarios:
-        problems = validate(s)
-        if problems:
-            raise ValueError("invalid scenario: " + "; ".join(problems))
     if not scenarios:
         return []
     layout, first = scenarios[0], configs[0]

@@ -139,8 +139,11 @@ class Scenario:
     UAVs, n_uavs+1 the user terminal; interference sources follow.  The
     relayed traffic flows over ``topology`` edges; the default is the chain
     0-1-...-(n_primary-1).  Each edge is a pair of distinct primary node
-    indices, listed once in one orientation, which construction checks
-    (``_edges``); nothing downstream checks it again.
+    indices, listed once in one orientation (``_edges``).  Construction
+    enforces every rule: the array shapes, the edges and each rule of
+    ``validate``, with its message.  So any built scenario (from a config, a
+    ``with_*`` update or ``dataclasses.replace``) is valid, and nothing
+    downstream checks it again.
     """
 
     classes: tuple
@@ -158,14 +161,15 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "positions", _own(self.positions, (len(self.classes), 3)))
-        n_primary = sum(1 for c in self.classes if c is not NodeClass.INTERFERENCE_SOURCE)
-        n_si = len(self.classes) - n_primary
-        object.__setattr__(self, "node_powers_w", _own(self.node_powers_w, (n_primary,)))
-        object.__setattr__(self, "si_powers_w", _own(self.si_powers_w, (n_si,)))
-        object.__setattr__(self, "i_max_w", _own(self.i_max_w, (n_si,)))
-        object.__setattr__(self, "weights", _own(self.weights, (n_primary,)))
-        object.__setattr__(self, "topology", _edges(self.topology, n_primary))
+        object.__setattr__(self, "positions", _own(self.positions, (self.n_total, 3)))
+        object.__setattr__(self, "node_powers_w", _own(self.node_powers_w, (self.n_primary,)))
+        object.__setattr__(self, "si_powers_w", _own(self.si_powers_w, (self.n_si,)))
+        object.__setattr__(self, "i_max_w", _own(self.i_max_w, (self.n_si,)))
+        object.__setattr__(self, "weights", _own(self.weights, (self.n_primary,)))
+        object.__setattr__(self, "topology", _edges(self.topology, self.n_primary))
+        problems = validate(self)
+        if problems:
+            raise ValueError("invalid scenario: " + "; ".join(problems))
 
     # -- index helpers -------------------------------------------------
     # ``classes`` never changes on an instance and the functional updates
@@ -313,8 +317,6 @@ def build_default_scenario(seed: int = 7,
     Interference source positions are drawn from ``seed``: x,y uniform over
     [0,200] x [-100,100] in one (n_si, 2) draw, all at 20 m altitude.
     """
-    if n_uavs < 1:
-        raise ValueError("need at least one relay UAV")
     if n_si < 0:
         raise ValueError("interference source count must be >= 0")
     bs = np.array([0.0, 0.0, 15.0])
@@ -343,19 +345,22 @@ def build_default_scenario(seed: int = 7,
 
 
 def validate(scenario: Scenario) -> list:
-    """Return a list of human-readable problems; empty means valid."""
+    """The problems of a scenario, one human-readable message per broken rule.
+    These are the rules ``Scenario.__post_init__`` enforces, so any built
+    ``Scenario`` returns [].  Broken class rules are reported alone: the
+    others index the nodes by their order."""
     errs = []
     cls = scenario.classes
-    if sum(1 for c in cls if c is NodeClass.BASE_STATION) != 1:
+    if cls.count(NodeClass.BASE_STATION) != 1:
         errs.append("scenario must contain exactly one base station")
-    if sum(1 for c in cls if c is NodeClass.USER_EQUIPMENT) != 1:
+    if cls.count(NodeClass.USER_EQUIPMENT) != 1:
         errs.append("scenario must contain exactly one user terminal")
     if scenario.n_uavs < 1:
         errs.append("scenario must contain at least one relay UAV")
-    if cls and (cls[0] is not NodeClass.BASE_STATION
-                or (scenario.n_primary >= 2
-                    and cls[scenario.n_primary - 1] is not NodeClass.USER_EQUIPMENT)):
+    if cls != _node_classes(scenario.n_uavs, scenario.n_si):
         errs.append("node order must be base station, UAVs, user terminal, then sources")
+    if errs:
+        return errs
 
     pos = scenario.positions
     if not np.all(np.isfinite(pos)):
@@ -382,14 +387,12 @@ def validate(scenario: Scenario) -> list:
     w = scenario.weights
     if not np.all(np.isfinite(w)):
         errs.append("weights must be finite")
-    if w.shape[0] == scenario.n_primary and scenario.n_primary >= 2:
-        if w[scenario.source] != 1.0:
-            errs.append("source weight must be 1")
-        if w[scenario.destination] != 1.0:
-            errs.append("destination weight must be 1")
-        mid = w[1:-1]
-        if mid.size and (np.any(mid <= 0.0) or np.any(mid > 1.0)):
-            errs.append("UAV weights must lie in (0, 1]")
+    if w[scenario.source] != 1.0:
+        errs.append("source weight must be 1")
+    if w[scenario.destination] != 1.0:
+        errs.append("destination weight must be 1")
+    if np.any(w[1:-1] <= 0.0) or np.any(w[1:-1] > 1.0):
+        errs.append("UAV weights must lie in (0, 1]")
 
     # reachability of the terminal over topology edges
     adj = [[] for _ in range(scenario.n_primary)]
@@ -493,8 +496,6 @@ def _uavs_from_config(section: dict, bs: np.ndarray, ue: np.ndarray) -> np.ndarr
             raise ValueError("uavs.positions_m must be a list of [x, y, z] triples")
         return uavs
     count = _json_int(section.get("count", 0), "nodes.uavs.count")
-    if count < 1:
-        raise ValueError("uavs need positions_m or a positive count")
     alt = _json_float(section.get("initial_altitude_m", 30.0), "nodes.uavs.initial_altitude_m")
     frac = np.arange(1, count + 1) / (count + 1)
     return np.column_stack([bs[0] + frac * (ue[0] - bs[0]),
@@ -509,8 +510,8 @@ def _sis_from_config(section: dict, seed) -> np.ndarray:
                          "nodes.sis.region_m")
     if "positions_m" in section:
         sis = _json_float(section["positions_m"], "nodes.sis.positions_m", array=True)
-        # an empty list is the only input the reshape may fix
-        if sis.size and (sis.ndim != 2 or sis.shape[1] != 3):
+        # a flat empty list is the only input the reshape may fix
+        if sis.shape != (0,) and (sis.ndim != 2 or sis.shape[1] != 3):
             raise ValueError("sis.positions_m must be a list of [x, y, z] triples")
         return sis.reshape(-1, 3)
     count = _json_int(section.get("count", 0), "nodes.sis.count")
@@ -519,6 +520,17 @@ def _sis_from_config(section: dict, seed) -> np.ndarray:
     if seed is None:
         raise ValueError("drawing interference sources by count needs a seed")
     return _drawn_sources(seed, count, region)
+
+
+def _per_source_w(powers: dict, key: str, default, n_si: int, what: str) -> np.ndarray:
+    """``powers.<key>`` in watts: one dBm number for every source, or a list
+    of one per source."""
+    dbm = powers.get(key, default)
+    if np.isscalar(dbm):
+        dbm = [dbm] * n_si
+    if not isinstance(dbm, list) or len(dbm) != n_si:
+        raise ValueError(f"{key} must list one {what} per interference source")
+    return np.array([dbm_to_watts(_json_float(p, f"powers.{key}")) for p in dbm])
 
 
 def scenario_to_config(scenario: Scenario) -> dict:
@@ -584,16 +596,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
         if not isinstance(node_dbm, list) or len(node_dbm) != n_primary:
             raise ValueError("node_dbm must list one power per primary node")
         node_powers = np.array([dbm_to_watts(_json_float(p, "powers.node_dbm")) for p in node_dbm])
-    si_dbm = pw.get("si_dbm", [])
-    if np.isscalar(si_dbm):
-        si_dbm = [si_dbm] * n_si
-    if not isinstance(si_dbm, list) or len(si_dbm) != n_si:
-        raise ValueError("si_dbm must list one power per interference source")
-    imax_dbm = pw.get("i_max_dbm", -30.0)
-    if np.isscalar(imax_dbm):
-        imax_dbm = [imax_dbm] * n_si
-    if not isinstance(imax_dbm, list) or len(imax_dbm) != n_si:
-        raise ValueError("i_max_dbm must list one threshold per interference source")
+    si_powers_w = _per_source_w(pw, "si_dbm", [], n_si, "power")
+    i_max_w = _per_source_w(pw, "i_max_dbm", -30.0, n_si, "threshold")
 
     weights = _json_float(cfg["weights"], "weights", array=True)
     if weights.shape != (n_primary,):
@@ -603,13 +607,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if topology == "line":
         topology = [(i, i + 1) for i in range(n_primary - 1)]
 
-    scen = Scenario(
+    return Scenario(
         classes=_node_classes(n_uavs, n_si),
         positions=np.vstack([bs[None, :], uavs, ue[None, :], sis]),
         node_powers_w=node_powers,
-        si_powers_w=np.array([dbm_to_watts(_json_float(p, "powers.si_dbm")) for p in si_dbm]),
+        si_powers_w=si_powers_w,
         p_max_w=p_max_w,
-        i_max_w=np.array([dbm_to_watts(_json_float(p, "powers.i_max_dbm")) for p in imax_dbm]),
+        i_max_w=i_max_w,
         channel=channel,
         safety=safety,
         weights=weights,
@@ -617,10 +621,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
         ue_aerial=ue_aerial,
         seed=seed,
     )
-    problems = validate(scen)
-    if problems:
-        raise ValueError("invalid scenario config: " + "; ".join(problems))
-    return scen
 
 
 def load_scenario(path: str) -> Scenario:

@@ -100,12 +100,12 @@ def test_link_gain_rejects_self_link():
 
 
 def test_coincident_nodes_rejected():
+    # a Scenario refuses coincident nodes itself; a state over positions checks them
     s = make_line_scenario(np.random.default_rng(4), n_uavs=2, n_si=1, jitter=False)
     pos = s.positions.copy()
     pos[2] = pos[1]
-    bad = dataclasses.replace(s, positions=pos)
-    with pytest.raises(ValueError, match="share a position"):
-        ch.build_state(bad)
+    with pytest.raises(ValueError, match="^two nodes share a position; link gain undefined$"):
+        ch.ChannelState(s, ch.FadingModel.unit_gain(), pos)
 
 
 # -- smoothed proximity step ----------------------------------------------

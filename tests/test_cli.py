@@ -244,6 +244,7 @@ _MISSHAPEN = [(("nodes", node, "position_m"), value, tag)
               for node in ("bs", "ue")
               for value, tag in ((5, "number"), ([1.0, 2.0], "pair"), ([1, 2, 3, 4], "four"),
                                  ([[0, 0, 15]], "nested"))]
+_MISSHAPEN += [(("nodes", "sis", "positions_m"), [[]], "nested-empty")]
 _MISSHAPEN += [(("powers", "node_dbm"), 20.0, "number")]
 _MISSHAPEN += [(("powers", key), None, "null") for key in ("si_dbm", "i_max_dbm")]
 
@@ -429,7 +430,7 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
 
-def test_sweep_spec_validation(tmp_path):
+def test_sweep_spec_validation(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     _write_config(cfg_path)
     out = tmp_path / "out"
@@ -445,12 +446,14 @@ def test_sweep_spec_validation(tmp_path):
     assert attempt({"variable": "ue_altitude_m", "values": [0.0, 100.0, 50.0]}) == 1
     assert attempt({"variable": "ue_altitude_m", "values": [0.0, 50.0],
                     "masks": ["zz"]}) == 1
-    # values that make an invalid scenario fail at load, not mid-sweep
-    assert attempt({"variable": "interference_threshold_dbm", "values": [float("nan")]}) == 1
-    assert attempt({"variable": "interference_threshold_dbm",
-                    "values": [-50.0, float("inf")]}) == 1
-    assert attempt({"variable": "ue_altitude_m", "values": [-5.0, 10.0]}) == 1
-    assert attempt({"variable": "interference_threshold_dbm", "values": [5000.0]}) == 1
+    # values that make an invalid scenario fail at load, not mid-sweep, naming the value
+    capsys.readouterr()
+    for variable, values, bad in (("interference_threshold_dbm", [float("nan")], "nan"),
+                                  ("interference_threshold_dbm", [-50.0, float("inf")], "inf"),
+                                  ("ue_altitude_m", [-5.0, 10.0], "-5.0"),
+                                  ("interference_threshold_dbm", [5000.0], "5000.0")):
+        assert attempt({"variable": variable, "values": values}) == 1
+        assert f"config error: {variable} = {bad}: " in capsys.readouterr().err
     assert not out.exists()
 
 

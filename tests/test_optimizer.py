@@ -161,15 +161,6 @@ def test_config_validation():
         OptimizerConfig(max_iterations=0)
 
 
-def test_invalid_scenario_is_rejected():
-    s = make_line_scenario(np.random.default_rng(111))
-    weights = s.weights.copy()
-    weights[0] = 0.5
-    bad = dataclasses.replace(s, weights=weights)
-    with pytest.raises(ValueError, match="invalid scenario"):
-        run(bad, _small_cfg())
-
-
 # ------------------------------------------------------------ state builds
 
 

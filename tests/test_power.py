@@ -167,10 +167,11 @@ def test_verification_checks_power_vector_shape():
 
 
 def test_received_power_reference_value():
-    # one transmitter at 0.1 W, one source 50 m away on the ground path:
+    # one transmitter at 0.1 W, one source 50 m above it on the ground path
+    # (the link class comes from the partition, not the altitude):
     # received = P * 10^(-PL/10), PL = 23.2 log10(50) + eta_free_space
     s = make_line_scenario(np.random.default_rng(76), n_uavs=1, n_si=1, jitter=False)
-    si = np.array([[s.positions[1, 0], s.positions[1, 1], s.positions[1, 2] - 50.0]])
+    si = np.array([[s.positions[1, 0], s.positions[1, 1], s.positions[1, 2] + 50.0]])
     s = dataclasses.replace(s, positions=np.vstack([s.positions[:3], si]))
     report = pw.verify_interference(ch.build_state(s), np.array([0.0, 0.1, 0.0]))
     eta_db = 20.0 * np.log10(4.0 * np.pi * 2.0e9 / 3.0e8)

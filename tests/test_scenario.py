@@ -1,5 +1,6 @@
 """Scenario construction, validation, partitioning, and config round-trips."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -75,39 +76,67 @@ def test_validate_default_ok():
     assert sc.validate(sc.build_default_scenario()) == []
 
 
-def test_validate_source_weight():
-    s = sc.build_default_scenario()
-    w = s.weights.copy()
-    w[0] = 0.0
-    bad = dataclasses.replace(s, weights=w)
-    msgs = sc.validate(bad)
-    assert any("source weight must be 1" in m for m in msgs)
+def _with_entry(s, name, index, value):
+    """``s`` with entry ``index`` of its array field ``name`` set to ``value``."""
+    a = getattr(s, name).copy()
+    a[index] = value
+    return dataclasses.replace(s, **{name: a})
 
 
-def test_validate_destination_unreachable():
-    s = sc.build_default_scenario()
-    bad = dataclasses.replace(s, topology=s.topology[:-1])
-    msgs = sc.validate(bad)
-    assert any("destination unreachable" in m for m in msgs)
+def _with_class(s, index, node_class):
+    classes = list(s.classes)
+    classes[index] = node_class
+    return dataclasses.replace(s, classes=tuple(classes))
 
 
-def test_validate_geometry_and_powers():
-    s = sc.build_default_scenario()
-    pos = s.positions.copy()
-    pos[2] = pos[1]
-    assert any("share a position" in m for m in sc.validate(dataclasses.replace(s, positions=pos)))
+# one construction per rule of ``validate``, from the seed-7 default (8 UAVs,
+# 7 sources), with the rule's message
+_BROKEN_RULES = [
+    ("two-base-stations", lambda s: _with_class(s, 1, sc.NodeClass.BASE_STATION),
+     "scenario must contain exactly one base station"),
+    ("two-terminals", lambda s: _with_class(s, 1, sc.NodeClass.USER_EQUIPMENT),
+     "scenario must contain exactly one user terminal"),
+    ("no-uav", lambda s: sc.build_default_scenario(n_uavs=0),
+     "scenario must contain at least one relay UAV"),
+    # a source among the primary nodes, a UAV after the terminal
+    ("source-among-relays",
+     lambda s: dataclasses.replace(s, classes=(s.classes[:1] + s.classes[10:11] + s.classes[2:10]
+                                               + s.classes[1:2] + s.classes[11:])),
+     "node order must be base station, UAVs, user terminal, then sources"),
+    ("nan-coordinate", lambda s: _with_entry(s, "positions", (3, 0), float("nan")),
+     "all coordinates must be finite"),
+    ("negative-altitude", lambda s: s.with_ue_altitude(-5.0), "altitudes must be >= 0"),
+    ("coincident-uavs", lambda s: s.with_uav_positions(np.repeat(s.uav_positions[:1], 8, 0)),
+     "two nodes share a position; links would be degenerate"),
+    ("zero-power", lambda s: s.with_node_powers(np.zeros(10)),
+     "transmit powers must be positive"),
+    ("infinite-budget", lambda s: dataclasses.replace(s, p_max_w=float("inf")),
+     "power budget p_max must be positive and finite"),
+    ("over-budget", lambda s: s.with_node_powers(np.full(10, 2.0 * s.p_max_w)),
+     "transmit powers must not exceed the power budget p_max"),
+    ("negative-source-power", lambda s: _with_entry(s, "si_powers_w", 2, -1.0),
+     "interference source powers must be positive and finite"),
+    ("nan-threshold", lambda s: s.with_i_max_dbm(float("nan")),
+     "interference thresholds must be positive and finite"),
+    ("nan-weight", lambda s: _with_entry(s, "weights", 4, float("nan")),
+     "weights must be finite"),
+    ("source-weight", lambda s: _with_entry(s, "weights", 0, 0.5),
+     "source weight must be 1"),
+    ("destination-weight", lambda s: _with_entry(s, "weights", 9, 0.0),
+     "destination weight must be 1"),
+    ("uav-weight", lambda s: _with_entry(s, "weights", 2, 1.5),
+     "UAV weights must lie in (0, 1]"),
+    ("unreachable", lambda s: dataclasses.replace(s, topology=s.topology[:-1]),
+     "destination unreachable over the topology"),
+]
 
-    pos = s.positions.copy()
-    pos[1, 2] = -0.5
-    assert any("altitudes" in m for m in sc.validate(dataclasses.replace(s, positions=pos)))
 
-    p = s.node_powers_w.copy()
-    p[1] = s.p_max_w * 2.0
-    assert any("exceed the power budget" in m
-               for m in sc.validate(dataclasses.replace(s, node_powers_w=p)))
-
-    with pytest.raises(ValueError, match="self loop"):
-        dataclasses.replace(s, topology=s.topology + ((3, 3),))
+@pytest.mark.parametrize("build, message", [case[1:] for case in _BROKEN_RULES],
+                         ids=[case[0] for case in _BROKEN_RULES])
+def test_construction_refuses_each_rule(build, message):
+    s = sc.build_default_scenario(7)
+    with pytest.raises(ValueError, match=r"^invalid scenario: (.+; )?" + re.escape(message)):
+        build(s)
 
 
 # an entry that is no edge between two distinct primary nodes, or that
@@ -182,13 +211,18 @@ def test_scenarios_differing_in_any_field_are_unequal():
         "i_max_w": s.i_max_w / 2.0,
         "channel": sc.ChannelParams(alpha_a2a=2.0),
         "safety": sc.SafetyParams(chi=0.5),
-        "weights": s.weights / 2.0,
+        "weights": np.concatenate([[1.0], s.weights[1:-1] / 2.0, [1.0]]),
         "topology": ((1, 0),) + s.topology[1:],
         "ue_aerial": True,
         "seed": 8,
     }
     assert set(changed) == {f.name for f in dataclasses.fields(s)}
     assert dataclasses.replace(s) == s
+    # the node order rule fixes the classes by the array shapes, so a
+    # scenario whose classes alone differ cannot be built: set them on a copy
+    other = copy.copy(s)
+    object.__setattr__(other, "classes", changed.pop("classes"))
+    assert other != s
     for name, value in changed.items():
         assert dataclasses.replace(s, **{name: value}) != s, name
 

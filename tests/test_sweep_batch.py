@@ -152,13 +152,19 @@ def test_a_mismatched_batch_is_refused_before_any_point_runs(monkeypatch):
 
 
 def test_a_failing_point_raises_what_the_first_failing_point_raises_alone():
-    s = build_default_scenario(7)
-    bad = s.with_i_max_dbm(float("nan"))
+    # proximity only, 400 m apart: every proximity term is denormal or zero,
+    # so the point fails at its first evaluation
+    s = make_line_scenario(np.random.default_rng(63), n_uavs=3, n_si=0, chi=1.0,
+                           jitter=False)
+    n = s.n_primary
+    bad = dataclasses.replace(s, positions=np.column_stack(
+        [400.0 * np.arange(n), np.zeros(n), np.full(n, 30.0)]))
     config = OptimizerConfig(epsilon=1e-12, max_iterations=3)
     with pytest.raises(ValueError) as alone:
         run(bad, config)
+    assert str(alone.value).startswith("zero SIR denominator")
     with pytest.raises(ValueError) as batch:
-        run([s, bad, s.with_ue_altitude(-5.0)], config)
+        run([s, bad, s], config)
     assert str(batch.value) == str(alone.value)
 
 
