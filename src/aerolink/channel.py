@@ -8,28 +8,34 @@ interference from the fixed sources, and a smoothed proximity penalty that
 grows steeply once another primary node comes within the separation radius.
 
 Everything is computed as arrays, once per geometry.  ``ChannelState`` holds
-the power-independent tables (gains, the SIR denominator of every ordered
-primary pair, the proximity-sum gradients) of the positions it is given,
-and the scenario (layout and powers) and fading it was built with; every
-function here reads both from the state.  ``sir_matrix``, ``sir_jacobian``,
-``edge_rates`` and ``rate_jacobian`` combine the tables with the state's
-scenario powers.  Each array keeps the association of the per-pair formula
-it replaces (the same masked 1-D sums, ``(num/denom)*(dden/denom)``), so
-its entries equal a pair-at-a-time evaluation to the bit.  A state may also
-hold a stack of geometries (leading axes before the node axes); the four
-then return one table per geometry (at those powers or at a ``powers``
-argument with the same leading axes), each equal to the bit to that
-geometry's own.  A state computes the rows of the nodes that differ
+the power-independent tables of the positions it is given (distances,
+gains, source interference, proximity terms) and the scenario (layout and
+powers) and fading it was built with; every function here reads both from
+the state.  The rates, the Laplacian and its gradient read only the
+topology's directed links (p -> q, then q -> p of every edge), so a state
+keeps the SIR denominators, and builds the proximity-sum gradients, of
+those links only.  Each such quantity has one function of a list of pairs
+(``ChannelState._denominators``, ``ChannelState._sum_gradients``,
+``_sirs``); the full (n_primary, n_primary) tables (``sir_denominators``,
+``safety_sum_gradients``, ``sir_matrix``, ``sir_jacobian``) are that
+function applied to every pair, built only when asked for.  ``edge_rates``
+and ``rate_jacobian`` combine the link tables with the state's scenario
+powers.  Each array keeps the association of the per-pair formula it
+replaces (the same masked 1-D sums, ``(num/denom)*(dden/denom)``), so its
+entries equal a pair-at-a-time evaluation to the bit.  A state may also
+hold a stack of geometries (leading axes before the node axes); the
+functions then return one table per geometry (at those powers or at a
+``powers`` argument with the same leading axes), each equal to the bit to
+that geometry's own.  A state computes the rows of the nodes that differ
 from its reference state's geometry, or every row without a reference.
 Every derivative is an entry of ``sir_jacobian`` or ``rate_jacobian``; the
-value lookups (``sir``, ``edge_rate``, ``link_gain``) index into the tables
-and raise only for the pair they are asked about.
+value lookups (``sir``, ``edge_rate``, ``link_gain``) compute or index the
+pair they are asked about and raise only for it.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +100,19 @@ class LinkGain:
 def path_loss_db(a2a: bool, distance_m: float, channel) -> float:
     """Log-distance path loss alpha*10*log10(d) + eta, in dB."""
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0.0):
+    if (d <= 0.0).any():
         raise ValueError("path loss undefined at zero distance")
     alpha = channel.alpha_a2a if a2a else channel.alpha_a2g
     return alpha * 10.0 * np.log10(d) + channel.eta_db(a2a)
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norms of (..., 3) vectors, equal to the bit to
+    ``np.linalg.norm(vectors, axis=-1)``: its reduction adds the three
+    squares in order, which three array additions do without a reduction's
+    cost per row."""
+    sq = vectors * vectors
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
 def smoothed_step(y, safety: SafetyParams):
@@ -118,13 +133,11 @@ def smoothed_step_slope(y, safety: SafetyParams):
 
 
 def _sigmoid(z):
-    # stable in both tails
+    # stable in both tails: e = exp(-|z|) is exp(-z) where z >= 0 and
+    # exp(z) elsewhere, and never overflows
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
@@ -155,7 +168,7 @@ def _link_layout(n_total: int, n_primary: int, aerial: frozenset, channel,
 
 
 _GEOMETRY_TABLES = ("positions", "dist", "gain_sq", "safety_u", "interference_w",
-                    "sir_denominators")
+                    "link_denominators")
 
 
 class ChannelState:
@@ -164,9 +177,13 @@ class ChannelState:
     Holds everything that does not change with primary transmit powers:
     pairwise distances, squared channel gains, per-receiver aggregate
     interference, the proximity penalty table over primary nodes and the
-    SIR denominator of every ordered primary pair.  The gradient tables are
-    built on first use.  The link tables that do not depend on the geometry
-    (link classes, exponents, offsets and fading) are cached per node layout.
+    SIR denominator of each directed link of the topology
+    (``link_denominators``, in ``_links`` order).  The gradient tables, the
+    links' included, are built on first use, and so are the tables of
+    every ordered primary pair (``sir_denominators``,
+    ``safety_sum_gradients``), from the same pair functions as the links'.
+    The link tables that do not depend on the geometry (link classes,
+    exponents, offsets and fading) are cached per node layout.
 
     It keeps ``scenario`` (layout and powers) and ``fading``, which every
     evaluation of the state reads.  ``positions``, one (n_total, 3) geometry
@@ -178,8 +195,10 @@ class ChannelState:
     state's geometry (whose leading axes must begin the stack's), or every
     row without a reference.  A geometry takes the rest of its tables from
     its reference, so a stack of one-node bumps costs one row per geometry
-    and a geometry equal to its reference none.  Every table carries the
-    stack's leading axes; the scalar lookups need a single geometry.
+    and a geometry equal to its reference none; only the computed rows are
+    checked for coincident nodes, since the reference's were checked when it
+    was built.  Every table carries the stack's leading axes; the scalar
+    lookups need a single geometry.
     """
 
     def __init__(self, scenario: Scenario, fading: FadingModel,
@@ -205,15 +224,14 @@ class ChannelState:
         # so it equals that row to the bit; the tables are symmetric to the bit
         geoms = pos.reshape(-1, n_total, 3)
         if reference is None:
-            g = np.repeat(np.arange(len(geoms)), n_total)
-            moved = np.tile(np.arange(n_total), len(geoms))
+            g, moved = np.divmod(np.arange(len(geoms) * n_total), n_total)
         else:
             refs = reference.positions.reshape(-1, n_total, 3)
             per_ref = len(geoms) // len(refs)
             differs = geoms.reshape(len(refs), per_ref, n_total, 3) != refs[:, None]
             owner, k, moved = np.nonzero(differs[..., 0] | differs[..., 1] | differs[..., 2])
             g = owner * per_ref + k
-        rows = np.linalg.norm(geoms[g, moved][:, None, :] - geoms[g], axis=-1)
+        rows = _norms(geoms[g, moved][:, None, :] - geoms[g])
 
         def assemble(name, g, nodes, rows):
             # the rows as they are, or a copy of the reference's table per
@@ -226,42 +244,36 @@ class ChannelState:
             out[g, :, nodes] = rows
             return out.reshape(lead + base.shape[2:])
 
-        self.dist = dist = assemble("dist", g, moved, rows)
-        if ((dist == 0.0) & off).any():
+        # the computed rows hold every pair a move can bring together
+        apart = off[moved]
+        if ((rows == 0.0) & apart).any():
             raise ValueError("two nodes share a position; link gain undefined")
-        safe_d = np.where(off[moved], rows, 1.0)
-        gains = g2_eta[moved] * safe_d ** (-alpha[moved])
-        gains[np.arange(len(moved)), moved] = 0.0
+        self.dist = assemble("dist", g, moved, rows)
+        # a node's own entry is 0.0
+        safe_d = np.where(apart, rows, 1.0)
+        gains = np.where(apart, g2_eta[moved] * safe_d ** (-alpha[moved]), 0.0)
         mover = moved < n
-        terms = smoothed_step(rows[mover, :n] / saf.r_int_m, saf)
-        terms[np.arange(len(terms)), moved[mover]] = 0.0
+        terms = np.where(apart[mover, :n], smoothed_step(rows[mover, :n] / saf.r_int_m, saf), 0.0)
         self.alpha = alpha
         self.a2a = a2a
         self.gain_sq = gain = assemble("gain_sq", g, moved, gains)
-        self.safety_u = u = assemble("safety_u", g[mover], moved[mover], terms)
+        self.safety_u = assemble("safety_u", g[mover], moved[mover], terms)
 
         si = list(scenario.si_indices)
         # aggregate interference from the fixed sources at each primary receiver.
-        # A gather behind leading axes is laid out batch-fastest, so it is
-        # made contiguous: every geometry then sees the memory layout of a
-        # single state.  matmul loops over the leading axes and makes, for
-        # each geometry, the gemv call that geometry's own state makes, so
-        # each entry is summed in the same order
+        # ``take`` lays its gather out contiguously: every geometry then sees
+        # the memory layout of a single state.  matmul loops over the leading
+        # axes and makes, for each geometry, the gemv call that geometry's
+        # own state makes, so each entry is summed in the same order
         if si:
-            sources = np.ascontiguousarray(gain[..., si, :])[..., :n]
+            sources = np.take(gain, si, axis=-2)[..., :n]
             self.interference_w = scenario.si_powers_w @ sources
         else:
             self.interference_w = np.zeros(lead + (n,))
 
-        # safety[..., i, j]: u[j, k] summed over every primary k but i (u[j, j]
-        # is zero), gathered as (..., j, i, k) and summed on its contiguous
-        # last axis exactly like a masked 1-D row.  Summing the surviving terms
-        # directly avoids the cancellation of subtracting a dominant u[j, i]
-        # from a full row sum (that subtraction silently absorbs tiny terms)
         self._others = others
-        safety = np.take(u, others, axis=-1).sum(axis=-1).swapaxes(-1, -2)
-        # sir_denominators[i, j]: sources at j plus chi * proximity sum over k not in {i, j}
-        self.sir_denominators = self.interference_w[..., None, :] + saf.chi * safety
+        # the rates, the Laplacian and its gradient read these pairs only
+        self.link_denominators = self._denominators(*_links(scenario.topology))
 
     def _select(self, index) -> "ChannelState":
         """The state of the geometries ``index`` picks on the first leading
@@ -314,19 +326,53 @@ class ChannelState:
         return grad
 
     @functools.cached_property
+    def link_sum_gradients(self) -> np.ndarray:
+        """(..., 2 * n_edges, 3): ``_sum_gradients`` of the topology's
+        directed links (see ``_links``)."""
+        return self._sum_gradients(*_links(self.scenario.topology))
+
+    @functools.cached_property
     def safety_sum_gradients(self) -> np.ndarray:
-        """(..., n_primary, n_primary, 3): entry [i, j, axis] is the derivative
-        of the proximity sum over k not in {i, j} w.r.t. receiver j's
-        coordinate."""
+        """(..., n_primary, n_primary, 3): ``_sum_gradients`` of every ordered
+        primary pair, entry [i, j, axis] that of pair i -> j."""
         n = self.scenario.n_primary
-        pos = self.positions[..., :n, :]
-        # terms[j, axis, k] = S[j, k] * (r_j - r_k)[axis]
-        terms = self.safety_slope[..., :, None, :] * (
-            pos[..., :, :, None] - pos.swapaxes(-1, -2)[..., None, :, :])
-        # gathered as (j, axis, i, k) and summed on its contiguous last axis
-        # for every geometry; then laid out as (i, j, axis)
-        sums = np.take(terms, self._others, axis=-1).sum(axis=-1)
-        return np.moveaxis(sums, -1, -3)
+        sums = self._sum_gradients(*_pairs(n))
+        return sums.reshape(sums.shape[:-2] + (n, n, 3))
+
+    @functools.cached_property
+    def sir_denominators(self) -> np.ndarray:
+        """(..., n_primary, n_primary): ``_denominators`` of every ordered
+        primary pair, entry [i, j] that of pair i -> j."""
+        n = self.scenario.n_primary
+        denominators = self._denominators(*_pairs(n))
+        return denominators.reshape(denominators.shape[:-1] + (n, n))
+
+    # -- one function per quantity, of any list of pairs ----------------
+    # Each gathers its pairs' rows behind the leading axes and makes them
+    # contiguous before summing: a gather behind leading axes is laid out
+    # batch-fastest, and a strided row is summed in another order.  Every
+    # row is then summed on its contiguous last axis exactly like a masked
+    # 1-D row, whatever the pairs and the stack.  Summing the surviving
+    # terms directly avoids the cancellation of subtracting a dominant term
+    # from a full row sum (that subtraction silently absorbs tiny terms)
+
+    def _denominators(self, i, j) -> np.ndarray:
+        """(..., m): the SIR denominator of each pair i[k] -> j[k]: the
+        sources at j plus chi times the proximity sum at j over every
+        primary node but i and j (u[j, j] is zero)."""
+        sums = np.ascontiguousarray(self.safety_u[..., j[:, None], self._others[i]]).sum(axis=-1)
+        return self.interference_w[..., j] + self.scenario.safety.chi * sums
+
+    def _sum_gradients(self, i, j) -> np.ndarray:
+        """(..., m, 3): entry [k, axis] is the derivative of pair
+        i[k] -> j[k]'s proximity sum (over every primary node but i and j)
+        w.r.t. receiver j's coordinate."""
+        n = self.scenario.n_primary
+        cols = self.positions[..., :n, :].swapaxes(-1, -2)
+        # terms[axis, j, k] = S[j, k] * (r_j - r_k)[axis]
+        terms = self.safety_slope[..., None, :, :] * (cols[..., :, :, None] - cols[..., :, None, :])
+        sums = np.ascontiguousarray(terms[..., j[:, None], self._others[i]]).sum(axis=-1)
+        return sums.swapaxes(-1, -2)
 
 
 def _join(parts, count: int):
@@ -369,6 +415,29 @@ _ZERO_DENOMINATOR = ("zero SIR denominator: no interference sources and no "
                      "proximity term (chi = 0 or fully decayed)")
 
 
+def _sirs(state, powers, i, j, denominators) -> np.ndarray:
+    """(..., m) unchecked SIRs of the pairs i[k] -> j[k] over their
+    ``denominators``, at ``powers`` as in ``sir_matrix``."""
+    powers = state.scenario.node_powers_w if powers is None else powers
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return powers[..., i] * state.gain_sq[..., i, j] / denominators
+
+
+def _checked(sirs: np.ndarray) -> np.ndarray:
+    """``sirs``, if every one is finite.  A denormal proximity-only
+    denominator overflows the quotient; that is the zero-denominator case in
+    all but the last few bits."""
+    if not np.isfinite(sirs).all():
+        raise ValueError(_ZERO_DENOMINATOR)
+    return sirs
+
+
+def _link_sirs(state, powers=None) -> np.ndarray:
+    """(..., 2 * n_edges) unchecked SIRs of the topology's directed links
+    (see ``_links``), at ``powers`` as in ``sir_matrix``."""
+    return _sirs(state, powers, *_links(state.scenario.topology), state.link_denominators)
+
+
 def sir_matrix(state: ChannelState, powers: np.ndarray | None = None) -> np.ndarray:
     """(..., n_primary, n_primary) SIR of every ordered pair, one table per
     geometry of a stacked state, at ``powers`` (default: the state's
@@ -378,9 +447,10 @@ def sir_matrix(state: ChannelState, powers: np.ndarray | None = None) -> np.ndar
     nothing.  ``sir`` is the checked lookup of one entry.
     """
     n = state.scenario.n_primary
-    powers = state.scenario.node_powers_w if powers is None else powers
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return powers[..., :, None] * state.gain_sq[..., :n, :n] / state.sir_denominators
+    denominators = state.sir_denominators
+    sirs = _sirs(state, powers, *_pairs(n),
+                 denominators.reshape(denominators.shape[:-2] + (n * n,)))
+    return sirs.reshape(sirs.shape[:-1] + (n, n))
 
 
 def _require_primary_pair(i, j, n):
@@ -388,14 +458,6 @@ def _require_primary_pair(i, j, n):
         raise ValueError("SIR is defined between primary nodes only")
     if i == j:
         raise ValueError("SIR undefined for a node talking to itself")
-
-
-def _finite_sir(value) -> float:
-    # a denormal proximity-only denominator overflows the quotient; that is
-    # the zero-denominator case in all but the last few bits
-    if not math.isfinite(value):
-        raise ValueError(_ZERO_DENOMINATOR)
-    return float(value)
 
 
 def sir(i: int, j: int, state: ChannelState) -> float:
@@ -407,41 +469,52 @@ def sir(i: int, j: int, state: ChannelState) -> float:
     no sources and chi = 0 therefore has no defined SIR.
     """
     _require_primary_pair(i, j, state.scenario.n_primary)
-    return _finite_sir(sir_matrix(state)[i, j])
-
-
-def _checked_sirs(edges: tuple, state, powers=None) -> np.ndarray:
-    """SIR matrix, checked as ``sir`` checks them on both directions of each
-    edge, in every geometry of a stacked state."""
-    sirs = sir_matrix(state, powers)
-    p, q = _endpoints(edges)
-    if not (np.isfinite(sirs[..., p, q]).all() and np.isfinite(sirs[..., q, p]).all()):
-        raise ValueError(_ZERO_DENOMINATOR)
-    return sirs
+    pair = np.array([i]), np.array([j])
+    return float(_checked(_sirs(state, None, *pair, state._denominators(*pair)))[0])
 
 
 @functools.lru_cache(maxsize=64)
 def _endpoints(edges: tuple) -> tuple:
     """Index arrays of the edges' first and second endpoints (read-only)."""
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    p, q = ends[:, 0].copy(), ends[:, 1].copy()
-    p.setflags(write=False)
-    q.setflags(write=False)
-    return p, q
+    return _read_only(ends[:, 0].copy(), ends[:, 1].copy())
 
 
-def _rates(state, edges, powers=None) -> np.ndarray:
-    sirs = _checked_sirs(edges, state, powers)
+@functools.lru_cache(maxsize=64)
+def _links(edges: tuple) -> tuple:
+    """Transmitters and receivers of the edges' directed links, p -> q of
+    every edge in order, then q -> p (read-only)."""
     p, q = _endpoints(edges)
-    b = state.scenario.channel.bandwidth_hz
-    return 0.5 * b * (np.log2(1.0 + sirs[..., p, q]) + np.log2(1.0 + sirs[..., q, p]))
+    return _read_only(np.concatenate([p, q]), np.concatenate([q, p]))
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple:
+    """Transmitters and receivers of all n * n ordered pairs of n nodes, row
+    by row, the pairs i -> i included (read-only)."""
+    return _read_only(*np.divmod(np.arange(n * n), n))
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _rates(sirs: np.ndarray, bandwidth_hz: float) -> np.ndarray:
+    """(..., m) rates of m edges from the (..., 2m) SIRs of their directed
+    links, every p -> q and then every q -> p, checked as ``sir`` checks
+    them."""
+    logs = np.log2(1.0 + _checked(sirs))
+    m = sirs.shape[-1] // 2
+    return 0.5 * bandwidth_hz * (logs[..., :m] + logs[..., m:])
 
 
 def edge_rates(state: ChannelState, powers: np.ndarray | None = None) -> np.ndarray:
     """(..., n_edges) rates of the topology edges in topology order, bit/s
     (see ``edge_rate``), one row per geometry of a stacked state, at
     ``powers`` as in ``sir_matrix``."""
-    return _rates(state, state.scenario.topology, powers)
+    return _rates(_link_sirs(state, powers), state.scenario.channel.bandwidth_hz)
 
 
 def edge_rate(i: int, j: int, state: ChannelState) -> float:
@@ -451,7 +524,10 @@ def edge_rate(i: int, j: int, state: ChannelState) -> float:
     log2(1+SIR_ji)).
     """
     _require_edge(i, j, state.scenario)
-    return float(_rates(state, ((i, j),))[0])
+    topology = state.scenario.topology
+    e = topology.index((i, j) if (i, j) in topology else (j, i))
+    sirs = _link_sirs(state)[[e, e + len(topology)]]
+    return float(_rates(sirs, state.scenario.channel.bandwidth_hz)[0])
 
 
 def _require_edge(i, j, scenario):
@@ -459,10 +535,12 @@ def _require_edge(i, j, scenario):
         raise ValueError(f"({i}, {j}) is not a topology edge")
 
 
-def _pair_jacobian(state, powers, i, j) -> np.ndarray:
+def _pair_jacobian(state, powers, i, j, denominators, sum_gradients) -> np.ndarray:
     """(..., m, n_uavs, 3): d sir(i[k], j[k]) / d(UAV coordinate) for m
     ordered pairs with i[k] != j[k], one table per geometry of a stacked
-    state.  Each entry is the per-pair formula's, with its association."""
+    state, from the pairs' (..., m) SIR ``denominators`` and a function
+    giving their (..., m, 3) proximity-sum gradients (called with chi > 0
+    only).  Each entry is the per-pair formula's, with its association."""
     sc, st = state.scenario, state
     n = sc.n_primary
     lead = st.dist.shape[:-2]
@@ -488,11 +566,11 @@ def _pair_jacobian(state, powers, i, j) -> np.ndarray:
         dden = np.zeros(lead + (len(i), n, 3))
     own = 0.0 + st.si_interference_grad[..., j, :]
     if chi != 0.0:
-        own = own + chi * st.safety_sum_gradients[..., i, j, :]
+        own = own + chi * sum_gradients()
     dden[..., pair, j, :] = own
     dden[..., pair, i, :] = 0.0
 
-    denom = st.sir_denominators[..., i, j][..., None, None]
+    denom = denominators[..., None, None]
     num = (powers[..., i] * gain)[..., None, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = dnum / denom - (num / denom) * (dden / denom)
@@ -512,7 +590,8 @@ def sir_jacobian(state: ChannelState, powers: np.ndarray | None = None) -> np.nd
     """
     n = state.scenario.n_primary
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    g = _pair_jacobian(state, powers, i, j)
+    g = _pair_jacobian(state, powers, i, j, state._denominators(i, j),
+                       lambda: state._sum_gradients(i, j))
     out = np.zeros(g.shape[:-3] + (n, n) + g.shape[-2:])
     out[..., i, j, :, :] = g
     return out
@@ -523,12 +602,10 @@ def rate_jacobian(state: ChannelState, powers: np.ndarray | None = None) -> np.n
     topology order, w.r.t. every UAV coordinate (the chain rule through both
     directed SIRs), one table per geometry of a stacked state, at ``powers``
     as in ``sir_matrix``."""
-    topology = state.scenario.topology
-    sirs = _checked_sirs(topology, state, powers)
-    p, q = _endpoints(topology)
-    # both directions of every edge
-    g = _pair_jacobian(state, powers, np.concatenate([p, q]), np.concatenate([q, p]))
-    forward, backward = g[..., :len(p), :, :], g[..., len(p):, :, :]
+    sirs = _checked(_link_sirs(state, powers))
+    g = _pair_jacobian(state, powers, *_links(state.scenario.topology),
+                       state.link_denominators, lambda: state.link_sum_gradients)
+    m = sirs.shape[-1] // 2
     b = state.scenario.channel.bandwidth_hz
-    return b / (2.0 * LN2) * (forward / (1.0 + sirs[..., p, q])[..., None, None]
-                              + backward / (1.0 + sirs[..., q, p])[..., None, None])
+    return b / (2.0 * LN2) * (g[..., :m, :, :] / (1.0 + sirs[..., :m])[..., None, None]
+                              + g[..., m:, :, :] / (1.0 + sirs[..., m:])[..., None, None])

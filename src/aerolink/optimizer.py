@@ -33,7 +33,7 @@ from .power import (_allocation, _chain_flow, _chain_rates, _eta, _require_chain
                     verify_interference)
 from .scenario import Scenario, _require_finite
 from .spectral import LaplacianMode, connectivity_bundle
-from .trajectory import GradientMode, TrajectoryConfig, _each, lambda2_gradient, step
+from .trajectory import GradientMode, TrajectoryConfig, lambda2_gradient, step
 
 
 class TerminationReason(Enum):
@@ -97,7 +97,7 @@ def _evaluate(state, mode, powers, i_max_w=None, bundle=None):
     ``bundle`` is the state's at ``powers`` already."""
     if bundle is None:
         bundle = connectivity_bundle(state, mode=mode, powers=powers)
-    flows = _each(_chain_flow(bundle.matrices.adjacency))
+    flows = _chain_flow(bundle.matrices.adjacency).reshape(-1).tolist()
     report = verify_interference(state, powers, i_max_w)
     return bundle, flows, report
 
@@ -108,9 +108,9 @@ def _append(records, ids, t, state, powers, evaluated, etas, modes, stalls):
     scenario = state.scenario
     uav_positions = state.positions[:, list(scenario.uav_indices)]
     powers_w = np.array(powers)
-    for k, fields in enumerate(zip(ids.tolist(), _each(bundle.lambda2), flows,
-                                   _each(report.min_margin_w), _each(report.passed),
-                                   etas, modes, stalls, _each(bundle.degenerate))):
+    for k, fields in enumerate(zip(ids.tolist(), bundle.lambda2.tolist(), flows,
+                                   report.min_margin_w.tolist(), report.passed.tolist(),
+                                   etas, modes, stalls, bundle.degenerate.tolist())):
         i, lam, flow, margin, ok, eta, mode, stalled, degenerate = fields
         records[i].append(IterationRecord(
             iteration=t, uav_positions=uav_positions[k], powers_w=powers_w[k], lambda2=lam,
@@ -227,7 +227,7 @@ def _lockstep(scenarios, configs) -> list:
             bundle = None
         powers = new_powers
         evaluated = _evaluate(state, mode, powers, i_max, bundle)
-        etas = _each(_eta(feasible, _chain_rates(evaluated[0].matrices.adjacency)))
+        etas = _eta(feasible, _chain_rates(evaluated[0].matrices.adjacency)).tolist()
         stalls = [m.stalled for m in moved]
         _append(records, ids, t, state, powers, evaluated, etas,
                 [g.mode_used for g in grads], stalls)

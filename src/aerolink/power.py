@@ -112,7 +112,7 @@ def _allocation(state: ChannelState, i_max_w=None) -> tuple:
     state: every transmitter at its cap, which an infeasible geometry (a cap
     not positive and finite) clips at 0.0."""
     caps = power_caps(state, i_max_w)
-    feasible = np.all(caps > 0.0, axis=-1) & np.all(np.isfinite(caps), axis=-1)
+    feasible = (caps > 0.0).all(axis=-1) & np.isfinite(caps).all(axis=-1)
     return caps, feasible, np.maximum(caps, 0.0)
 
 
@@ -163,7 +163,7 @@ def verify_interference(state: ChannelState,
     margins = limit - received
     # without sources: an infinite margin, and passed
     min_margin = margins.min(axis=(-2, -1), initial=np.inf)
-    passed = np.all(received <= limit * (1.0 + _SLACK), axis=(-2, -1))
+    passed = (received <= limit * (1.0 + _SLACK)).all(axis=(-2, -1))
     if min_margin.ndim == 0:
         min_margin, passed = float(min_margin), bool(passed)
     return InterferenceReport(received_w=received, margins_w=margins,

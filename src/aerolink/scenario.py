@@ -207,6 +207,17 @@ class Scenario:
     def si_indices(self) -> tuple:
         return tuple(i for i, c in enumerate(self.classes) if c is NodeClass.INTERFERENCE_SOURCE)
 
+    @functools.cached_property
+    def _partition(self) -> AerialPartition:
+        # ``partition``'s split, made once: every channel state reads it
+        aerial = set(self.uav_indices)
+        ground = {self.source} | set(self.si_indices)
+        if self.ue_aerial:
+            aerial.add(self.destination)
+        else:
+            ground.add(self.destination)
+        return AerialPartition(aerial=frozenset(aerial), ground=frozenset(ground))
+
     @property
     def uav_positions(self) -> np.ndarray:
         return self.positions[list(self.uav_indices)].copy()
@@ -244,9 +255,11 @@ class Scenario:
 
 
 def _own(a, shape) -> np.ndarray:
+    """A read-only copy: construction is the only check a scenario gets."""
     out = np.array(a, dtype=float)
     if out.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {out.shape}")
+    out.setflags(write=False)
     return out
 
 
@@ -274,13 +287,7 @@ def _edges(topology, n_primary: int) -> tuple:
 
 def partition(scenario: Scenario) -> AerialPartition:
     """Aerial vs ground node split; the UE side is chosen by ``ue_aerial``."""
-    aerial = set(scenario.uav_indices)
-    ground = {scenario.source} | set(scenario.si_indices)
-    if scenario.ue_aerial:
-        aerial.add(scenario.destination)
-    else:
-        ground.add(scenario.destination)
-    return AerialPartition(aerial=frozenset(aerial), ground=frozenset(ground))
+    return scenario._partition
 
 
 def _node_classes(n_uavs: int, n_si: int) -> tuple:
@@ -423,6 +430,14 @@ def _json_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _json_count(value, name: str) -> int:
+    """A ``_json_int`` that is not negative."""
+    count = _json_int(value, name)
+    if count < 0:
+        raise ValueError(f"{name} must be >= 0, got {count}")
+    return count
+
+
 def _json_float(value, name: str, array: bool = False):
     """A JSON number as a float, or with ``array`` a number or nested lists
     of numbers as a float array; a bool or a string is not a number."""
@@ -495,7 +510,7 @@ def _uavs_from_config(section: dict, bs: np.ndarray, ue: np.ndarray) -> np.ndarr
         if uavs.ndim != 2 or uavs.shape[1] != 3:
             raise ValueError("uavs.positions_m must be a list of [x, y, z] triples")
         return uavs
-    count = _json_int(section.get("count", 0), "nodes.uavs.count")
+    count = _json_count(section.get("count", 0), "nodes.uavs.count")
     alt = _json_float(section.get("initial_altitude_m", 30.0), "nodes.uavs.initial_altitude_m")
     frac = np.arange(1, count + 1) / (count + 1)
     return np.column_stack([bs[0] + frac * (ue[0] - bs[0]),
@@ -514,7 +529,7 @@ def _sis_from_config(section: dict, seed) -> np.ndarray:
         if sis.shape != (0,) and (sis.ndim != 2 or sis.shape[1] != 3):
             raise ValueError("sis.positions_m must be a list of [x, y, z] triples")
         return sis.reshape(-1, 3)
-    count = _json_int(section.get("count", 0), "nodes.sis.count")
+    count = _json_count(section.get("count", 0), "nodes.sis.count")
     if count == 0:
         return np.zeros((0, 3))
     if seed is None:

@@ -12,6 +12,16 @@ The matrix chain (``build_matrices``, ``GraphMatrices.from_adjacency``,
 ``ChannelState`` into rate matrices, weighted Laplacians and their spectra
 (one batched ``eigh``); ``lambda2_stack`` is that pass over a stack of
 positions, under a reference state's scenario and fading.
+
+Which checks run where: ``from_adjacency``, ``eig_sym`` and
+``fiedler_pair`` check every input they are given, for outside callers.
+Inside the pass, ``build_matrices`` checks the edge rates once, for what
+``from_adjacency`` would find in their matrix (a NaN rate, which it reports
+as an asymmetric entry, then a negative one, with its messages), and builds
+the matrices without it.  ``connectivity_bundle`` takes the spectrum of its
+symmetrized Laplacian from ``np.linalg.eigh`` directly, without
+``eig_sym``'s symmetry check (the Laplacian is symmetric by construction),
+and ``fiedler_pair``'s spectrum checks from ``_fiedler``.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ import numpy as np
 from .channel import ChannelState, _endpoints, edge_rates
 
 _EIG_TOL = 1.0e-9
+_ASYMMETRIC = "adjacency must be symmetric"
+_NEGATIVE = "edge weights must be non-negative"
 
 
 class LaplacianMode(Enum):
@@ -50,11 +62,16 @@ class GraphMatrices:
         if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
             raise ValueError("adjacency must be square")
         if not np.array_equal(a, np.swapaxes(a, -1, -2)):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(a < 0.0):
-            raise ValueError("edge weights must be non-negative")
-        if np.any(np.diagonal(a, axis1=-2, axis2=-1) != 0.0):
+            raise ValueError(_ASYMMETRIC)
+        if (a < 0.0).any():
+            raise ValueError(_NEGATIVE)
+        if (np.diagonal(a, axis1=-2, axis2=-1) != 0.0).any():
             raise ValueError("self loops are not allowed")
+        return GraphMatrices._of(a)
+
+    @staticmethod
+    def _of(a: np.ndarray) -> "GraphMatrices":
+        """The matrices of a checked (..., n, n) adjacency, which they keep."""
         deg = np.zeros_like(a)
         diag = np.arange(a.shape[-1])
         deg[..., diag, diag] = a.sum(axis=-1)
@@ -67,13 +84,21 @@ class GraphMatrices:
 
 def build_matrices(state: ChannelState, powers: np.ndarray | None = None) -> GraphMatrices:
     """Rate matrix over the state's topology, plus degree and Laplacian
-    (one per geometry of a stacked state), at ``powers`` as in ``edge_rates``."""
+    (one per geometry of a stacked state), at ``powers`` as in ``edge_rates``.
+
+    The matrix is square, symmetric and loop-free by construction, so the
+    rates are checked once for the two faults ``from_adjacency`` could still
+    find, with its messages: a NaN rate (an entry unequal to its mirror,
+    "adjacency must be symmetric"), then a negative one.
+    """
     n = state.scenario.n_primary
     rates = edge_rates(state, powers)
+    if not (rates >= 0.0).all():
+        raise ValueError(_ASYMMETRIC if np.isnan(rates).any() else _NEGATIVE)
     p, q = _endpoints(state.scenario.topology)
     a = np.zeros(rates.shape[:-1] + (n, n))
     a[..., p, q] = a[..., q, p] = rates
-    return GraphMatrices.from_adjacency(a)
+    return GraphMatrices._of(a)
 
 
 def weighted_laplacian(matrices: GraphMatrices,
@@ -83,12 +108,12 @@ def weighted_laplacian(matrices: GraphMatrices,
     w = np.asarray(weights, dtype=float)
     if w.shape != (matrices.n,):
         raise ValueError("need one positive weight per node")
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise ValueError("node weights must be positive")
     scale = 1.0 / np.sqrt(w)
     if mode is LaplacianMode.NORMALIZED_WEIGHTED:
         deg = np.diagonal(matrices.degree, axis1=-2, axis2=-1)
-        if np.any(deg <= 0.0):
+        if (deg <= 0.0).any():
             raise ValueError("normalized mode undefined with an isolated node")
         scale = scale / np.sqrt(deg)
     return matrices.laplacian * scale[..., :, None] * scale[..., None, :]
@@ -105,7 +130,7 @@ def eig_sym(mat: np.ndarray) -> tuple:
         raise ValueError("matrix must be square")
     mt = np.swapaxes(m, -1, -2)
     scale = np.fmax(1.0, np.abs(m).max(axis=(-2, -1)))
-    if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1.0e-12 * scale):
+    if (np.abs(m - mt).max(axis=(-2, -1)) > 1.0e-12 * scale).any():
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigh(0.5 * (m + mt))
 
@@ -120,7 +145,7 @@ class FiedlerResult:
 
 def _unstacked(value):
     """A Python scalar for the value of a single matrix; arrays as they are."""
-    return value.item() if np.ndim(value) == 0 else value
+    return value.item() if value.ndim == 0 else value
 
 
 def fiedler_pair(weighted_lap: np.ndarray) -> FiedlerResult:
@@ -132,12 +157,16 @@ def fiedler_pair(weighted_lap: np.ndarray) -> FiedlerResult:
     the matrix scale.  A disconnected graph is degenerate by this rule.  A
     (..., n, n) stack gives one result whose fields carry its leading axes.
     """
-    vals, vecs = eig_sym(weighted_lap)
+    return _fiedler(*eig_sym(weighted_lap))
+
+
+def _fiedler(vals: np.ndarray, vecs: np.ndarray) -> FiedlerResult:
+    """``fiedler_pair``'s result from a (stacked) eigendecomposition."""
     n = vals.shape[-1]
     if n < 2:
         raise ValueError("connectivity needs at least two nodes")
     scale = np.fmax(1.0, np.abs(vals).max(axis=-1))
-    if np.any(vals[..., 0] < -_EIG_TOL * scale):
+    if (vals[..., 0] < -_EIG_TOL * scale).any():
         raise ValueError("weighted Laplacian must be positive semidefinite")
     lam2 = vals[..., 1]
     gap = vals[..., 2] - lam2 if n >= 3 else np.full(vals.shape[:-1], np.inf)
@@ -191,7 +220,9 @@ def connectivity_bundle(state: ChannelState,
     w = state.scenario.weights if weights is None else np.asarray(weights, dtype=float)
     matrices = build_matrices(state, powers)
     lw = weighted_laplacian(matrices, w, mode)
-    fr = fiedler_pair(lw)
+    # symmetric by construction, so ``eig_sym``'s check is skipped; the same
+    # eigh of the same symmetrized matrix
+    fr = _fiedler(*np.linalg.eigh(0.5 * (lw + lw.swapaxes(-1, -2))))
     return LaplacianBundle(
         matrices=matrices,
         weighted_laplacian=lw,

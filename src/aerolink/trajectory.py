@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelState, _endpoints, _join, rate_jacobian
+from .channel import ChannelState, _endpoints, _join, _norms, rate_jacobian
 from .scenario import _require_finite
 from .spectral import LaplacianBundle, LaplacianMode, connectivity_bundle, lambda2_stack
 
@@ -139,11 +139,6 @@ def _fd_gradients(state: ChannelState, weights, mode, h: float,
     return (lam[..., 0] - lam[..., 1]) / (2.0 * h)
 
 
-def _each(value) -> list:
-    """The per-geometry entries of a scalar or stacked field, as a list."""
-    return np.reshape(value, -1).tolist()
-
-
 def lambda2_gradient(state: ChannelState, bundle: LaplacianBundle,
                      gradient_mode: GradientMode = GradientMode.ANALYTIC,
                      fd_step_m: float = 1.0e-3, powers=None):
@@ -180,14 +175,19 @@ def lambda2_gradient(state: ChannelState, bundle: LaplacianBundle,
         fd = degenerate = np.asarray(formula.degenerate)
         if not fd.all():
             grad = _analytic_gradient(formula, state, powers)
-    if fd.any():
+    if lead and fd.all():
+        # a whole stack as it is, with no copy of its tables
+        grad = _fd_gradients(state, bundle.weights, bundle.mode, fd_step_m,
+                             None if powers is None else np.asarray(powers))
+    elif fd.any():
         # a boolean pick keeps a leading axis, also for a single geometry
         grad[fd] = _fd_gradients(state._select(fd), bundle.weights, bundle.mode, fd_step_m,
                                  None if powers is None else np.asarray(powers)[fd])
     fields = tuple(
         GradientField(d_lambda2=g, mode_used=GradientMode.FINITE_DIFFERENCE if f else gradient_mode,
                       degenerate=d)
-        for g, f, d in zip(grad.reshape(-1, n_uavs, 3), _each(fd), _each(degenerate)))
+        for g, f, d in zip(grad.reshape(-1, n_uavs, 3), fd.reshape(-1).tolist(),
+                           degenerate.reshape(-1).tolist()))
     return fields if lead else fields[0]
 
 
@@ -208,10 +208,12 @@ class StepResult:
 @functools.lru_cache(maxsize=64)
 def _step_settings(configs: tuple) -> tuple:
     """Per point: active axes (count, 1, 3), displacement clip and altitude
-    floor (count, 1), shared read-only by every step with these configs."""
+    floor (count, 1; -inf where z is masked, which no altitude is below),
+    shared read-only by every step with these configs."""
     tables = (np.array([[axis in c.mask.axes for axis in range(3)] for c in configs])[:, None],
               np.array([c.max_step_m for c in configs])[:, None],
-              np.array([c.min_altitude_m for c in configs])[:, None])
+              np.array([c.min_altitude_m if 2 in c.mask.axes else -np.inf
+                        for c in configs])[:, None])
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -245,13 +247,13 @@ def step(state: ChannelState, bundle: LaplacianBundle, gradient, config, powers=
     if lone:
         state, bundle, gradient = state._select(None), bundle.take(None), (gradient,)
         powers = None if powers is None else powers[None]
-    grad = np.stack([g.d_lambda2 for g in gradient])
+    grad = np.array([g.d_lambda2 for g in gradient])
     count = len(grad)
     configs = (config,) * count if isinstance(config, TrajectoryConfig) else tuple(config)
     uavs = list(state.scenario.uav_indices)
     base = state.positions[:, uavs]
     on, cap, floor = _step_settings(configs)
-    lam_old = _each(bundle.lambda2)
+    lam_old = bundle.lambda2.tolist()
 
     # per point, as Python scalars: dt halves exactly as a float does
     dt = [c.dt for c in configs]
@@ -263,14 +265,12 @@ def step(state: ChannelState, bundle: LaplacianBundle, gradient, config, powers=
         pick = slice(None) if len(live) == count else live
         on_k, base_k, cap_k = on[pick], base[pick], cap[pick]
         disp = np.where(on_k, np.array([dt[k] for k in live])[:, None, None] * grad[pick], 0.0)
-        norms = np.linalg.norm(disp, axis=-1)
+        norms = _norms(disp)
         over = norms > cap_k
         if over.any():
             disp[over] *= (np.broadcast_to(cap_k, over.shape)[over] / norms[over])[:, None]
         pos = np.where(on_k, base_k + disp, base_k)
-        z = on_k[:, 0, 2]
-        if z.any():
-            pos[z, :, 2] = np.maximum(pos[z, :, 2], floor[pick][z])
+        pos[..., 2] = np.maximum(pos[..., 2], floor[pick])
         trial = state.positions[live]
         trial[:, uavs] = pos
         # a trial of one geometry computes its own rows, with no copies; a
@@ -280,7 +280,7 @@ def step(state: ChannelState, bundle: LaplacianBundle, gradient, config, powers=
                                  None if len(live) == 1 else state._select(pick))
         new_bundle = connectivity_bundle(new_state, bundle.weights, bundle.mode,
                                          None if powers is None else powers[live])
-        lam_new = _each(new_bundle.lambda2)
+        lam_new = new_bundle.lambda2.tolist()
         took, gave_up, halving = [], [], []
         for i, k in enumerate(live):
             c = configs[k]

@@ -111,6 +111,43 @@ def test_coincident_nodes_rejected():
 # -- smoothed proximity step ----------------------------------------------
 
 
+def _edge_values(rng):
+    # wide magnitudes, both signs, exact zeros of either sign, subnormals
+    values = rng.standard_normal(4000) * 10.0 ** rng.uniform(-300.0, 150.0, 4000)
+    return np.concatenate([values, [0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e154, -1e154]])
+
+
+def test_inline_norms_are_np_linalg_norms_to_the_bit():
+    rng = np.random.default_rng(90)
+    values = _edge_values(rng)
+    vectors = rng.choice(values, size=(3000, 3))
+    for v in (vectors, vectors.reshape(10, 300, 3), rng.uniform(-300.0, 300.0, (5, 17, 17, 3))):
+        expected = np.linalg.norm(v, axis=-1)
+        assert np.array_equal(ch._norms(v).view(np.uint64), expected.view(np.uint64))
+
+
+def _masked_sigmoid(z):
+    # the two-branch form the sigmoid had, each branch evaluated on its own
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_its_masked_two_branch_form_to_the_bit():
+    rng = np.random.default_rng(91)
+    z = np.concatenate([rng.uniform(-800.0, 800.0, 5000), rng.uniform(-40.0, 40.0, 5000),
+                        [0.0, -0.0, 709.0, -709.0, 746.0, -746.0, 5e-324]])
+    for shape in ((-1,), (100, -1)):
+        zs = z[:10000].reshape(shape) if shape != (-1,) else z
+        got = ch._sigmoid(zs)
+        assert np.array_equal(got.view(np.uint64), _masked_sigmoid(zs).view(np.uint64))
+    assert ch._sigmoid(-3.5) == float(_masked_sigmoid(np.array([-3.5]))[0])
+
+
 def test_smoothed_step_reference_points():
     saf = sc.SafetyParams()
     # y = 0: zeta / (1 + y0)

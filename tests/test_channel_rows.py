@@ -168,3 +168,54 @@ def test_a_state_over_any_moved_geometry_has_its_gradient_tables(case, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     positions = s.positions + rng.uniform(-2.5, 2.5, size=s.positions.shape) * move[:, None]
     _assert_override_matches_a_moved_scenario(s, fading, positions)
+
+
+# ------------------------------------------------- the chain's directed links
+
+
+def _assert_links_are_full_table_entries(state):
+    # the tables a state keeps per directed link, and the SIRs over them,
+    # are the link entries of the full tables built on demand, to the bit
+    i, j = ch._links(state.scenario.topology)
+    assert _same_bits(state.link_denominators, state.sir_denominators[..., i, j])
+    assert _same_bits(ch._link_sirs(state), ch.sir_matrix(state)[..., i, j])
+    assert _same_bits(state.link_sum_gradients, state.safety_sum_gradients[..., i, j, :])
+
+
+@pytest.mark.parametrize("fading_kind", ["unit", "rayleigh"])
+@pytest.mark.parametrize("chi, n_si", [(0.0, None), (1.0, None), (1.0, 0)])
+def test_link_tables_are_the_link_entries_of_the_full_tables(fading_kind, chi, n_si):
+    # lone, stacked and over a reference; with chi = 0, and without sources
+    rng = np.random.default_rng(73)
+    for k in range(4):
+        s = make_line_scenario(rng, n_uavs=5 + k, chi=chi, n_si=n_si, jitter=k % 2 == 0)
+        if k % 2:
+            # edges out of order, half of them reversed: links follow the topology
+            edges = reversed(s.topology)
+            s = dataclasses.replace(s, topology=tuple(
+                (q, p) if e % 2 else (p, q) for e, (p, q) in enumerate(edges)))
+        fading = ch.FadingModel(fading_kind, k)
+        lone = ch.build_state(s, fading)
+        stack = s.positions + rng.uniform(-2.0, 2.0, size=(2, 3) + s.positions.shape)
+        for state in (lone, ch.ChannelState(s, fading, stack),
+                      ch.ChannelState(s, fading, _fd_stack(s, 0.25), lone),
+                      ch.ChannelState(s, fading, stack, ch.ChannelState(s, fading, stack[:, 0]))):
+            _assert_links_are_full_table_entries(state)
+
+
+def test_a_state_over_a_reference_refuses_a_node_moved_onto_another():
+    # the recomputed rows are the only ones checked: a bump that lands on an
+    # unmoved node, or two moved nodes that meet, must still be refused
+    s = make_line_scenario(np.random.default_rng(74), n_uavs=4, chi=1.0, jitter=False)
+    reference = ch.build_state(s)
+    onto_unmoved = s.positions.copy()
+    onto_unmoved[2] = s.positions[3]
+    met = s.positions.copy()
+    met[[1, 2]] = s.positions[1] + np.array([0.0, 5.0, 0.0])
+    for bad in (onto_unmoved, met):
+        stack = np.stack([s.positions, s.positions + 0.5, bad])
+        with pytest.raises(ValueError, match="^two nodes share a position; link gain undefined$"):
+            ch.ChannelState(s, reference.fading, stack, reference)
+    fine = ch.ChannelState(s, reference.fading, np.stack([s.positions, s.positions + 0.5]),
+                           reference)
+    _assert_links_are_full_table_entries(fine)

@@ -249,9 +249,30 @@ _MISSHAPEN += [(("powers", "node_dbm"), 20.0, "number")]
 _MISSHAPEN += [(("powers", key), None, "null") for key in ("si_dbm", "i_max_dbm")]
 
 
-@pytest.mark.parametrize("keys, value", _MISTYPED + [case[:2] for case in _MISSHAPEN],
+# a negative node count used to escape as numpy's "negative dimensions are not
+# allowed", which names no key.  (keys, value, the key the message names)
+_NEGATIVE_COUNTS = [(("nodes", node), {"count": -1}, f"nodes.{node}.count")
+                    for node in ("sis", "uavs")]
+
+
+@pytest.mark.parametrize("keys, value, name", _NEGATIVE_COUNTS,
+                         ids=[name for _, _, name in _NEGATIVE_COUNTS])
+def test_a_negative_node_count_exits_one_naming_its_key(tmp_path, capsys, keys, value, name):
+    cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
+    _set_key(cfg, keys, value)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg_path), str(out)) == 1
+    assert f"config error: {name} must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keys, value", _MISTYPED + [case[:2] for case in _MISSHAPEN]
+                         + [case[:2] for case in _NEGATIVE_COUNTS],
                          ids=[".".join(keys) for keys, _ in _MISTYPED]
-                         + [".".join(keys) + "-" + tag for keys, _, tag in _MISSHAPEN])
+                         + [".".join(keys) + "-" + tag for keys, _, tag in _MISSHAPEN]
+                         + [".".join(keys) + "-negative-count" for keys, _, _ in _NEGATIVE_COUNTS])
 def test_mistyped_or_unknown_config_key_exits_one(tmp_path, capsys, keys, value):
     cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
     cfg["optimizer"] = {"epsilon": 200.0, "max_iterations": 3}

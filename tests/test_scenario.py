@@ -283,3 +283,19 @@ def test_functional_updates_do_not_touch_others():
     assert np.array_equal(s.uav_positions + 1.0, moved.uav_positions)
     # original untouched
     assert np.array_equal(s.positions, sc.build_default_scenario().positions)
+
+
+def test_a_built_scenarios_arrays_are_read_only():
+    # construction is the only check a scenario gets: an in-place write
+    # that would break a rule (here: a negative altitude) is refused
+    s = sc.build_default_scenario(3, n_uavs=4, n_si=3)
+    with pytest.raises(ValueError, match="read-only"):
+        s.positions[1, 2] = -5.0
+    for name in ("node_powers_w", "si_powers_w", "i_max_w", "weights"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[0] = -1.0
+    assert sc.validate(s) == []
+    assert s == sc.build_default_scenario(3, n_uavs=4, n_si=3)
+    # the functional updates write into copies
+    moved = s.with_uav_positions(s.uav_positions + 1.0).with_ue_altitude(40.0)
+    assert not moved.positions.flags.writeable

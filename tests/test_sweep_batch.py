@@ -434,6 +434,10 @@ def _checked_sirs_per_edge(edges, state):
     return sirs
 
 
+def _checked_link_sirs(state):
+    return ch._checked(ch._link_sirs(state))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -449,12 +453,13 @@ def test_a_stacked_check_raises_what_the_lone_check_raises():
     half = s.positions.copy()
     half[n - 1] = [2000.0, 0.0, 30.0]           # only the last edge dies
     fading = ch.FadingModel.unit_gain()
+    i, j = ch._links(s.topology)
     for geometries in ((s.positions, decayed), (half, s.positions),
                        (s.positions, s.positions), (decayed,), (half,)):
         stacked = ch.ChannelState(s, fading, np.stack(geometries))
-        new = _outcome(ch._checked_sirs, s.topology, stacked)
+        new = _outcome(_checked_link_sirs, stacked)
         old = _outcome(_checked_sirs_per_edge, s.topology, stacked)
-        lone = [_outcome(ch._checked_sirs, s.topology, ch.ChannelState(s, fading, g))
+        lone = [_outcome(_checked_link_sirs, ch.ChannelState(s, fading, g))
                 for g in geometries]
         failed = [m for m in lone if isinstance(m, str)]
         if isinstance(old, str):
@@ -463,4 +468,4 @@ def test_a_stacked_check_raises_what_the_lone_check_raises():
             assert len(failed) != 1 or new == failed[0]
         else:
             assert not failed
-            assert _same_words(new, old)
+            assert _same_words(new, old[..., i, j])
