@@ -18,10 +18,8 @@ Which checks run where: ``from_adjacency``, ``eig_sym`` and
 Inside the pass, ``build_matrices`` checks the edge rates once, for what
 ``from_adjacency`` would find in their matrix (a NaN rate, which it reports
 as an asymmetric entry, then a negative one, with its messages), and builds
-the matrices without it.  ``connectivity_bundle`` takes the spectrum of its
-symmetrized Laplacian from ``np.linalg.eigh`` directly, without
-``eig_sym``'s symmetry check (the Laplacian is symmetric by construction),
-and ``fiedler_pair``'s spectrum checks from ``_fiedler``.
+the matrices without it.  ``connectivity_bundle`` takes its spectrum from
+``fiedler_pair``, with all of its checks.
 """
 
 from __future__ import annotations
@@ -157,11 +155,7 @@ def fiedler_pair(weighted_lap: np.ndarray) -> FiedlerResult:
     the matrix scale.  A disconnected graph is degenerate by this rule.  A
     (..., n, n) stack gives one result whose fields carry its leading axes.
     """
-    return _fiedler(*eig_sym(weighted_lap))
-
-
-def _fiedler(vals: np.ndarray, vecs: np.ndarray) -> FiedlerResult:
-    """``fiedler_pair``'s result from a (stacked) eigendecomposition."""
+    vals, vecs = eig_sym(weighted_lap)
     n = vals.shape[-1]
     if n < 2:
         raise ValueError("connectivity needs at least two nodes")
@@ -220,9 +214,7 @@ def connectivity_bundle(state: ChannelState,
     w = state.scenario.weights if weights is None else np.asarray(weights, dtype=float)
     matrices = build_matrices(state, powers)
     lw = weighted_laplacian(matrices, w, mode)
-    # symmetric by construction, so ``eig_sym``'s check is skipped; the same
-    # eigh of the same symmetrized matrix
-    fr = _fiedler(*np.linalg.eigh(0.5 * (lw + lw.swapaxes(-1, -2))))
+    fr = fiedler_pair(lw)
     return LaplacianBundle(
         matrices=matrices,
         weighted_laplacian=lw,

@@ -175,11 +175,7 @@ def lambda2_gradient(state: ChannelState, bundle: LaplacianBundle,
         fd = degenerate = np.asarray(formula.degenerate)
         if not fd.all():
             grad = _analytic_gradient(formula, state, powers)
-    if lead and fd.all():
-        # a whole stack as it is, with no copy of its tables
-        grad = _fd_gradients(state, bundle.weights, bundle.mode, fd_step_m,
-                             None if powers is None else np.asarray(powers))
-    elif fd.any():
+    if fd.any():
         # a boolean pick keeps a leading axis, also for a single geometry
         grad[fd] = _fd_gradients(state._select(fd), bundle.weights, bundle.mode, fd_step_m,
                                  None if powers is None else np.asarray(powers)[fd])
