@@ -6,7 +6,9 @@ Every transmitter must keep the power it lands on every fixed source below
 that source's threshold, which caps its transmit power.  The max-min solve
 pushes everyone to their cap; the common achievable rate is the bottleneck
 edge rate there.  This script tightens the threshold and watches caps,
-bottleneck rate, and margins respond.
+bottleneck rate, and margins respond.  A state is one evaluation point:
+its geometry at its powers and thresholds, so each check is a state of the
+scenario at the powers being checked.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ for threshold_dbm in (-30.0, -50.0, -60.0):
     st = build_state(t)
     caps = power_caps(st)
     sol = solve_maxmin(st)
-    report = verify_interference(st, sol.powers_w)
+    report = verify_interference(build_state(t.with_node_powers(sol.powers_w)))
     bound = [kind.value for kind, _ in sol.binding]
     n_capped = sum(1 for b in bound if b == "interference-cap")
     print(f"threshold {threshold_dbm:6.1f} dBm: "
@@ -32,15 +34,15 @@ for threshold_dbm in (-30.0, -50.0, -60.0):
     print(f"  caps (dBm): {row}")
 
 # at full budget the tight thresholds would be violated
-tight = build_state(s.with_i_max_dbm(-60.0))
-full = verify_interference(tight, np.full(s.n_primary, s.p_max_w))
+strict = s.with_i_max_dbm(-60.0)
+full = verify_interference(build_state(strict.with_node_powers(np.full(s.n_primary, s.p_max_w))))
 print()
 print(f"running everyone at the full budget under -60 dBm thresholds: "
       f"passed = {full.passed}, worst margin = {full.min_margin_w:.2e} W")
 
 # the solution sits exactly on the tightest constraint
-sol = solve_maxmin(tight)
-at_solution = verify_interference(tight, sol.powers_w)
+sol = solve_maxmin(build_state(strict))
+at_solution = verify_interference(build_state(strict.with_node_powers(sol.powers_w)))
 print(f"at the solved powers:                                   "
       f"passed = {at_solution.passed}, worst margin = "
       f"{at_solution.min_margin_w:.2e} W")

@@ -20,7 +20,10 @@ working tree and on the ref, from the same generated configs:
   finite-difference stacks copy rows from a state without unit gains), and
   on the seed-7 config with dt 1e4 and at most 3 halvings (60 iterations
   allowed; its first 5 steps are accepted unhalved, and the sixth halves
-  3 times, stalls and ends the run as stalled);
+  3 times, stalls and ends the run as stalled), and on the seed-23 config
+  with every threshold at -55 dBm (``run-binding``: epsilon 1e-12, 100
+  analytic iterations; a node is capped on every record and the powers
+  move on every iteration, the regime the interference caps are about);
 - ``aerolink sweep`` (sweep.csv): the interference threshold over masks
   xy, xz, yz and xyz with ``--jobs 1`` and ``--jobs 2``, the UE altitude
   over masks xy and xyz, and a 40-iteration finite-difference threshold
@@ -84,6 +87,10 @@ def _configs(workdir: str) -> dict:
     write("stall", dict(base, optimizer={
         "epsilon": 1e-12, "max_iterations": 60,
         "trajectory": {"dt": 1e4, "max_backtracks": 3}}))
+    seed23 = scenario_to_config(build_default_scenario(23))
+    write("binding", dict(seed23, powers=dict(
+        seed23["powers"], i_max_dbm=[-55.0] * len(seed23["powers"]["i_max_dbm"])), optimizer={
+        "epsilon": 1e-12, "max_iterations": 100, "trajectory": {"gradient_mode": "analytic"}}))
     write("shortcut", dict(base, topology=base["topology"] + [[0, 2]]))
     write("fd-sweep", dict(base, optimizer={
         "epsilon": 1e-12, "max_iterations": 40,
@@ -108,7 +115,7 @@ def _commands(files: dict) -> list:
                     cli + ["gradcheck", "--config", files[f"default-{mode}"]], False))
     out.append(("gradcheck-shortcut", cli + ["gradcheck", "--config", files["shortcut"]],
                 False))
-    for name in ("capped", "defaults", "rayleigh", "fd-rayleigh", "stall"):
+    for name in ("capped", "defaults", "rayleigh", "fd-rayleigh", "stall", "binding"):
         out.append((f"run-{name}", cli + ["run", "--config", files[name]], True))
     default = files[f"default-{MODES[0]}"]
     for jobs in (1, 2):

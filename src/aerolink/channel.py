@@ -7,10 +7,11 @@ The link budget at a receiver competes against two terms: aggregate
 interference from the fixed sources, and a smoothed proximity penalty that
 grows steeply once another primary node comes within the separation radius.
 
-Everything is computed as arrays, once per geometry.  ``ChannelState`` holds
-the power-independent tables of the positions it is given (distances,
-gains, source interference, proximity terms) and the scenario (layout and
-powers) and fading it was built with; every function here reads both from
+Everything is computed as arrays, once per geometry.  ``ChannelState`` is
+one evaluation point per geometry: the power-independent tables of the
+positions it is given (distances, gains, source interference, proximity
+terms), the transmit powers and source thresholds they are evaluated at,
+and the scenario (layout) and fading; every function here reads them from
 the state.  The rates, the Laplacian and its gradient read only the
 topology's directed links (p -> q, then q -> p of every edge), so a state
 keeps the SIR denominators, and builds the proximity-sum gradients, of
@@ -18,19 +19,18 @@ those links only.  Each such quantity has one function of a list of pairs
 (``ChannelState._denominators``, ``ChannelState._sum_gradients``,
 ``_sirs``); the full (n_primary, n_primary) tables (``sir_denominators``,
 ``safety_sum_gradients``, ``sir_matrix``, ``sir_jacobian``) are that
-function applied to every pair, built only when asked for.  ``edge_rates``
-and ``rate_jacobian`` combine the link tables with the state's scenario
-powers.  Each array keeps the association of the per-pair formula it
-replaces (the same masked 1-D sums, ``(num/denom)*(dden/denom)``), so its
-entries equal a pair-at-a-time evaluation to the bit.  A state may also
-hold a stack of geometries (leading axes before the node axes); the
-functions then return one table per geometry (at those powers or at a
-``powers`` argument with the same leading axes), each equal to the bit to
-that geometry's own.  A state computes the rows of the nodes that differ
-from its reference state's geometry, or every row without a reference.
-Every derivative is an entry of ``sir_jacobian`` or ``rate_jacobian``; the
-value lookups (``sir``, ``edge_rate``, ``link_gain``) compute or index the
-pair they are asked about and raise only for it.
+function applied to every pair, built only when asked for.  Each array
+keeps the association of the per-pair formula it replaces (the same masked
+1-D sums, ``(num/denom)*(dden/denom)``), so its entries equal a
+pair-at-a-time evaluation to the bit.  A state may also hold a stack of
+geometries (leading axes before the node axes), each at its own powers and
+thresholds; the functions then return one table per geometry, each equal
+to the bit to that geometry's own.  A state computes the rows of the nodes
+that differ from its reference state's geometry, or every row without a
+reference.  Every derivative is an entry of ``sir_jacobian`` or
+``rate_jacobian``; the value lookups (``sir``, ``edge_rate``,
+``link_gain``) compute or index the pair they are asked about and raise
+only for it.
 """
 
 from __future__ import annotations
@@ -168,29 +168,33 @@ def _link_layout(n_total: int, n_primary: int, aerial: frozenset, channel,
 
 
 _GEOMETRY_TABLES = ("positions", "dist", "gain_sq", "safety_u", "interference_w",
-                    "link_denominators")
+                    "link_denominators", "powers", "i_max_w")
 
 
 class ChannelState:
-    """Position-dependent link quantities shared by SIR, rate, and gradient calls.
+    """One evaluation point per geometry: link tables, powers and thresholds.
 
-    Holds everything that does not change with primary transmit powers:
+    Holds the tables that do not change with primary transmit powers:
     pairwise distances, squared channel gains, per-receiver aggregate
     interference, the proximity penalty table over primary nodes and the
     SIR denominator of each directed link of the topology
-    (``link_denominators``, in ``_links`` order).  The gradient tables, the
-    links' included, are built on first use, and so are the tables of
-    every ordered primary pair (``sir_denominators``,
-    ``safety_sum_gradients``), from the same pair functions as the links'.
-    The link tables that do not depend on the geometry (link classes,
-    exponents, offsets and fading) are cached per node layout.
+    (``link_denominators``, in ``_links`` order); and the values it is
+    evaluated at: the primary transmit powers (``powers``, (...,
+    n_primary)) and the source thresholds (``i_max_w``, (..., n_si)).  The
+    gradient tables, the source gains and the tables of every ordered
+    primary pair (``sir_denominators``, ``safety_sum_gradients``) are built
+    on first use.  The link tables that do not depend on the geometry (link
+    classes, exponents, offsets and fading) are cached per node layout.
 
-    It keeps ``scenario`` (layout and powers) and ``fading``, which every
-    evaluation of the state reads.  ``positions``, one (n_total, 3) geometry
-    or a (..., n_total, 3) stack, replaces the scenario's node positions and
-    is kept as ``positions``; every table, gradient tables included, is
-    built from it, so each geometry's entries equal those of a state built
-    for it alone, to the bit.  One rule decides which rows a state computes:
+    It keeps ``scenario`` (the layout) and ``fading``, which every
+    evaluation of the state reads.  ``powers`` and ``i_max_w`` are taken as
+    given, else from the ``reference`` state, else from the scenario, and
+    copied to one row per geometry where they lack the stack's axes.
+    ``positions``, one (n_total, 3) geometry or a (..., n_total, 3) stack,
+    replaces the scenario's node positions and is kept as ``positions``;
+    every table, gradient tables included, is built from it, so each
+    geometry's entries equal those of a state built for it alone, to the
+    bit.  One rule decides which rows a state computes:
     those of every node whose coordinates differ from its ``reference``
     state's geometry (whose leading axes must begin the stack's), or every
     row without a reference.  A geometry takes the rest of its tables from
@@ -203,7 +207,8 @@ class ChannelState:
 
     def __init__(self, scenario: Scenario, fading: FadingModel,
                  positions: np.ndarray | None = None,
-                 reference: "ChannelState | None" = None):
+                 reference: "ChannelState | None" = None, *,
+                 powers: np.ndarray | None = None, i_max_w: np.ndarray | None = None):
         if reference is not None and (reference.scenario is not scenario
                                       or reference.fading != fading):
             raise ValueError("a state over a reference takes its scenario and fading")
@@ -275,11 +280,26 @@ class ChannelState:
         # the rates, the Laplacian and its gradient read these pairs only
         self.link_denominators = self._denominators(*_links(scenario.topology))
 
+        if reference is not None:
+            powers = reference.powers if powers is None else powers
+            i_max_w = reference.i_max_w if i_max_w is None else i_max_w
+        self.powers = _rows(powers, scenario.node_powers_w, lead,
+                            "need one power per primary node")
+        self.i_max_w = _rows(i_max_w, scenario.i_max_w, lead,
+                             "need one threshold per interference source")
+
     def _select(self, index) -> "ChannelState":
         """The state of the geometries ``index`` picks on the first leading
         axis (``None`` adds one; an integer index gives a single geometry's
         state): views of these tables, built without computing anything."""
         return self._with(table[index] for table in self._tables())
+
+    def _at(self, powers) -> "ChannelState":
+        """This state at other primary powers (one row per geometry): its
+        tables, lazy ones included, as they are, since none depends on them."""
+        out = ChannelState.__new__(ChannelState)
+        out.__dict__.update(self.__dict__, powers=powers)
+        return out
 
     def _tables(self) -> list:
         """The per-geometry tables, positions first."""
@@ -292,7 +312,14 @@ class ChannelState:
         out.__dict__.update(zip(_GEOMETRY_TABLES, tables))
         return out
 
-    # -- lazy gradient tables --------------------------------------------
+    # -- lazy tables --------------------------------------------------------
+
+    @functools.cached_property
+    def source_gains(self) -> np.ndarray:
+        """(..., n_primary, n_si): squared gain from each primary transmitter
+        to each interference source."""
+        sc = self.scenario
+        return self.gain_sq[..., :sc.n_primary, list(sc.si_indices)]
 
     @functools.cached_property
     def safety_slope(self) -> np.ndarray:
@@ -375,6 +402,21 @@ class ChannelState:
         return sums.swapaxes(-1, -2)
 
 
+def _rows(values, default, lead: tuple, message: str) -> np.ndarray:
+    """``values`` (default: ``default``) as one row per geometry of a stack
+    with leading axes ``lead``, which begin with the values' own (a
+    reference state's rows, say); copied only where they lack some."""
+    values = default if values is None else np.asarray(values, dtype=float)
+    if values.shape[-1:] != default.shape:
+        raise ValueError(message)
+    if values.shape[:-1] == lead:
+        return values
+    out = np.empty(lead + default.shape)
+    out[...] = values.reshape(values.shape[:-1] + (1,) * (len(lead) + 1 - values.ndim)
+                              + default.shape)
+    return out
+
+
 def _join(parts, count: int):
     """One object over ``count`` geometries from (obj, picks, slots) parts,
     each obj a stacked ``ChannelState`` or ``LaplacianBundle`` (its
@@ -415,12 +457,11 @@ _ZERO_DENOMINATOR = ("zero SIR denominator: no interference sources and no "
                      "proximity term (chi = 0 or fully decayed)")
 
 
-def _sirs(state, powers, i, j, denominators) -> np.ndarray:
+def _sirs(state, i, j, denominators) -> np.ndarray:
     """(..., m) unchecked SIRs of the pairs i[k] -> j[k] over their
-    ``denominators``, at ``powers`` as in ``sir_matrix``."""
-    powers = state.scenario.node_powers_w if powers is None else powers
+    ``denominators``, at the state's powers."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return powers[..., i] * state.gain_sq[..., i, j] / denominators
+        return state.powers[..., i] * state.gain_sq[..., i, j] / denominators
 
 
 def _checked(sirs: np.ndarray) -> np.ndarray:
@@ -432,23 +473,22 @@ def _checked(sirs: np.ndarray) -> np.ndarray:
     return sirs
 
 
-def _link_sirs(state, powers=None) -> np.ndarray:
+def _link_sirs(state) -> np.ndarray:
     """(..., 2 * n_edges) unchecked SIRs of the topology's directed links
-    (see ``_links``), at ``powers`` as in ``sir_matrix``."""
-    return _sirs(state, powers, *_links(state.scenario.topology), state.link_denominators)
+    (see ``_links``)."""
+    return _sirs(state, *_links(state.scenario.topology), state.link_denominators)
 
 
-def sir_matrix(state: ChannelState, powers: np.ndarray | None = None) -> np.ndarray:
-    """(..., n_primary, n_primary) SIR of every ordered pair, one table per
-    geometry of a stacked state, at ``powers`` (default: the state's
-    scenario's; (..., n_primary) gives each geometry its own).
+def sir_matrix(state: ChannelState) -> np.ndarray:
+    """(..., n_primary, n_primary) SIR of every ordered pair at the state's
+    powers, one table per geometry of a stacked state.
 
     Unchecked: a zero denominator gives inf or nan, and the diagonal means
     nothing.  ``sir`` is the checked lookup of one entry.
     """
     n = state.scenario.n_primary
     denominators = state.sir_denominators
-    sirs = _sirs(state, powers, *_pairs(n),
+    sirs = _sirs(state, *_pairs(n),
                  denominators.reshape(denominators.shape[:-2] + (n * n,)))
     return sirs.reshape(sirs.shape[:-1] + (n, n))
 
@@ -470,7 +510,7 @@ def sir(i: int, j: int, state: ChannelState) -> float:
     """
     _require_primary_pair(i, j, state.scenario.n_primary)
     pair = np.array([i]), np.array([j])
-    return float(_checked(_sirs(state, None, *pair, state._denominators(*pair)))[0])
+    return float(_checked(_sirs(state, *pair, state._denominators(*pair)))[0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -510,11 +550,11 @@ def _rates(sirs: np.ndarray, bandwidth_hz: float) -> np.ndarray:
     return 0.5 * bandwidth_hz * (logs[..., :m] + logs[..., m:])
 
 
-def edge_rates(state: ChannelState, powers: np.ndarray | None = None) -> np.ndarray:
+def edge_rates(state: ChannelState) -> np.ndarray:
     """(..., n_edges) rates of the topology edges in topology order, bit/s
-    (see ``edge_rate``), one row per geometry of a stacked state, at
-    ``powers`` as in ``sir_matrix``."""
-    return _rates(_link_sirs(state, powers), state.scenario.channel.bandwidth_hz)
+    (see ``edge_rate``), at the state's powers, one row per geometry of a
+    stacked state."""
+    return _rates(_link_sirs(state), state.scenario.channel.bandwidth_hz)
 
 
 def edge_rate(i: int, j: int, state: ChannelState) -> float:
@@ -535,7 +575,7 @@ def _require_edge(i, j, scenario):
         raise ValueError(f"({i}, {j}) is not a topology edge")
 
 
-def _pair_jacobian(state, powers, i, j, denominators, sum_gradients) -> np.ndarray:
+def _pair_jacobian(state, i, j, denominators, sum_gradients) -> np.ndarray:
     """(..., m, n_uavs, 3): d sir(i[k], j[k]) / d(UAV coordinate) for m
     ordered pairs with i[k] != j[k], one table per geometry of a stacked
     state, from the pairs' (..., m) SIR ``denominators`` and a function
@@ -546,14 +586,13 @@ def _pair_jacobian(state, powers, i, j, denominators, sum_gradients) -> np.ndarr
     lead = st.dist.shape[:-2]
     pair = np.arange(len(i))
     pos = st.positions[..., :n, :]
-    powers = sc.node_powers_w if powers is None else powers
     chi = sc.safety.chi
     d = st.dist[..., i, j][..., None]
     gain = st.gain_sq[..., i, j]
 
     # numerator: the link gain moves with either endpoint
     dnum = np.zeros(lead + (len(i), n, 3))
-    k = (powers[..., i] * (-st.alpha[i, j] * gain / d[..., 0]))[..., None]
+    k = (st.powers[..., i] * (-st.alpha[i, j] * gain / d[..., 0]))[..., None]
     dnum[..., pair, i, :] = k * ((pos[..., i, :] - pos[..., j, :]) / d)
     dnum[..., pair, j, :] = k * ((pos[..., j, :] - pos[..., i, :]) / d)
 
@@ -571,16 +610,16 @@ def _pair_jacobian(state, powers, i, j, denominators, sum_gradients) -> np.ndarr
     dden[..., pair, i, :] = 0.0
 
     denom = denominators[..., None, None]
-    num = (powers[..., i] * gain)[..., None, None]
+    num = (st.powers[..., i] * gain)[..., None, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = dnum / denom - (num / denom) * (dden / denom)
     return g[..., list(sc.uav_indices), :]
 
 
-def sir_jacobian(state: ChannelState, powers: np.ndarray | None = None) -> np.ndarray:
-    """(..., n_primary, n_primary, n_uavs, 3): d sir(i, j) / d(UAV coordinate),
-    one table per geometry of a stacked state, at ``powers`` as in
-    ``sir_matrix``; the diagonal is zero.
+def sir_jacobian(state: ChannelState) -> np.ndarray:
+    """(..., n_primary, n_primary, n_uavs, 3): d sir(i, j) / d(UAV coordinate)
+    at the state's powers, one table per geometry of a stacked state; the
+    diagonal is zero.
 
     Unchecked like ``sir_matrix``; with chi > 0 the proximity penalty gives
     a third-party UAV a nonzero derivative.  Each entry is
@@ -590,20 +629,20 @@ def sir_jacobian(state: ChannelState, powers: np.ndarray | None = None) -> np.nd
     """
     n = state.scenario.n_primary
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    g = _pair_jacobian(state, powers, i, j, state._denominators(i, j),
+    g = _pair_jacobian(state, i, j, state._denominators(i, j),
                        lambda: state._sum_gradients(i, j))
     out = np.zeros(g.shape[:-3] + (n, n) + g.shape[-2:])
     out[..., i, j, :, :] = g
     return out
 
 
-def rate_jacobian(state: ChannelState, powers: np.ndarray | None = None) -> np.ndarray:
+def rate_jacobian(state: ChannelState) -> np.ndarray:
     """(..., n_edges, n_uavs, 3): derivative of each topology edge rate, in
     topology order, w.r.t. every UAV coordinate (the chain rule through both
-    directed SIRs), one table per geometry of a stacked state, at ``powers``
-    as in ``sir_matrix``."""
-    sirs = _checked(_link_sirs(state, powers))
-    g = _pair_jacobian(state, powers, *_links(state.scenario.topology),
+    directed SIRs), at the state's powers, one table per geometry of a
+    stacked state."""
+    sirs = _checked(_link_sirs(state))
+    g = _pair_jacobian(state, *_links(state.scenario.topology),
                        state.link_denominators, lambda: state.link_sum_gradients)
     m = sirs.shape[-1] // 2
     b = state.scenario.channel.bandwidth_hz

@@ -9,15 +9,15 @@ while-test with sentinels R(-1) = -inf and R(0) = 0, so the very first
 iteration always runs.
 
 Each accepted geometry is evaluated once per iteration.  The step returns
-the spectral bundle of the positions it accepts, at the powers it stepped
-with; the record takes that bundle when the power allocation leaves every
-power as it was, bit for bit (always, while no interference cap binds),
-and evaluates its stack again at the new powers otherwise.  eta is the
-bottleneck of the record's rates, so no rates are computed for it alone.
+the state and spectral bundle of the positions it accepts, at the powers
+it stepped with; the record takes them when the power allocation leaves
+every power as it was, bit for bit (always, while no interference cap
+binds), and otherwise re-powers the state (its tables as they are) and
+evaluates its stack again.
 
-The loop carries arrays (positions in a ``ChannelState``, powers,
+The loop carries one ``ChannelState`` (each point's positions, powers and
 thresholds), not a ``Scenario`` per iteration.  It runs a batch of points
-sharing one layout in lockstep, each array with a leading point axis; a
+sharing one layout in lockstep, each table with a leading point axis; a
 lone run is the batch of one.
 """
 
@@ -29,8 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelState, FadingModel
-from .power import (_allocation, _chain_flow, _chain_rates, _eta, _require_chain,
-                    verify_interference)
+from .power import _allocation, _chain_flow, _require_chain, verify_interference
 from .scenario import Scenario, _require_finite
 from .spectral import LaplacianMode, connectivity_bundle
 from .trajectory import GradientMode, TrajectoryConfig, lambda2_gradient, step
@@ -67,7 +66,6 @@ class IterationRecord:
     flow_bits_per_s: float
     min_interference_margin_w: float
     interference_ok: bool
-    eta: float                       # max-min link rate at the caps (nan before solve)
     gradient_mode: GradientMode | None
     stalled: bool
     degenerate: bool
@@ -91,31 +89,31 @@ class RunHistory:
         return self.records[-1].iteration
 
 
-def _evaluate(state, mode, powers, i_max_w=None, bundle=None):
+def _evaluate(state, mode, bundle=None):
     """Bundle (in Laplacian ``mode``), flows (a list, one per geometry) and
-    interference report of a (stacked) state at ``powers``; a given
-    ``bundle`` is the state's at ``powers`` already."""
+    interference report of a (stacked) state; a given ``bundle`` is the
+    state's already."""
     if bundle is None:
-        bundle = connectivity_bundle(state, mode=mode, powers=powers)
+        bundle = connectivity_bundle(state, mode=mode)
     flows = _chain_flow(bundle.matrices.adjacency).reshape(-1).tolist()
-    report = verify_interference(state, powers, i_max_w)
+    report = verify_interference(state)
     return bundle, flows, report
 
 
-def _append(records, ids, t, state, powers, evaluated, etas, modes, stalls):
+def _append(records, ids, t, state, evaluated, modes, stalls):
     """One record per point of a (stacked) evaluation, onto each point's list."""
     bundle, flows, report = evaluated
     scenario = state.scenario
     uav_positions = state.positions[:, list(scenario.uav_indices)]
-    powers_w = np.array(powers)
+    powers_w = np.array(state.powers)
     for k, fields in enumerate(zip(ids.tolist(), bundle.lambda2.tolist(), flows,
                                    report.min_margin_w.tolist(), report.passed.tolist(),
-                                   etas, modes, stalls, bundle.degenerate.tolist())):
-        i, lam, flow, margin, ok, eta, mode, stalled, degenerate = fields
+                                   modes, stalls, bundle.degenerate.tolist())):
+        i, lam, flow, margin, ok, mode, stalled, degenerate = fields
         records[i].append(IterationRecord(
             iteration=t, uav_positions=uav_positions[k], powers_w=powers_w[k], lambda2=lam,
             flow_bits_per_s=flow, min_interference_margin_w=margin, interference_ok=ok,
-            eta=eta, gradient_mode=mode, stalled=stalled, degenerate=degenerate))
+            gradient_mode=mode, stalled=stalled, degenerate=degenerate))
 
 
 def _shared(scenario: Scenario, config: OptimizerConfig) -> tuple:
@@ -177,14 +175,13 @@ def _lockstep(scenarios, configs) -> list:
     count = len(scenarios)
 
     # one point per row: geometry, powers and thresholds
-    state = ChannelState(layout, first.fading, np.stack([s.positions for s in scenarios]))
-    i_max = np.stack([s.i_max_w for s in scenarios])
-    powers = np.full((count, layout.n_primary), layout.p_max_w)
-    evaluated = _evaluate(state, mode, powers, i_max)
+    state = ChannelState(layout, first.fading, np.stack([s.positions for s in scenarios]),
+                         powers=np.full((count, layout.n_primary), layout.p_max_w),
+                         i_max_w=np.stack([s.i_max_w for s in scenarios]))
+    evaluated = _evaluate(state, mode)
     ids = np.arange(count)
     records = [[] for _ in range(count)]
-    _append(records, ids, 0, state, powers, evaluated, [float("nan")] * count,
-            [None] * count, [False] * count)
+    _append(records, ids, 0, state, evaluated, [None] * count, [False] * count)
 
     # per point: sentinel flows R(-1) = -inf, R(0) = 0, so iteration 1 always runs
     r_prev2, r_prev1 = np.full(count, -np.inf), np.zeros(count)
@@ -210,27 +207,23 @@ def _lockstep(scenarios, configs) -> list:
         if not live.all():
             # finished points drop out of every stack
             state, bundle = state._select(live), bundle.take(live)
-            powers, i_max = powers[live], i_max[live]
             ids, r_prev2, r_prev1, last = ids[live], r_prev2[live], r_prev1[live], last[live]
             epsilon, budget = epsilon[live], budget[live]
             trajectories = tuple(c for c, keep in zip(trajectories, live) if keep)
 
         grads = lambda2_gradient(state, bundle, gradient_mode=trajectory.gradient_mode,
-                                 fd_step_m=trajectory.fd_step_m, powers=powers)
-        moved = step(state, bundle, grads, trajectories, powers=powers)
+                                 fd_step_m=trajectory.fd_step_m)
+        moved = step(state, bundle, grads, trajectories)
         state, bundle = moved[0].state, moved[0].bundle
 
-        _, feasible, new_powers = _allocation(state, i_max)
-        # the step's bundle is at the step's powers: the record takes it when
-        # no point's powers moved, signed zeros included
-        if not np.array_equal(new_powers.view(np.uint64), powers.view(np.uint64)):
-            bundle = None
-        powers = new_powers
-        evaluated = _evaluate(state, mode, powers, i_max, bundle)
-        etas = _eta(feasible, _chain_rates(evaluated[0].matrices.adjacency)).tolist()
+        _, _, powers = _allocation(state)
+        # the step's state and bundle are at the step's powers: the record
+        # takes them when no point's powers moved, signed zeros included
+        if not np.array_equal(powers.view(np.uint64), state.powers.view(np.uint64)):
+            state, bundle = state._at(powers), None
+        evaluated = _evaluate(state, mode, bundle)
         stalls = [m.stalled for m in moved]
-        _append(records, ids, t, state, powers, evaluated, etas,
-                [g.mode_used for g in grads], stalls)
+        _append(records, ids, t, state, evaluated, [g.mode_used for g in grads], stalls)
         flows = np.array(evaluated[1])
         stop = np.array(stalls) & (flows == last)
         r_prev2, r_prev1, last = r_prev1, flows, flows
@@ -251,5 +244,5 @@ def replay_flow(history: RunHistory, scenario: Scenario,
     rec = history.records[t]
     positions = scenario.positions.copy()
     positions[list(scenario.uav_indices)] = rec.uav_positions
-    state = ChannelState(scenario, config.fading, positions)
-    return _evaluate(state, config.laplacian_mode, rec.powers_w)[1][0]
+    state = ChannelState(scenario, config.fading, positions, powers=rec.powers_w)
+    return _evaluate(state, config.laplacian_mode)[1][0]

@@ -10,8 +10,9 @@ The matrix chain (``build_matrices``, ``GraphMatrices.from_adjacency``,
 ``weighted_laplacian``, ``eig_sym``) also takes stacks with leading axes.
 ``connectivity_bundle`` is the one pass that turns a (stacked)
 ``ChannelState`` into rate matrices, weighted Laplacians and their spectra
-(one batched ``eigh``); ``lambda2_stack`` is that pass over a stack of
-positions, under a reference state's scenario and fading.
+(one batched ``eigh``), at the state's powers; ``lambda2_stack`` is that
+pass over a stack of positions, under a reference state's scenario, fading,
+powers and thresholds.
 
 Which checks run where: ``from_adjacency``, ``eig_sym`` and
 ``fiedler_pair`` check every input they are given, for outside callers.
@@ -80,9 +81,9 @@ class GraphMatrices:
         return self.adjacency.shape[-1]
 
 
-def build_matrices(state: ChannelState, powers: np.ndarray | None = None) -> GraphMatrices:
-    """Rate matrix over the state's topology, plus degree and Laplacian
-    (one per geometry of a stacked state), at ``powers`` as in ``edge_rates``.
+def build_matrices(state: ChannelState) -> GraphMatrices:
+    """Rate matrix over the state's topology at its powers, plus degree and
+    Laplacian (one per geometry of a stacked state).
 
     The matrix is square, symmetric and loop-free by construction, so the
     rates are checked once for the two faults ``from_adjacency`` could still
@@ -90,7 +91,7 @@ def build_matrices(state: ChannelState, powers: np.ndarray | None = None) -> Gra
     "adjacency must be symmetric"), then a negative one.
     """
     n = state.scenario.n_primary
-    rates = edge_rates(state, powers)
+    rates = edge_rates(state)
     if not (rates >= 0.0).all():
         raise ValueError(_ASYMMETRIC if np.isnan(rates).any() else _NEGATIVE)
     p, q = _endpoints(state.scenario.topology)
@@ -204,15 +205,15 @@ class LaplacianBundle:
 
 def connectivity_bundle(state: ChannelState,
                         weights: np.ndarray | None = None,
-                        mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
-                        powers: np.ndarray | None = None) -> LaplacianBundle:
-    """The spectral data of a state's geometry at ``powers`` (default: the
-    state's scenario's), with ``weights`` (default: the scenario's).  A
+                        mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED
+                        ) -> LaplacianBundle:
+    """The spectral data of a state's geometry at its powers, with
+    ``weights`` (default: the scenario's).  A
     stacked state gives one bundle whose per-geometry fields (matrices,
     lambda2, Fiedler vectors, gaps, flags) carry its leading axes, each
     entry equal to the bit to that geometry's own."""
     w = state.scenario.weights if weights is None else np.asarray(weights, dtype=float)
-    matrices = build_matrices(state, powers)
+    matrices = build_matrices(state)
     lw = weighted_laplacian(matrices, w, mode)
     fr = fiedler_pair(lw)
     return LaplacianBundle(
@@ -230,29 +231,28 @@ def connectivity_bundle(state: ChannelState,
 def lambda2_stack(reference: ChannelState,
                   positions: np.ndarray,
                   weights: np.ndarray | None = None,
-                  mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED,
-                  powers: np.ndarray | None = None) -> np.ndarray:
+                  mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED
+                  ) -> np.ndarray:
     """lambda2 of the reference state's scenario and fading at every geometry
-    of a (..., n_total, 3) stack.
+    of a (..., n_total, 3) stack whose leading axes begin with the
+    reference's, each geometry at its reference geometry's powers.
 
     ``connectivity_bundle`` of a ``ChannelState`` over the stack, which
-    copies the rows of unmoved nodes from ``reference`` (``powers``
-    broadcast against the stack's leading axes), so each entry is that
-    geometry's own ``lambda2`` to the bit.  A failing stack is evaluated
-    again geometry by geometry, to raise what the first failing one, in C
-    order, raises alone.
+    copies the rows of unmoved nodes, the powers and the thresholds from
+    ``reference``, so each entry is that geometry's own ``lambda2`` to the
+    bit.  A failing stack is evaluated again geometry by geometry, to raise
+    what the first failing one, in C order, raises alone.
     """
     scenario, fading = reference.scenario, reference.fading
     try:
         state = ChannelState(scenario, fading, positions, reference)
-        return connectivity_bundle(state, weights, mode, powers).lambda2
+        return connectivity_bundle(state, weights, mode).lambda2
     except ValueError:
-        lead = positions.shape[:-2]
-        if powers is not None:
-            powers = np.broadcast_to(powers, lead + powers.shape[-1:])
-        for g in np.ndindex(lead):
-            connectivity_bundle(ChannelState(scenario, fading, positions[g]), weights, mode,
-                                None if powers is None else powers[g])
+        axes = reference.positions.ndim - 2
+        for g in np.ndindex(positions.shape[:-2]):
+            alone = ChannelState(scenario, fading, positions[g], powers=reference.powers[g[:axes]],
+                                 i_max_w=reference.i_max_w[g[:axes]])
+            connectivity_bundle(alone, weights, mode)
         raise
 
 

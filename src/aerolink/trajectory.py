@@ -8,14 +8,14 @@ gradient of its rate.  Finite differences are available as a fallback and
 as the honest option for the normalized Laplacian, whose Fiedler formula
 is only a heuristic.  They evaluate every +-h bump of every UAV coordinate
 in one stacked lambda2 pass, bit-identical to bumping one coordinate at a
-time.  Both take a ``ChannelState`` (scenario, fading, positions) and its
-``LaplacianBundle`` (mode, weights), the one statement of what they
-evaluate.  A step evaluates each trial as a state over its positions (no
-new ``Scenario``) and returns the state and spectral bundle of the
-positions it accepts, at the powers it stepped with, so the caller need not
-evaluate them again.  Both run on a stacked state, one geometry per batch
-point; the step lifts a single geometry to a stack of one, so one body
-serves both.
+time.  Both take a ``ChannelState`` (scenario, fading, positions, powers,
+thresholds) and its ``LaplacianBundle`` (mode, weights), the one statement
+of what they evaluate.  A step evaluates each trial as a state over its
+positions (no new ``Scenario``) at its point's powers and thresholds, and
+returns the state and spectral bundle of the positions it accepts, at the
+powers it stepped with, so the caller need not evaluate them again.  Both
+run on a stacked state, one geometry per batch point; the step lifts a
+single geometry to a stack of one, so one body serves both.
 """
 
 from __future__ import annotations
@@ -86,12 +86,11 @@ class GradientField:
     degenerate: bool
 
 
-def _analytic_gradient(bundle: LaplacianBundle, state: ChannelState,
-                       powers=None) -> np.ndarray:
+def _analytic_gradient(bundle: LaplacianBundle, state: ChannelState) -> np.ndarray:
     """(..., n_uavs, 3): the per-edge formula, one gradient per geometry of a
     stacked state and bundle."""
     y = bundle.fiedler / np.sqrt(bundle.weights)
-    jac = rate_jacobian(state, powers)
+    jac = rate_jacobian(state)
     grad = np.zeros(jac.shape[:-3] + (state.scenario.n_uavs, 3))
     p, q = _endpoints(state.scenario.topology)
     gaps = y[..., p] - y[..., q]
@@ -110,12 +109,11 @@ def _analytic_gradient(bundle: LaplacianBundle, state: ChannelState,
     return grad
 
 
-def _fd_gradients(state: ChannelState, weights, mode, h: float,
-                  powers=None) -> np.ndarray:
+def _fd_gradients(state: ChannelState, weights, mode, h: float) -> np.ndarray:
     """Central differences of lambda2 in every UAV coordinate, in one pass.
 
-    The geometries are those of a (stacked) ``state``, under its scenario
-    and fading, at ``powers`` (one row per geometry).  The 2 * 3 * n_uavs
+    The geometries are those of a (stacked) ``state``, under its scenario,
+    fading and each geometry's powers.  The 2 * 3 * n_uavs
     bumped geometries of each (coordinate + h, then that value - 2h) form
     one (..., n_uavs, 3, 2, n_total, 3) stack for ``lambda2_stack``, with
     ``state`` as its reference, so each bump computes one row, each gradient
@@ -133,28 +131,26 @@ def _fd_gradients(state: ChannelState, weights, mode, h: float,
     hi = positions[..., uavs, :] + h
     stack[..., uav, axis, 0, node, axis] = hi
     stack[..., uav, axis, 1, node, axis] = hi - 2.0 * h
-    if powers is not None:
-        powers = powers[..., None, None, None, :]
-    lam = lambda2_stack(state, stack, weights, mode, powers)
+    lam = lambda2_stack(state, stack, weights, mode)
     return (lam[..., 0] - lam[..., 1]) / (2.0 * h)
 
 
 def lambda2_gradient(state: ChannelState, bundle: LaplacianBundle,
                      gradient_mode: GradientMode = GradientMode.ANALYTIC,
-                     fd_step_m: float = 1.0e-3, powers=None):
+                     fd_step_m: float = 1.0e-3):
     """Gradient of lambda2 with respect to every UAV coordinate.
 
-    The lambda2 is ``bundle``'s: the state's ``connectivity_bundle`` at
-    ``powers`` (default: its scenario's), in the bundle's Laplacian mode and
-    weights, which the finite differences keep.  A degenerate Fiedler pair
+    The lambda2 is ``bundle``'s: the state's ``connectivity_bundle`` (at its
+    powers), in the bundle's Laplacian mode and weights, which the finite
+    differences keep.  A degenerate Fiedler pair
     (tiny spectral gap) makes the analytic form unreliable, so the call
     falls back to central finite differences and flags it.  The analytic
     form is exact only for the combinatorial weighted Laplacian; for the
     normalized one it is a known approximation and finite differences
     should be preferred.
 
-    A stacked ``state`` (with its bundle and ``powers``, one row per
-    geometry) gives a tuple of fields, one per geometry: one stacked
+    A stacked ``state`` (with its bundle) gives a tuple of fields, one per
+    geometry: one stacked
     analytic pass, then one finite-difference stack for every geometry that
     needs it.
     """
@@ -171,14 +167,13 @@ def lambda2_gradient(state: ChannelState, bundle: LaplacianBundle,
         formula = bundle
         if bundle.mode is not LaplacianMode.COMBINATORIAL_WEIGHTED:
             formula = connectivity_bundle(state, bundle.weights,
-                                          LaplacianMode.COMBINATORIAL_WEIGHTED, powers)
+                                          LaplacianMode.COMBINATORIAL_WEIGHTED)
         fd = degenerate = np.asarray(formula.degenerate)
         if not fd.all():
-            grad = _analytic_gradient(formula, state, powers)
+            grad = _analytic_gradient(formula, state)
     if fd.any():
         # a boolean pick keeps a leading axis, also for a single geometry
-        grad[fd] = _fd_gradients(state._select(fd), bundle.weights, bundle.mode, fd_step_m,
-                                 None if powers is None else np.asarray(powers)[fd])
+        grad[fd] = _fd_gradients(state._select(fd), bundle.weights, bundle.mode, fd_step_m)
     fields = tuple(
         GradientField(d_lambda2=g, mode_used=GradientMode.FINITE_DIFFERENCE if f else gradient_mode,
                       degenerate=d)
@@ -195,10 +190,9 @@ class StepResult:
     dt_used: float
     halvings: int
     stalled: bool            # backtracking exhausted; positions unchanged
-    state: ChannelState      # tables of the accepted positions (powers do not enter);
-                             # of a stacked step: every geometry's, in order
-    bundle: LaplacianBundle | None = None  # spectral data of the accepted positions at
-                                           # the step's powers, stacked as ``state``
+    state: ChannelState      # the accepted positions at the step's powers and
+                             # thresholds; of a stacked step: every geometry's, in order
+    bundle: LaplacianBundle | None = None  # spectral data of ``state``, stacked as it
 
 
 @functools.lru_cache(maxsize=64)
@@ -215,22 +209,22 @@ def _step_settings(configs: tuple) -> tuple:
     return tables
 
 
-def step(state: ChannelState, bundle: LaplacianBundle, gradient, config, powers=None):
+def step(state: ChannelState, bundle: LaplacianBundle, gradient, config):
     """One ascent step with masking, step clipping, and optional backtracking.
 
-    ``bundle`` is the state's ``connectivity_bundle`` at ``powers``; each
-    trial is a state over its positions with the input's scenario and
-    fading, evaluated in the bundle's Laplacian mode and weights.  Masked
+    ``bundle`` is the state's ``connectivity_bundle``; each trial is a state
+    over its positions with the input's scenario, fading, powers and
+    thresholds, evaluated in the bundle's Laplacian mode and weights.  Masked
     axes are left bit-for-bit untouched.  The displacement of each UAV is
     clipped to max_step_m; accepted altitudes never drop below
     min_altitude_m (only enforced when z is an active axis).  With
     backtracking on, dt is halved until lambda2 does not decrease; if
     max_backtracks halvings all fail the step stalls and returns the
     original positions.  The result carries the accepted positions'
-    ``ChannelState`` and ``LaplacianBundle`` at ``powers``: the accepted
-    trial's, or on a stall the input's.
+    ``ChannelState`` and ``LaplacianBundle`` at the input's powers: the
+    accepted trial's, or on a stall the input's.
 
-    A stacked ``state`` (with its bundle, ``powers`` and a gradient field
+    A stacked ``state`` (with its bundle and a gradient field
     and trajectory config per geometry; one config serves all) steps every
     geometry at once and returns a tuple of results, one per geometry.  Each
     backtracking round evaluates one stack holding only the geometries
@@ -242,7 +236,6 @@ def step(state: ChannelState, bundle: LaplacianBundle, gradient, config, powers=
     lone = state.positions.ndim == 2
     if lone:
         state, bundle, gradient = state._select(None), bundle.take(None), (gradient,)
-        powers = None if powers is None else powers[None]
     grad = np.array([g.d_lambda2 for g in gradient])
     count = len(grad)
     configs = (config,) * count if isinstance(config, TrajectoryConfig) else tuple(config)
@@ -269,13 +262,14 @@ def step(state: ChannelState, bundle: LaplacianBundle, gradient, config, powers=
         pos[..., 2] = np.maximum(pos[..., 2], floor[pick])
         trial = state.positions[live]
         trial[:, uavs] = pos
-        # a trial of one geometry computes its own rows, with no copies; a
-        # larger one copies the input state's rows of the nodes it does not
-        # move rather than compute every row of every point
+        # each trial is at its point's powers and thresholds.  A trial of one
+        # geometry computes its own rows, with no copies; a larger one copies
+        # the input state's rows of the nodes it does not move rather than
+        # compute every row of every point
         new_state = ChannelState(state.scenario, state.fading, trial,
-                                 None if len(live) == 1 else state._select(pick))
-        new_bundle = connectivity_bundle(new_state, bundle.weights, bundle.mode,
-                                         None if powers is None else powers[live])
+                                 None if len(live) == 1 else state._select(pick),
+                                 powers=state.powers[pick], i_max_w=state.i_max_w[pick])
+        new_bundle = connectivity_bundle(new_state, bundle.weights, bundle.mode)
         lam_new = new_bundle.lambda2.tolist()
         took, gave_up, halving = [], [], []
         for i, k in enumerate(live):

@@ -9,8 +9,9 @@ from ``power_caps``.  ``step`` and ``_analytic_gradient`` are the bodies
 scalar ``** 2`` per edge coefficient, zero coefficients skipped.  Every
 iteration builds a new ``Scenario`` for the accepted positions and one for
 the solved powers, and every call sees one geometry, so each record comes
-from single-geometry arithmetic only.  A state keeps the ``Scenario`` it was
-built with, so a library call is passed the current ``Scenario``'s powers.
+from single-geometry arithmetic only.  Each state is built from the current
+``Scenario``, so every library call reads that ``Scenario``'s powers and
+thresholds.
 ``sweep_histories`` runs a sweep's grid one point after another, as
 ``aerolink sweep`` did.
 """
@@ -18,7 +19,7 @@ built with, so a library call is passed the current ``Scenario``'s powers.
 import numpy as np
 
 import fd_reference
-from aerolink.channel import ChannelState, build_state, edge_rates, rate_jacobian
+from aerolink.channel import ChannelState, build_state, rate_jacobian
 from aerolink.cli import _apply_sweep_value, _optimizer_config, _scenario_from_args
 from aerolink.flow import from_adjacency, max_flow
 from aerolink.optimizer import IterationRecord, RunHistory, TerminationReason
@@ -30,7 +31,7 @@ from aerolink.trajectory import GradientField, GradientMode, StepResult
 
 def _analytic_gradient(scenario, bundle, state):
     y = bundle.fiedler / np.sqrt(bundle.weights)
-    jac = rate_jacobian(state, scenario.node_powers_w)
+    jac = rate_jacobian(state)
     grad = np.zeros((scenario.n_uavs, 3))
     # edge by edge in topology order: each coordinate sums its terms in the
     # same order as a per-coordinate loop would
@@ -85,14 +86,12 @@ def step(scenario, gradient, config, fading, laplacian_mode, bundle, state):
         halvings += 1
 
 
-def _evaluate(scenario, config, state=None):
-    if state is None:
-        state = build_state(scenario, config.fading)
-    bundle = connectivity_bundle(state, mode=config.laplacian_mode,
-                                 powers=scenario.node_powers_w)
+def _evaluate(scenario, config):
+    state = build_state(scenario, config.fading)
+    bundle = connectivity_bundle(state, mode=config.laplacian_mode)
     net = from_adjacency(bundle.matrices, scenario.source, scenario.destination)
     value, _ = max_flow(net)
-    report = verify_interference(state, scenario.node_powers_w)
+    report = verify_interference(state)
     return bundle, value, report, state
 
 
@@ -104,8 +103,7 @@ def _gradient(scenario, config, bundle, state):
         formula = bundle
         if bundle.mode is not LaplacianMode.COMBINATORIAL_WEIGHTED:
             formula = connectivity_bundle(state, bundle.weights,
-                                          LaplacianMode.COMBINATORIAL_WEIGHTED,
-                                          scenario.node_powers_w)
+                                          LaplacianMode.COMBINATORIAL_WEIGHTED)
         if not formula.degenerate:
             return GradientField(_analytic_gradient(scenario, formula, state), used, False)
         return GradientField(fd_reference.fd_gradient(
@@ -116,8 +114,7 @@ def _gradient(scenario, config, bundle, state):
         used, bundle.degenerate)
 
 
-def _record(iteration, current, bundle, flow_value, report, eta, gradient_mode,
-            stalled):
+def _record(iteration, current, bundle, flow_value, report, gradient_mode, stalled):
     return IterationRecord(
         iteration=iteration,
         uav_positions=current.uav_positions,
@@ -126,7 +123,6 @@ def _record(iteration, current, bundle, flow_value, report, eta, gradient_mode,
         flow_bits_per_s=flow_value,
         min_interference_margin_w=report.min_margin_w,
         interference_ok=report.passed,
-        eta=eta,
         gradient_mode=gradient_mode,
         stalled=stalled,
         degenerate=bundle.degenerate,
@@ -140,7 +136,7 @@ def run(scenario, config):
 
     current = scenario.with_node_powers(np.full(scenario.n_primary, scenario.p_max_w))
     bundle, flow_value, report, state = _evaluate(current, config)
-    records = [_record(0, current, bundle, flow_value, report, float("nan"), None, False)]
+    records = [_record(0, current, bundle, flow_value, report, None, False)]
 
     r_prev2, r_prev1 = -np.inf, 0.0
     termination = TerminationReason.MAX_ITERATIONS
@@ -153,14 +149,10 @@ def run(scenario, config):
         moved = step(current, grad, config.trajectory, config.fading,
                      laplacian_mode=config.laplacian_mode, bundle=bundle, state=state)
         current = current.with_uav_positions(moved.positions)
-        state = moved.state
+        current = current.with_node_powers(power_caps(moved.state))
 
-        caps = power_caps(state, current.i_max_w)
-        eta = float(edge_rates(state, caps).min())
-        current = current.with_node_powers(caps)
-
-        bundle, flow_value, report, state = _evaluate(current, config, state=state)
-        records.append(_record(t, current, bundle, flow_value, report, eta,
+        bundle, flow_value, report, state = _evaluate(current, config)
+        records.append(_record(t, current, bundle, flow_value, report,
                                grad.mode_used, moved.stalled))
         r_prev2, r_prev1 = r_prev1, flow_value
 

@@ -133,7 +133,7 @@ def test_criterion_4_power_solver_matches_all_at_caps_closed_form():
         at_caps = ch.build_state(s.with_node_powers(caps))
         closed = min(ch.edge_rate(i, j, at_caps) for i, j in s.topology)
         worst = max(worst, abs(sol.eta - closed) / max(1.0, closed))
-        report = verify_interference(state, sol.powers_w)
+        report = verify_interference(ch.ChannelState(s, state.fading, powers=sol.powers_w))
         all_passed &= report.passed
         if s.n_si:
             margin_floor = min(margin_floor,

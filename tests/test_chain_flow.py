@@ -30,8 +30,8 @@ def _assert_flows_are_max_flows(scenario, history, fading):
     for rec in history.records:
         positions = scenario.positions.copy()
         positions[list(scenario.uav_indices)] = rec.uav_positions
-        state = ch.ChannelState(scenario, fading, positions)
-        rates = build_matrices(state, rec.powers_w).adjacency
+        state = ch.ChannelState(scenario, fading, positions, powers=rec.powers_w)
+        rates = build_matrices(state).adjacency
         value, _ = max_flow(from_adjacency(rates, scenario.source, scenario.destination))
         flows.append(rec.flow_bits_per_s)
         reference.append(value)

@@ -59,14 +59,13 @@ def test_proximity_sum_gradients_are_bit_identical():
 
 
 def test_rates_use_the_passed_scenario_powers():
-    # a state built at one set of powers serves any other: only the
-    # denominators are cached, and they do not depend on primary powers
+    # a state at powers other than its scenario's evaluates at them: only
+    # the denominators are tables, and they do not depend on primary powers
     s = make_line_scenario(np.random.default_rng(33), chi=1.0)
-    state = ch.build_state(s)
     halved = s.with_node_powers(s.node_powers_w * np.linspace(0.2, 0.9, s.n_primary))
-    powers = halved.node_powers_w
-    assert _same_bits(ch.edge_rates(state, powers), ref.edge_rate_table(halved, state))
-    adjacency = build_matrices(state, powers).adjacency
+    state = ch.ChannelState(s, ch.FadingModel.unit_gain(), powers=halved.node_powers_w)
+    assert _same_bits(ch.edge_rates(state), ref.edge_rate_table(halved, state))
+    adjacency = build_matrices(state).adjacency
     for (p, q), rate in zip(halved.topology, ref.edge_rate_table(halved, state)):
         assert adjacency[p, q] == adjacency[q, p] == rate
 

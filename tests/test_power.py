@@ -13,6 +13,11 @@ from aerolink.scenario import dbm_to_watts
 from conftest import make_line_scenario
 
 
+def _state_at(scenario, powers):
+    """The state of the scenario's geometry at ``powers``."""
+    return ch.ChannelState(scenario, ch.FadingModel.unit_gain(), powers=powers)
+
+
 def _min_edge_rate(scenario, powers):
     st = ch.build_state(scenario.with_node_powers(powers))
     return min(ch.edge_rate(i, j, st) for i, j in scenario.topology)
@@ -129,7 +134,7 @@ def test_solution_passes_verification():
     for _ in range(8):
         s = make_line_scenario(rng)
         sol = pw.solve_maxmin(ch.build_state(s))
-        report = pw.verify_interference(ch.build_state(s), sol.powers_w)
+        report = pw.verify_interference(_state_at(s, sol.powers_w))
         assert report.passed
         assert report.received_w.shape == (s.n_primary, s.n_si)
 
@@ -138,7 +143,7 @@ def test_full_budget_can_violate_tight_thresholds():
     rng = np.random.default_rng(72)
     s = make_line_scenario(rng, n_si=3).with_i_max_dbm(-80.0)
     assert np.any(pw.power_caps(ch.build_state(s)) < s.p_max_w)
-    report = pw.verify_interference(ch.build_state(s), np.full(s.n_primary, s.p_max_w))
+    report = pw.verify_interference(_state_at(s, np.full(s.n_primary, s.p_max_w)))
     assert not report.passed
     assert report.min_margin_w < 0.0
 
@@ -146,7 +151,7 @@ def test_full_budget_can_violate_tight_thresholds():
 def test_zero_powers_leave_full_margins():
     rng = np.random.default_rng(73)
     s = make_line_scenario(rng, n_si=2)
-    report = pw.verify_interference(ch.build_state(s), np.zeros(s.n_primary))
+    report = pw.verify_interference(_state_at(s, np.zeros(s.n_primary)))
     assert np.array_equal(report.received_w, np.zeros((s.n_primary, 2)))
     assert np.array_equal(report.margins_w, np.broadcast_to(s.i_max_w, (s.n_primary, 2)))
     assert report.passed
@@ -154,16 +159,24 @@ def test_zero_powers_leave_full_margins():
 
 def test_report_without_sources():
     s = make_line_scenario(np.random.default_rng(74), n_si=0, chi=1.0)
-    report = pw.verify_interference(ch.build_state(s), np.full(s.n_primary, s.p_max_w))
+    report = pw.verify_interference(_state_at(s, np.full(s.n_primary, s.p_max_w)))
     assert report.received_w.shape == (s.n_primary, 0)
     assert report.min_margin_w == np.inf
     assert report.passed
 
 
 def test_verification_checks_power_vector_shape():
-    s = make_line_scenario(np.random.default_rng(75), n_uavs=3)
-    with pytest.raises(ValueError, match="one power per"):
-        pw.verify_interference(ch.build_state(s), np.ones(2))
+    # the state checks the last axis of its powers and of its thresholds,
+    # and names which one is wrong
+    s = make_line_scenario(np.random.default_rng(75), n_uavs=3, n_si=2)
+    for values, message in ((dict(powers=np.ones(2)), "need one power per primary node"),
+                            (dict(powers=np.ones((3, 6))), "need one power per primary node"),
+                            (dict(i_max_w=np.ones(3)),
+                             "need one threshold per interference source"),
+                            (dict(i_max_w=np.ones((2, 1))),
+                             "need one threshold per interference source")):
+        with pytest.raises(ValueError, match=message):
+            ch.ChannelState(s, ch.FadingModel.unit_gain(), **values)
 
 
 def test_received_power_reference_value():
@@ -173,7 +186,7 @@ def test_received_power_reference_value():
     s = make_line_scenario(np.random.default_rng(76), n_uavs=1, n_si=1, jitter=False)
     si = np.array([[s.positions[1, 0], s.positions[1, 1], s.positions[1, 2] + 50.0]])
     s = dataclasses.replace(s, positions=np.vstack([s.positions[:3], si]))
-    report = pw.verify_interference(ch.build_state(s), np.array([0.0, 0.1, 0.0]))
+    report = pw.verify_interference(_state_at(s, np.array([0.0, 0.1, 0.0])))
     eta_db = 20.0 * np.log10(4.0 * np.pi * 2.0e9 / 3.0e8)
     pl_db = 23.2 * np.log10(50.0) + eta_db
     assert report.received_w[1, 0] == pytest.approx(0.1 * 10.0 ** (-pl_db / 10.0),

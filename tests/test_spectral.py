@@ -79,9 +79,9 @@ def test_from_adjacency_guards():
         GraphMatrices.from_adjacency(np.array([[1.0, 1.0], [1.0, 0.0]]))
 
 
-def _rate_matrix(state, powers):
+def _rate_matrix(state):
     # the rates' adjacency, as build_matrices fills it before any check
-    rates = ch.edge_rates(state, powers)
+    rates = ch.edge_rates(state)
     a = np.zeros(rates.shape[:-1] + (state.scenario.n_primary,) * 2)
     p, q = np.array(state.scenario.topology).T
     a[..., p, q] = a[..., q, p] = rates
@@ -99,23 +99,24 @@ def test_bad_rates_raise_what_from_adjacency_raises_through_the_bundle(stacked):
     # negative powers: -1e-9 W makes every SIR slightly negative and so every
     # rate; -1e9 W takes 1 + SIR below zero, whose log2 is nan
     s = make_line_scenario(np.random.default_rng(41), chi=1.0)
-    state = ch.build_state(s)
-    if stacked:
-        state = ch.ChannelState(s, state.fading, np.stack([s.positions, s.positions + 0.5]))
+    positions = np.stack([s.positions, s.positions + 0.5]) if stacked else s.positions
+
+    def at(powers):
+        return ch.ChannelState(s, ch.FadingModel.unit_gain(), positions, powers=powers)
+
     tiny, huge = np.full(s.n_primary, -1.0e-9), np.full(s.n_primary, -1.0e9)
     message = "edge weights must be non-negative"
-    assert _message(sp.connectivity_bundle, state, None, LaplacianMode.COMBINATORIAL_WEIGHTED,
-                    tiny) == message
-    assert _message(GraphMatrices.from_adjacency, _rate_matrix(state, tiny)) == message
+    assert _message(sp.connectivity_bundle, at(tiny)) == message
+    assert _message(GraphMatrices.from_adjacency, _rate_matrix(at(tiny))) == message
     # a nan rate anywhere in a stack is reported before a negative one
     cases = [huge, np.stack([tiny, huge])] if stacked else [huge]
     for powers in cases:
         with pytest.warns(RuntimeWarning, match="invalid value encountered in log2"):
-            got = _message(sp.connectivity_bundle, state, None,
-                           LaplacianMode.NORMALIZED_WEIGHTED, powers)
+            got = _message(sp.connectivity_bundle, at(powers), None,
+                           LaplacianMode.NORMALIZED_WEIGHTED)
         assert got == "adjacency must be symmetric"
         with pytest.warns(RuntimeWarning, match="invalid value encountered in log2"):
-            a = _rate_matrix(state, powers)
+            a = _rate_matrix(at(powers))
         assert _message(GraphMatrices.from_adjacency, a) == got
 
 

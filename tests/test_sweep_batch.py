@@ -27,7 +27,7 @@ MASKS = ["xy", "xz", "yz", "xyz"]
 
 
 def _same_words(a, b):
-    """Equal as uint64 words: the bits, nan (record 0's eta) included."""
+    """Equal as uint64 words: the bits, signed zeros and nan included."""
     return np.array_equal(np.ascontiguousarray(a, dtype=float).view(np.uint64),
                           np.ascontiguousarray(b, dtype=float).view(np.uint64))
 
@@ -42,8 +42,8 @@ def _assert_same_history(new, old):
             b.interference_ok, b.stalled, b.degenerate)
         assert _same_bits(a.uav_positions, b.uav_positions)
         assert _same_bits(a.powers_w, b.powers_w)
-        assert _same_words([a.lambda2, a.flow_bits_per_s, a.min_interference_margin_w, a.eta],
-                           [b.lambda2, b.flow_bits_per_s, b.min_interference_margin_w, b.eta])
+        assert _same_words([a.lambda2, a.flow_bits_per_s, a.min_interference_margin_w],
+                           [b.lambda2, b.flow_bits_per_s, b.min_interference_margin_w])
 
 
 def _sweep_config(**optimizer):
@@ -91,6 +91,18 @@ def test_points_finish_on_their_own_terms():
         _assert_same_history(old, ref.run(sc, c))
     assert {h.termination for h in lone} >= {TerminationReason.MAX_ITERATIONS,
                                             TerminationReason.CONVERGED}
+
+
+def test_a_point_that_halves_alone_keeps_its_own_powers_and_thresholds():
+    # point 1 has capped nodes at -55 dBm and halves on after point 0 has
+    # accepted its trial, so a round evaluates point 1's trial alone; that
+    # trial is at point 1's powers and thresholds, not the layout's (point 0's)
+    s = build_default_scenario(23)
+    scenarios = [s.with_i_max_dbm(-30.0), s.with_i_max_dbm(-55.0)]
+    configs = [OptimizerConfig(epsilon=1e-12, max_iterations=6,
+                               trajectory=TrajectoryConfig(dt=dt)) for dt in (0.1, 8.0)]
+    for new, sc, c in zip(run(scenarios, configs), scenarios, configs):
+        _assert_same_history(new, ref.run(sc, c))
 
 
 def test_a_stalling_point_drops_out_of_the_batch():
@@ -277,11 +289,13 @@ def test_run_properties_hold_through_the_batch_path(case, gradient_mode, masks):
             # solved powers: the caps at the record's geometry, inside every threshold
             assert _same_bits(rec.powers_w, power_caps(state))
             assert rec.interference_ok
-            assert verify_interference(state, rec.powers_w).passed
+            assert verify_interference(
+                ch.ChannelState(sc, fading, positions, powers=rec.powers_w)).passed
             # an accepted step never lowers lambda2 at the powers it was taken at
             if not rec.stalled:
                 before = records[t - 1]
-                at_old_powers = connectivity_bundle(state, powers=before.powers_w).lambda2
+                at_old_powers = connectivity_bundle(
+                    ch.ChannelState(sc, fading, positions, powers=before.powers_w)).lambda2
                 assert at_old_powers >= before.lambda2
 
 
@@ -309,18 +323,17 @@ def test_stacked_gradient_tables_equal_each_geometry_alone(fading_kind):
         stack = s.positions + rng.uniform(-2.0, 2.0, size=(2, 3) + s.positions.shape)
         stack[0, 0] = s.positions
         powers = rng.uniform(0.01, 0.1, size=(2, 3, s.n_primary))
-        stacked = ch.ChannelState(s, fading, stack)
+        stacked = ch.ChannelState(s, fading, stack, powers=powers)
         for g in np.ndindex(stack.shape[:-2]):
-            alone = ch.build_state(dataclasses.replace(s, positions=stack[g]), fading)
+            alone = ch.ChannelState(dataclasses.replace(s, positions=stack[g]), fading,
+                                    powers=powers[g])
             if s.n_si:
                 assert _same_bits(alone.si_interference_grad, _einsum_interference_grad(alone))
             for table in ("safety_slope", "si_interference_grad", "safety_sum_gradients"):
                 assert _same_bits(getattr(stacked, table)[g], getattr(alone, table)), table
-            assert _same_bits(ch.sir_jacobian(stacked, powers)[g],
-                              ch.sir_jacobian(alone, powers[g]))
-            assert _same_bits(ch.rate_jacobian(stacked, powers)[g],
-                              ch.rate_jacobian(alone, powers[g]))
-            assert _same_bits(ch.edge_rates(stacked, powers)[g], ch.edge_rates(alone, powers[g]))
+            assert _same_bits(ch.sir_jacobian(stacked)[g], ch.sir_jacobian(alone))
+            assert _same_bits(ch.rate_jacobian(stacked)[g], ch.rate_jacobian(alone))
+            assert _same_bits(ch.edge_rates(stacked)[g], ch.edge_rates(alone))
 
 
 def test_a_stacked_analytic_gradient_equals_the_per_geometry_formula():
@@ -333,9 +346,9 @@ def test_a_stacked_analytic_gradient_equals_the_per_geometry_formula():
         fading = ch.FadingModel("rayleigh" if k % 2 else "unit", k)
         stack = s.positions + rng.uniform(-3.0, 3.0, size=(40, 8) + s.positions.shape)
         powers = rng.uniform(0.01, 0.1, size=(40, 8, s.n_primary))
-        stacked = ch.ChannelState(s, fading, stack)
-        bundle = connectivity_bundle(stacked, powers=powers)
-        grad = tj._analytic_gradient(bundle, stacked, powers)
+        stacked = ch.ChannelState(s, fading, stack, powers=powers)
+        bundle = connectivity_bundle(stacked)
+        grad = tj._analytic_gradient(bundle, stacked)
         for g in np.ndindex(stack.shape[:-2]):
             placed = dataclasses.replace(s, positions=stack[g], node_powers_w=powers[g])
             alone = ch.build_state(placed, fading)
@@ -412,11 +425,16 @@ def test_stacks_over_reference_states_match_states_built_alone(case, data):
                                         max_size=2 * n_refs * s.n_total)))
     stack = refs[:, None] + (rng.uniform(-1.2, 1.2, size=(n_refs, 2) + s.positions.shape)
                              * moves.reshape(n_refs, 2, s.n_total)[..., None])
-    reference = ch.ChannelState(s, fading, refs)
+    # each reference geometry at its own powers and thresholds, which the
+    # geometries over it take
+    powers = rng.uniform(0.01, 0.1, size=(n_refs, s.n_primary))
+    i_max = rng.uniform(1.0e-9, 1.0e-4, size=(n_refs, s.n_si))
+    reference = ch.ChannelState(s, fading, refs, powers=powers, i_max_w=i_max)
     stacked = ch.ChannelState(s, fading, stack, reference)
     for g in np.ndindex(stack.shape[:-2]):
-        placed = ch.build_state(dataclasses.replace(s, positions=stack[g]), fading)
-        for table in TABLES:
+        placed = ch.ChannelState(dataclasses.replace(s, positions=stack[g]), fading,
+                                 powers=powers[g[0]], i_max_w=i_max[g[0]])
+        for table in TABLES + ("powers", "i_max_w"):
             assert _same_bits(getattr(stacked, table)[g], getattr(placed, table)), (table, g)
 
 

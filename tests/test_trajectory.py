@@ -281,21 +281,24 @@ CONTEXTS = [DEFAULTS + (None,),
             (FadingModel.rayleigh(3), LaplacianMode.NORMALIZED_WEIGHTED, "rayleigh-normalized")]
 
 
-def _ascent(state, mode, powers):
+def _ascent(state, mode):
     """The input bundle and the gradient of its lambda2 (by finite differences
     in the normalized mode, where the analytic form is not its derivative)."""
-    bundle = sp.connectivity_bundle(state, mode=mode, powers=powers)
+    bundle = sp.connectivity_bundle(state, mode=mode)
     gradient_mode = (GradientMode.ANALYTIC if mode is LaplacianMode.COMBINATORIAL_WEIGHTED
                      else GradientMode.FINITE_DIFFERENCE)
-    return bundle, tj.lambda2_gradient(state, bundle, gradient_mode, powers=powers)
+    return bundle, tj.lambda2_gradient(state, bundle, gradient_mode)
 
 
-def _assert_in_context(res, state, bundle, powers):
-    """The result keeps the input's fading, and its bundle is the accepted
-    state's in the input bundle's mode and weights, at ``powers``."""
+def _assert_in_context(res, state, bundle):
+    """The result keeps the input's fading, powers and thresholds, and its
+    bundle is the accepted state's in the input bundle's mode and weights."""
     assert res.state.fading is state.fading
+    for values in ("powers", "i_max_w"):
+        assert np.array_equal(_words(getattr(res.state, values)),
+                              _words(getattr(state, values))), values
     _assert_same_bundle(res.bundle, sp.connectivity_bundle(res.state, bundle.weights,
-                                                           bundle.mode, powers))
+                                                           bundle.mode))
 
 
 @pytest.mark.parametrize("stall, fading, mode", [
@@ -305,14 +308,14 @@ def test_a_step_returns_the_bundle_of_its_accepted_geometry(stall, fading, mode)
     # the bundle of the accepted positions at the step's powers: the
     # accepted trial's, or the input one on a stall
     s = build_default_scenario(7)
-    powers = s.p_max_w * np.linspace(0.3, 1.0, s.n_primary)
-    state = build_state(s, fading)
-    bundle, grad = _ascent(state, mode, powers)
+    state = ChannelState(s, fading, powers=s.p_max_w * np.linspace(0.3, 1.0, s.n_primary),
+                         i_max_w=s.i_max_w * np.linspace(0.001, 0.01, s.n_si))
+    bundle, grad = _ascent(state, mode)
     res = tj.step(state, bundle, _downhill(grad) if stall else grad,
-                  TrajectoryConfig(dt=1.0e2, max_step_m=20.0, max_backtracks=8), powers)
+                  TrajectoryConfig(dt=1.0e2, max_step_m=20.0, max_backtracks=8))
     assert res.stalled == stall
     assert res.halvings >= 1 or mode is LaplacianMode.NORMALIZED_WEIGHTED
-    _assert_in_context(res, state, bundle, powers)
+    _assert_in_context(res, state, bundle)
 
 
 @pytest.mark.parametrize("fading, mode", [pytest.param(fading, mode, id=tag or "unit")
@@ -324,16 +327,17 @@ def test_a_batch_step_returns_the_joined_bundle_of_its_accepted_geometries(fadin
     rng = np.random.default_rng(5)
     positions = np.stack([s.positions] * 4)
     positions[1:, list(s.uav_indices)] += rng.uniform(-2.0, 2.0, (3, s.n_uavs, 3))
-    state = ChannelState(s, fading, positions)
     powers = s.p_max_w * rng.uniform(0.2, 1.0, (4, s.n_primary))
-    bundle, grads = _ascent(state, mode, powers)
+    state = ChannelState(s, fading, positions, powers=powers,
+                         i_max_w=s.i_max_w * rng.uniform(0.001, 1.0, (4, s.n_si)))
+    bundle, grads = _ascent(state, mode)
     grads = list(grads)
     grads[2] = _downhill(grads[2])
     configs = [TrajectoryConfig(dt=dt, max_step_m=20.0, max_backtracks=14)
                for dt in (1.0e2, 1.0e4, 1.0e2, 1.0)]
-    results = tj.step(state, bundle, grads, configs, powers)
+    results = tj.step(state, bundle, grads, configs)
     assert [r.stalled for r in results] == [False, False, True, False]
     if (fading, mode) == DEFAULTS:
         assert len({r.halvings for r in results}) == 4 and results[3].halvings == 0
     assert all(r.bundle is results[0].bundle for r in results)
-    _assert_in_context(results[0], state, bundle, powers)
+    _assert_in_context(results[0], state, bundle)
