@@ -23,7 +23,11 @@ working tree and on the ref, from the same generated configs:
   3 times, stalls and ends the run as stalled), and on the seed-23 config
   with every threshold at -55 dBm (``run-binding``: epsilon 1e-12, 100
   analytic iterations; a node is capped on every record and the powers
-  move on every iteration, the regime the interference caps are about);
+  move on every iteration, the regime the interference caps are about),
+  and on a config that gives its UAVs and sources by ``count``, the
+  sources drawn from a ``region_m``, with no ``node_dbm``, one ``si_dbm``
+  and one ``i_max_dbm`` number for every source and ``"topology": "line"``
+  (``run-count-based``: 50 iterations);
 - ``aerolink sweep`` (sweep.csv): the interference threshold over masks
   xy, xz, yz and xyz with ``--jobs 1`` and ``--jobs 2``, the UE altitude
   over masks xy and xyz, and a 40-iteration finite-difference threshold
@@ -91,6 +95,17 @@ def _configs(workdir: str) -> dict:
     write("binding", dict(seed23, powers=dict(
         seed23["powers"], i_max_dbm=[-55.0] * len(seed23["powers"]["i_max_dbm"])), optimizer={
         "epsilon": 1e-12, "max_iterations": 100, "trajectory": {"gradient_mode": "analytic"}}))
+    write("count-based", {
+        "schema-version": 1, "seed": SEED,
+        "nodes": {"bs": {"position_m": [0.0, 0.0, 15.0]},
+                  "ue": {"position_m": [200.0, 0.0, 25.0]},
+                  "uavs": {"count": 6, "initial_altitude_m": 35.0},
+                  "sis": {"count": 5, "region_m": {"x": [20.0, 180.0], "y": [-80.0, 80.0],
+                                                   "altitude": 15.0}}},
+        "channel": {}, "safety": {},
+        "powers": {"p_max_dbm": 20.0, "si_dbm": 30.0, "i_max_dbm": -35.0},
+        "weights": [1.0] + [1.0e-2] * 6 + [1.0], "topology": "line",
+        "optimizer": {"max_iterations": 50}})
     write("shortcut", dict(base, topology=base["topology"] + [[0, 2]]))
     write("fd-sweep", dict(base, optimizer={
         "epsilon": 1e-12, "max_iterations": 40,
@@ -115,7 +130,8 @@ def _commands(files: dict) -> list:
                     cli + ["gradcheck", "--config", files[f"default-{mode}"]], False))
     out.append(("gradcheck-shortcut", cli + ["gradcheck", "--config", files["shortcut"]],
                 False))
-    for name in ("capped", "defaults", "rayleigh", "fd-rayleigh", "stall", "binding"):
+    for name in ("capped", "defaults", "rayleigh", "fd-rayleigh", "stall", "binding",
+                 "count-based"):
         out.append((f"run-{name}", cli + ["run", "--config", files[name]], True))
     default = files[f"default-{MODES[0]}"]
     for jobs in (1, 2):

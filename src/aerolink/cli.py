@@ -53,11 +53,10 @@ def _write_json(path: str, obj) -> None:
 _CONFIG_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError)
 
 
-def _load_config(path: str, keys=scen.CONFIG_KEYS + ("optimizer",), name="config") -> dict:
-    """The JSON object in ``path``, every key in ``keys``: by default a config
-    file, a scenario config plus an optional ``optimizer`` section."""
+def _load_config(path: str):
+    """The JSON value in ``path``; ``scenario_from_config`` checks a config's keys."""
     with open(path, "r", encoding="utf-8") as fh:
-        return scen._known_keys(json.load(fh), keys, name)
+        return json.load(fh)
 
 
 def _optimizer_config(cfg: dict, mask: str | None = None) -> OptimizerConfig:
@@ -157,21 +156,19 @@ def cmd_run(config_path: str, out_dir: str,
 
 # -- sweep --------------------------------------------------------------
 
-_SWEEP_VARIABLES = ("interference_threshold_dbm", "ue_altitude_m")
-
-_SWEEP_DEFAULTS = {
-    "interference_threshold_dbm": [float(v) for v in range(-50, -9, 5)],
-    "ue_altitude_m": [float(v) for v in range(0, 501, 50)],
+# each sweep variable: the scenario update it drives, and its default values
+_SWEEPS = {
+    "interference_threshold_dbm": (scen.Scenario.with_i_max_dbm,
+                                   [float(v) for v in range(-50, -9, 5)]),
+    "ue_altitude_m": (scen.Scenario.with_ue_altitude, [float(v) for v in range(0, 501, 50)]),
 }
 
 
 def _apply_sweep_value(scenario: scen.Scenario, variable: str, value: float):
-    """``scenario`` with ``variable`` (one of ``_SWEEP_VARIABLES``) at ``value``;
-    a value that makes it invalid raises an error naming the variable and value."""
-    update = (scenario.with_i_max_dbm if variable == "interference_threshold_dbm"
-              else scenario.with_ue_altitude)
+    """``scenario`` with ``variable`` (a key of ``_SWEEPS``) at ``value``; a
+    value that makes it invalid raises an error naming the variable and value."""
     try:
-        return update(float(value))
+        return _SWEEPS[variable][0](scenario, float(value))
     except (ValueError, OverflowError) as exc:  # a huge dBm value overflows
         raise ValueError(f"{variable} = {value}: {exc}") from exc
 
@@ -188,13 +185,14 @@ def cmd_sweep(config_path: str, sweep_path: str, out_dir: str,
               seed: int | None = None, jobs: int = 1) -> int:
     try:
         cfg = _load_config(config_path)
-        spec = _load_config(sweep_path, ("variable", "values", "masks"), "sweep spec")
+        spec = scen._known_keys(_load_config(sweep_path), ("variable", "values", "masks"),
+                                "sweep spec", ("variable",))
         variable = spec["variable"]
-        if variable not in _SWEEP_VARIABLES:
+        if not isinstance(variable, str) or variable not in _SWEEPS:
             raise ValueError(f"unknown sweep variable {variable!r}; "
-                             f"expected one of {', '.join(_SWEEP_VARIABLES)}")
+                             f"expected one of {', '.join(_SWEEPS)}")
         values = [scen._json_float(v, "sweep values")
-                  for v in spec.get("values", _SWEEP_DEFAULTS[variable])]
+                  for v in spec.get("values", _SWEEPS[variable][1])]
         masks = [AxisMask.from_string(m).value for m in spec.get("masks", ["xyz"])]
         if not values:
             raise ValueError("sweep values list is empty")

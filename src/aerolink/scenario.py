@@ -5,6 +5,10 @@ a chain of relay UAVs, a user terminal, and a set of fixed interference
 sources that the relays must coexist with.  All geometry is in meters, all
 powers are watts internally (dBm at the config-file boundary), frequencies
 in Hz.
+
+``scenario_from_config`` is the one reader of a config: it states each rule
+of the format once (known and required keys, [x, y, z] triples, dBm lists,
+source regions), and ``build_default_scenario`` builds through it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ SPEED_OF_LIGHT_M_S = 3.0e8
 
 SCHEMA_VERSION = 1
 
-# the top-level keys of a scenario config; all but the first two are required
+# the top-level keys of a scenario config; all but the first two are required,
+# and a config may also carry the CLI's ``optimizer`` section
 CONFIG_KEYS = ("schema-version", "seed", "nodes", "channel", "safety", "powers", "weights",
                "topology")
 
@@ -298,18 +303,6 @@ def _node_classes(n_uavs: int, n_si: int) -> tuple:
             + (NodeClass.INTERFERENCE_SOURCE,) * n_si)
 
 
-def _drawn_sources(seed, count: int, region: dict) -> np.ndarray:
-    """``count`` sources, x and y uniform over ``region`` in one (count, 2)
-    draw from ``seed``; by default [0,200] x [-100,100] at 20 m altitude."""
-    (x_lo, x_hi), (y_lo, y_hi) = (
-        _json_float(region.get(axis, default), f"nodes.sis.region_m.{axis}", array=True)
-        for axis, default in (("x", [0.0, 200.0]), ("y", [-100.0, 100.0])))
-    alt = _json_float(region.get("altitude", 20.0), "nodes.sis.region_m.altitude")
-    rng = np.random.default_rng(seed)
-    xy = rng.uniform(low=[x_lo, y_lo], high=[x_hi, y_hi], size=(count, 2))
-    return np.column_stack([xy, np.full(count, alt)])
-
-
 def build_default_scenario(seed: int = 7,
                            ue_altitude_m: float = 25.0,
                            n_uavs: int = 8,
@@ -320,35 +313,26 @@ def build_default_scenario(seed: int = 7,
                            i_max_dbm: float = -30.0) -> Scenario:
     """Reference deployment: BS at the origin, UE 200 m away, relays in between.
 
-    UAVs start evenly spaced on the BS-UE segment at 30 m altitude.
-    Interference source positions are drawn from ``seed``: x,y uniform over
-    [0,200] x [-100,100] in one (n_si, 2) draw, all at 20 m altitude.
+    Built by ``scenario_from_config`` from a count-based config: the UAVs
+    start evenly spaced on the BS-UE segment at 30 m altitude, and the
+    interference sources are drawn from ``seed`` (x,y uniform over [0,200] x
+    [-100,100] in one (n_si, 2) draw, all at 20 m altitude).
     """
-    if n_si < 0:
-        raise ValueError("interference source count must be >= 0")
-    bs = np.array([0.0, 0.0, 15.0])
-    ue = np.array([200.0, 0.0, float(ue_altitude_m)])
-    uavs = _uavs_from_config({"count": n_uavs, "initial_altitude_m": 30.0}, bs, ue)
-    sis = _drawn_sources(seed, n_si, {})
-
-    n_primary = n_uavs + 2
-    p_max_w = dbm_to_watts(p_max_dbm)
-    weights = np.ones(n_primary)
-    weights[1:-1] = 1.0e-2
-    return Scenario(
-        classes=_node_classes(n_uavs, n_si),
-        positions=np.vstack([bs[None, :], uavs, ue[None, :], sis]),
-        node_powers_w=np.full(n_primary, p_max_w),
-        si_powers_w=np.full(n_si, dbm_to_watts(si_power_dbm)),
-        p_max_w=p_max_w,
-        i_max_w=np.full(n_si, dbm_to_watts(i_max_dbm)),
-        channel=ChannelParams(),
-        safety=SafetyParams(),
-        weights=weights,
-        topology=tuple((i, i + 1) for i in range(n_primary - 1)),
-        ue_aerial=ue_aerial,
-        seed=seed,
-    )
+    return scenario_from_config({
+        "schema-version": SCHEMA_VERSION,
+        "seed": seed,
+        "nodes": {
+            "bs": {"position_m": [0.0, 0.0, 15.0]},
+            "ue": {"position_m": [200.0, 0.0, ue_altitude_m], "aerial": ue_aerial},
+            "uavs": {"count": n_uavs, "initial_altitude_m": 30.0},
+            "sis": {"count": n_si},
+        },
+        "channel": {},
+        "safety": {},
+        "powers": {"p_max_dbm": p_max_dbm, "si_dbm": si_power_dbm, "i_max_dbm": i_max_dbm},
+        "weights": [1.0] + [1.0e-2] * n_uavs + [1.0],
+        "topology": "line",
+    })
 
 
 def validate(scenario: Scenario) -> list:
@@ -453,13 +437,17 @@ def _json_bool(value, name: str) -> bool:
     raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
-def _known_keys(section, keys, name: str) -> dict:
-    """``section``, checked to be a JSON object whose every key is in ``keys``."""
+def _known_keys(section, keys, name: str, required=()) -> dict:
+    """``section``, checked to be a JSON object whose every key is in ``keys``
+    and that has every key in ``required``."""
     if not isinstance(section, dict):
         raise ValueError(f"{name} must be a JSON object, got {section!r}")
     for key in section:
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in {name}")
+    for key in required:
+        if key not in section:
+            raise ValueError(f"{name} is missing required key {key!r}")
     return section
 
 
@@ -494,58 +482,33 @@ def _read_value(hint, value, name: str):
     return value
 
 
-def _position(section: dict, name: str) -> np.ndarray:
-    """The ``position_m`` of node section ``name``: one [x, y, z] triple."""
-    position = _json_float(section["position_m"], f"{name}.position_m", array=True)
-    if position.shape != (3,):
-        raise ValueError(f"{name}.position_m must be an [x, y, z] triple")
-    return position
+def _triples(value, name: str) -> np.ndarray:
+    """``value``, a list of [x, y, z] triples, as an (n, 3) array; a flat []
+    lists none."""
+    out = _json_float(value, name, array=True)
+    if out.shape == (0,):
+        out = out.reshape(0, 3)
+    if out.ndim != 2 or out.shape[1] != 3:
+        raise ValueError(f"{name} must be one [x, y, z] triple per node")
+    return out
 
 
-def _uavs_from_config(section: dict, bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
-    """Explicit positions, or `count` relays evenly spaced between BS and UE."""
-    _known_keys(section, ("positions_m", "count", "initial_altitude_m"), "nodes.uavs")
-    if "positions_m" in section:
-        uavs = _json_float(section["positions_m"], "nodes.uavs.positions_m", array=True)
-        if uavs.ndim != 2 or uavs.shape[1] != 3:
-            raise ValueError("uavs.positions_m must be a list of [x, y, z] triples")
-        return uavs
-    count = _json_count(section.get("count", 0), "nodes.uavs.count")
-    alt = _json_float(section.get("initial_altitude_m", 30.0), "nodes.uavs.initial_altitude_m")
-    frac = np.arange(1, count + 1) / (count + 1)
-    return np.column_stack([bs[0] + frac * (ue[0] - bs[0]),
-                            bs[1] + frac * (ue[1] - bs[1]),
-                            np.full(count, alt)])
+def _interval(value, name: str) -> np.ndarray:
+    """``value``, a finite [low, high] pair with low <= high, as an array."""
+    out = _json_float(value, name, array=True)
+    if out.shape != (2,) or not -math.inf < out[0] <= out[1] < math.inf:
+        raise ValueError(f"{name} must be a finite [low, high] pair with low <= high")
+    return out
 
 
-def _sis_from_config(section: dict, seed) -> np.ndarray:
-    """Explicit positions, or `count` sources drawn uniformly from the seed."""
-    _known_keys(section, ("positions_m", "count", "region_m"), "nodes.sis")
-    region = _known_keys(section.get("region_m", {}), ("x", "y", "altitude"),
-                         "nodes.sis.region_m")
-    if "positions_m" in section:
-        sis = _json_float(section["positions_m"], "nodes.sis.positions_m", array=True)
-        # a flat empty list is the only input the reshape may fix
-        if sis.shape != (0,) and (sis.ndim != 2 or sis.shape[1] != 3):
-            raise ValueError("sis.positions_m must be a list of [x, y, z] triples")
-        return sis.reshape(-1, 3)
-    count = _json_count(section.get("count", 0), "nodes.sis.count")
-    if count == 0:
-        return np.zeros((0, 3))
-    if seed is None:
-        raise ValueError("drawing interference sources by count needs a seed")
-    return _drawn_sources(seed, count, region)
-
-
-def _per_source_w(powers: dict, key: str, default, n_si: int, what: str) -> np.ndarray:
-    """``powers.<key>`` in watts: one dBm number for every source, or a list
-    of one per source."""
-    dbm = powers.get(key, default)
-    if np.isscalar(dbm):
-        dbm = [dbm] * n_si
-    if not isinstance(dbm, list) or len(dbm) != n_si:
-        raise ValueError(f"{key} must list one {what} per interference source")
-    return np.array([dbm_to_watts(_json_float(p, f"powers.{key}")) for p in dbm])
+def _dbm_w(value, name: str, n: int, what: str, broadcast: bool = True) -> np.ndarray:
+    """``value`` in watts: a list of ``n`` dBm numbers, one ``what``, or with
+    ``broadcast`` one dBm number for all ``n``."""
+    if broadcast and np.isscalar(value):
+        value = [value] * n
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"{name} must list one {what}")
+    return np.array([dbm_to_watts(_json_float(p, name)) for p in value])
 
 
 def scenario_to_config(scenario: Scenario) -> dict:
@@ -575,26 +538,58 @@ def scenario_to_config(scenario: Scenario) -> dict:
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
+    """The ``Scenario`` of a config; this reader states every rule of the
+    format.  The top level also takes the ``optimizer`` section the CLI reads.
+
+    Each node group is its explicit ``positions_m``, or ``count`` nodes: the
+    UAVs evenly spaced on the BS-UE segment at ``initial_altitude_m``, the
+    sources with x and y uniform over ``region_m`` in one (count, 2) draw from
+    the seed, by default [0,200] x [-100,100] at 20 m altitude.
+    """
+    _known_keys(cfg, CONFIG_KEYS + ("optimizer",), "config", CONFIG_KEYS[2:])
     version = cfg.get("schema-version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema-version {version!r}; expected {SCHEMA_VERSION}")
-    for key in CONFIG_KEYS[2:]:
-        if key not in cfg:
-            raise ValueError(f"config is missing required key {key!r}")
-
     seed = cfg.get("seed")
     if seed is not None:
         seed = _json_int(seed, "seed")
-    nodes = _known_keys(cfg["nodes"], ("bs", "ue", "uavs", "sis"), "nodes")
-    try:
-        bs = _position(_known_keys(nodes["bs"], ("position_m",), "nodes.bs"), "nodes.bs")
-        ue_section = _known_keys(nodes["ue"], ("position_m", "aerial"), "nodes.ue")
-        ue = _position(ue_section, "nodes.ue")
-        uavs = _uavs_from_config(nodes["uavs"], bs, ue)
-        sis = _sis_from_config(nodes.get("sis", {}), seed)
-        ue_aerial = _json_bool(ue_section.get("aerial", False), "nodes.ue.aerial")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed nodes section: {exc}") from exc
+
+    nodes = _known_keys(cfg["nodes"], ("bs", "ue", "uavs", "sis"), "nodes", ("bs", "ue", "uavs"))
+    bs_section = _known_keys(nodes["bs"], ("position_m",), "nodes.bs", ("position_m",))
+    ue_section = _known_keys(nodes["ue"], ("position_m", "aerial"), "nodes.ue", ("position_m",))
+    bs = _triples([bs_section["position_m"]], "nodes.bs.position_m")
+    ue = _triples([ue_section["position_m"]], "nodes.ue.position_m")
+    ue_aerial = _json_bool(ue_section.get("aerial", False), "nodes.ue.aerial")
+
+    uav_section = _known_keys(nodes["uavs"], ("positions_m", "count", "initial_altitude_m"),
+                              "nodes.uavs")
+    if "positions_m" in uav_section:
+        uavs = _triples(uav_section["positions_m"], "nodes.uavs.positions_m")
+    else:
+        count = _json_count(uav_section.get("count", 0), "nodes.uavs.count")
+        altitude = _json_float(uav_section.get("initial_altitude_m", 30.0),
+                               "nodes.uavs.initial_altitude_m")
+        frac = np.arange(1, count + 1)[:, None] / (count + 1)
+        uavs = np.column_stack([bs[0, :2] + frac * (ue[0, :2] - bs[0, :2]),
+                                np.full(count, altitude)])
+
+    si_section = _known_keys(nodes.get("sis", {}), ("positions_m", "count", "region_m"),
+                             "nodes.sis")
+    region = _known_keys(si_section.get("region_m", {}), ("x", "y", "altitude"),
+                         "nodes.sis.region_m")
+    x = _interval(region.get("x", [0.0, 200.0]), "nodes.sis.region_m.x")
+    y = _interval(region.get("y", [-100.0, 100.0]), "nodes.sis.region_m.y")
+    alt = _json_float(region.get("altitude", 20.0), "nodes.sis.region_m.altitude")
+    if "positions_m" in si_section:
+        sis = _triples(si_section["positions_m"], "nodes.sis.positions_m")
+    else:
+        count = _json_count(si_section.get("count", 0), "nodes.sis.count")
+        if count and seed is None:
+            raise ValueError("drawing interference sources by count needs a seed")
+        xy = np.zeros((0, 2))
+        if count:
+            xy = np.random.default_rng(seed).uniform([x[0], y[0]], [x[1], y[1]], (count, 2))
+        sis = np.column_stack([xy, np.full(count, alt)])
     n_uavs, n_si = uavs.shape[0], sis.shape[0]
     n_primary = n_uavs + 2
 
@@ -602,17 +597,14 @@ def scenario_from_config(cfg: dict) -> Scenario:
     safety = _read_section(SafetyParams, cfg["safety"], "safety")
 
     pw = _known_keys(cfg["powers"], ("p_max_dbm", "node_dbm", "si_dbm", "i_max_dbm"),
-                     "powers")
-    p_max_w = dbm_to_watts(_json_float(pw["p_max_dbm"], "powers.p_max_dbm"))
-    node_dbm = pw.get("node_dbm")
-    if node_dbm is None:
-        node_powers = np.full(n_primary, p_max_w)
-    else:
-        if not isinstance(node_dbm, list) or len(node_dbm) != n_primary:
-            raise ValueError("node_dbm must list one power per primary node")
-        node_powers = np.array([dbm_to_watts(_json_float(p, "powers.node_dbm")) for p in node_dbm])
-    si_powers_w = _per_source_w(pw, "si_dbm", [], n_si, "power")
-    i_max_w = _per_source_w(pw, "i_max_dbm", -30.0, n_si, "threshold")
+                     "powers", ("p_max_dbm",))
+    p_max_dbm = _json_float(pw["p_max_dbm"], "powers.p_max_dbm")
+    node_powers = _dbm_w(pw.get("node_dbm", [p_max_dbm] * n_primary), "powers.node_dbm",
+                         n_primary, "power per primary node", broadcast=False)
+    si_powers_w = _dbm_w(pw.get("si_dbm", []), "powers.si_dbm", n_si,
+                         "power per interference source")
+    i_max_w = _dbm_w(pw.get("i_max_dbm", -30.0), "powers.i_max_dbm", n_si,
+                     "threshold per interference source")
 
     weights = _json_float(cfg["weights"], "weights", array=True)
     if weights.shape != (n_primary,):
@@ -624,10 +616,10 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
     return Scenario(
         classes=_node_classes(n_uavs, n_si),
-        positions=np.vstack([bs[None, :], uavs, ue[None, :], sis]),
+        positions=np.vstack([bs, uavs, ue, sis]),
         node_powers_w=node_powers,
         si_powers_w=si_powers_w,
-        p_max_w=p_max_w,
+        p_max_w=dbm_to_watts(p_max_dbm),
         i_max_w=i_max_w,
         channel=channel,
         safety=safety,

@@ -268,6 +268,25 @@ def test_a_negative_node_count_exits_one_naming_its_key(tmp_path, capsys, keys, 
     assert not out.exists()
 
 
+# a source region axis that is no [low, high] pair with low <= high used to
+# fail with numpy's or Python's message, which names no key.  (axis, value)
+_BAD_REGIONS = [("x", [0.0]), ("x", 5.0), ("x", [200.0, 0.0]), ("y", [0.0, 1.0, 2.0])]
+
+
+@pytest.mark.parametrize("axis, value", _BAD_REGIONS,
+                         ids=[f"{axis}-{value}" for axis, value in _BAD_REGIONS])
+def test_a_malformed_source_region_exits_one_naming_its_key(tmp_path, capsys, axis, value):
+    cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
+    cfg["nodes"]["sis"] = {"count": 2, "region_m": {axis: value}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg_path), str(out)) == 1
+    # the full dotted name: "x" alone also occurs in numpy's "expected"
+    assert f"config error: nodes.sis.region_m.{axis} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("keys, value", _MISTYPED + [case[:2] for case in _MISSHAPEN]
                          + [case[:2] for case in _NEGATIVE_COUNTS],
                          ids=[".".join(keys) for keys, _ in _MISTYPED]

@@ -252,9 +252,9 @@ def test_config_count_based_generation_matches_builder():
         "topology": "line",
     }
     got = sc.scenario_from_config(cfg)
-    assert np.array_equal(got.positions, ref.positions)
-    assert np.array_equal(got.node_powers_w, ref.node_powers_w)
-    assert got.topology == ref.topology
+    # every field: layout, node and source powers, thresholds, weights,
+    # topology, ue_aerial and seed
+    assert got == ref
     assert got.channel == sc.ChannelParams()
     assert got.safety == sc.SafetyParams()
 
@@ -270,6 +270,67 @@ def test_config_rejects_missing_key():
     cfg = sc.scenario_to_config(sc.build_default_scenario())
     del cfg["powers"]
     with pytest.raises(ValueError, match="powers"):
+        sc.scenario_from_config(cfg)
+
+
+# a required key left out of a nested section used to escape as a bare
+# KeyError ("malformed nodes section: 'position_m'"); (keys, message)
+_MISSING_KEYS = [
+    (("nodes", "uavs"), "nodes is missing required key 'uavs'"),
+    (("nodes", "bs", "position_m"), "nodes.bs is missing required key 'position_m'"),
+    (("nodes", "ue", "position_m"), "nodes.ue is missing required key 'position_m'"),
+    (("powers", "p_max_dbm"), "powers is missing required key 'p_max_dbm'"),
+]
+
+
+@pytest.mark.parametrize("keys, message", _MISSING_KEYS,
+                         ids=[".".join(keys) for keys, _ in _MISSING_KEYS])
+def test_a_missing_required_key_is_named_with_its_section(keys, message):
+    cfg = sc.scenario_to_config(sc.build_default_scenario())
+    section = cfg
+    for key in keys[:-1]:
+        section = section[key]
+    del section[keys[-1]]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sc.scenario_from_config(cfg)
+
+
+def test_the_library_refuses_an_unknown_top_level_key(tmp_path):
+    # the CLI refused it; load_scenario and scenario_from_config took it.
+    # The optimizer section the CLI reads is known.
+    cfg = sc.scenario_to_config(sc.build_default_scenario())
+    cfg["optimizer"] = {"max_iterations": 3}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert sc.load_scenario(str(path)) == sc.build_default_scenario()
+    cfg["wieghts"] = [1.0]
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape("unknown key 'wieghts' in config")):
+        sc.load_scenario(str(path))
+
+
+# the builder reads its own count-based config, so its mistakes are the
+# reader's: (builder arguments, message)
+_BAD_BUILDS = [
+    ({"n_si": -1}, "nodes.sis.count must be >= 0, got -1"),
+    ({"seed": None}, "drawing interference sources by count needs a seed"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", _BAD_BUILDS,
+                         ids=["negative-sources", "unseeded-sources"])
+def test_the_builder_reports_the_readers_message(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sc.build_default_scenario(**kwargs)
+
+
+def test_an_empty_uav_list_is_no_relays():
+    cfg = sc.scenario_to_config(sc.build_default_scenario())
+    cfg["nodes"]["uavs"] = {"positions_m": []}
+    del cfg["powers"]["node_dbm"]
+    cfg["weights"] = [1.0, 1.0]
+    cfg["topology"] = "line"
+    with pytest.raises(ValueError, match="scenario must contain at least one relay UAV"):
         sc.scenario_from_config(cfg)
 
 
