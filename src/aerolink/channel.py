@@ -13,21 +13,18 @@ positions it is given (distances, gains, source interference, proximity
 terms), the transmit powers and source thresholds they are evaluated at,
 and the scenario (layout) and fading; every function here reads them from
 the state.  The rates, the Laplacian and its gradient read only the
-topology's directed links (p -> q, then q -> p of every edge), so a state
-keeps the SIR denominators, and builds the proximity-sum gradients, of
-those links only.  Each such quantity has one function of a list of pairs
-(``ChannelState._denominators``, ``ChannelState._sum_gradients``,
-``_sirs``); the full (n_primary, n_primary) tables (``sir_denominators``,
-``safety_sum_gradients``, ``sir_matrix``, ``sir_jacobian``) are that
-function applied to every pair, built only when asked for.  Each array
-keeps the association of the per-pair formula it replaces (the same masked
-1-D sums, ``(num/denom)*(dden/denom)``), so its entries equal a
-pair-at-a-time evaluation to the bit.  A state may also hold a stack of
-geometries (leading axes before the node axes), each at its own powers and
-thresholds; the functions then return one table per geometry, each equal
-to the bit to that geometry's own.  A state computes the rows of the nodes
-that differ from its reference state's geometry, or every row without a
-reference.  Every derivative is an entry of ``sir_jacobian`` or
+topology's directed links (p -> q, then q -> p of every edge; ``_links``),
+so a state keeps the SIR denominators (``link_denominators``), and builds
+the proximity-sum gradients (``link_sum_gradients``), of those links only;
+``_link_sirs`` and ``_link_jacobian`` are the SIRs and their derivatives
+over them.  Each array keeps the association of the per-pair formula it
+replaces (the same masked 1-D sums, ``(num/denom)*(dden/denom)``), so its
+entries equal a pair-at-a-time evaluation to the bit.  A state may also
+hold a stack of geometries (leading axes before the node axes), each at its
+own powers and thresholds; the functions then return one table per
+geometry, each equal to the bit to that geometry's own.  A state computes
+the rows of the nodes that differ from its reference state's geometry, or
+every row without a reference.  Every derivative is an entry of
 ``rate_jacobian``; the value lookups (``sir``, ``edge_rate``,
 ``link_gain``) compute or index the pair they are asked about and raise
 only for it.
@@ -181,10 +178,10 @@ class ChannelState:
     (``link_denominators``, in ``_links`` order); and the values it is
     evaluated at: the primary transmit powers (``powers``, (...,
     n_primary)) and the source thresholds (``i_max_w``, (..., n_si)).  The
-    gradient tables, the source gains and the tables of every ordered
-    primary pair (``sir_denominators``, ``safety_sum_gradients``) are built
-    on first use.  The link tables that do not depend on the geometry (link
-    classes, exponents, offsets and fading) are cached per node layout.
+    gradient tables (``link_sum_gradients`` among them) and the source
+    gains are built on first use.  The link tables that do not depend on the
+    geometry (link classes, exponents, offsets and fading) are cached per
+    node layout.
 
     It keeps ``scenario`` (the layout) and ``fading``, which every
     evaluation of the state reads.  ``powers`` and ``i_max_w`` are taken as
@@ -352,29 +349,7 @@ class ChannelState:
             grad += terms[..., m, :, :]
         return grad
 
-    @functools.cached_property
-    def link_sum_gradients(self) -> np.ndarray:
-        """(..., 2 * n_edges, 3): ``_sum_gradients`` of the topology's
-        directed links (see ``_links``)."""
-        return self._sum_gradients(*_links(self.scenario.topology))
-
-    @functools.cached_property
-    def safety_sum_gradients(self) -> np.ndarray:
-        """(..., n_primary, n_primary, 3): ``_sum_gradients`` of every ordered
-        primary pair, entry [i, j, axis] that of pair i -> j."""
-        n = self.scenario.n_primary
-        sums = self._sum_gradients(*_pairs(n))
-        return sums.reshape(sums.shape[:-2] + (n, n, 3))
-
-    @functools.cached_property
-    def sir_denominators(self) -> np.ndarray:
-        """(..., n_primary, n_primary): ``_denominators`` of every ordered
-        primary pair, entry [i, j] that of pair i -> j."""
-        n = self.scenario.n_primary
-        denominators = self._denominators(*_pairs(n))
-        return denominators.reshape(denominators.shape[:-1] + (n, n))
-
-    # -- one function per quantity, of any list of pairs ----------------
+    # -- proximity sums: denominators of any pairs, gradients of the links --
     # Each gathers its pairs' rows behind the leading axes and makes them
     # contiguous before summing: a gather behind leading axes is laid out
     # batch-fastest, and a strided row is summed in another order.  Every
@@ -390,10 +365,12 @@ class ChannelState:
         sums = np.ascontiguousarray(self.safety_u[..., j[:, None], self._others[i]]).sum(axis=-1)
         return self.interference_w[..., j] + self.scenario.safety.chi * sums
 
-    def _sum_gradients(self, i, j) -> np.ndarray:
-        """(..., m, 3): entry [k, axis] is the derivative of pair
-        i[k] -> j[k]'s proximity sum (over every primary node but i and j)
-        w.r.t. receiver j's coordinate."""
+    @functools.cached_property
+    def link_sum_gradients(self) -> np.ndarray:
+        """(..., 2 * n_edges, 3): entry [k, axis] is the derivative of
+        directed link k's proximity sum (over every primary node but its
+        endpoints) w.r.t. its receiver's coordinate (see ``_links``)."""
+        i, j = _links(self.scenario.topology)
         n = self.scenario.n_primary
         cols = self.positions[..., :n, :].swapaxes(-1, -2)
         # terms[axis, j, k] = S[j, k] * (r_j - r_k)[axis]
@@ -425,14 +402,16 @@ def _join(parts, count: int):
     part becomes geometry ``slots[i]``.  A part that fills every slot in
     order with its own geometries in order is returned as it is."""
     whole = list(range(count))
-    for obj, picks, slots in parts:
-        if slots == whole and picks == whole and len(obj._tables()[0]) == count:
+    # the tables of each part with geometries to give, gathered once
+    filled = [(obj, obj._tables(), picks, slots) for obj, picks, slots in parts if slots]
+    for obj, tables, picks, slots in filled:
+        if slots == whole and picks == whole and len(tables[0]) == count:
             return obj
     joined = []
-    for k, table in enumerate(parts[0][0]._tables()):
+    for k, table in enumerate(filled[0][1]):
         out = np.empty((count,) + table.shape[1:], dtype=table.dtype)
-        for obj, picks, slots in parts:
-            out[slots] = obj._tables()[k][picks]
+        for _, tables, picks, slots in filled:
+            out[slots] = tables[k][picks]
         joined.append(out)
     return parts[0][0]._with(joined)
 
@@ -479,20 +458,6 @@ def _link_sirs(state) -> np.ndarray:
     return _sirs(state, *_links(state.scenario.topology), state.link_denominators)
 
 
-def sir_matrix(state: ChannelState) -> np.ndarray:
-    """(..., n_primary, n_primary) SIR of every ordered pair at the state's
-    powers, one table per geometry of a stacked state.
-
-    Unchecked: a zero denominator gives inf or nan, and the diagonal means
-    nothing.  ``sir`` is the checked lookup of one entry.
-    """
-    n = state.scenario.n_primary
-    denominators = state.sir_denominators
-    sirs = _sirs(state, *_pairs(n),
-                 denominators.reshape(denominators.shape[:-2] + (n * n,)))
-    return sirs.reshape(sirs.shape[:-1] + (n, n))
-
-
 def _require_primary_pair(i, j, n):
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("SIR is defined between primary nodes only")
@@ -505,8 +470,9 @@ def sir(i: int, j: int, state: ChannelState) -> float:
 
     The denominator adds the received powers of every fixed interference
     source to the proximity penalty summed over all primary nodes other than
-    i and j, scaled by chi.  There is no thermal noise term; a scenario with
-    no sources and chi = 0 therefore has no defined SIR.
+    i and j, scaled by chi.  There is no thermal noise term, so a scenario
+    needs a source or chi > 0 (``scenario.validate``), and a link whose
+    proximity terms have all decayed still has no defined SIR.
     """
     _require_primary_pair(i, j, state.scenario.n_primary)
     pair = np.array([i]), np.array([j])
@@ -526,13 +492,6 @@ def _links(edges: tuple) -> tuple:
     every edge in order, then q -> p (read-only)."""
     p, q = _endpoints(edges)
     return _read_only(np.concatenate([p, q]), np.concatenate([q, p]))
-
-
-@functools.lru_cache(maxsize=64)
-def _pairs(n: int) -> tuple:
-    """Transmitters and receivers of all n * n ordered pairs of n nodes, row
-    by row, the pairs i -> i included (read-only)."""
-    return _read_only(*np.divmod(np.arange(n * n), n))
 
 
 def _read_only(*arrays) -> tuple:
@@ -575,13 +534,16 @@ def _require_edge(i, j, scenario):
         raise ValueError(f"({i}, {j}) is not a topology edge")
 
 
-def _pair_jacobian(state, i, j, denominators, sum_gradients) -> np.ndarray:
-    """(..., m, n_uavs, 3): d sir(i[k], j[k]) / d(UAV coordinate) for m
-    ordered pairs with i[k] != j[k], one table per geometry of a stacked
-    state, from the pairs' (..., m) SIR ``denominators`` and a function
-    giving their (..., m, 3) proximity-sum gradients (called with chi > 0
-    only).  Each entry is the per-pair formula's, with its association."""
+def _link_jacobian(state) -> np.ndarray:
+    """(..., 2 * n_edges, n_uavs, 3): d sir / d(UAV coordinate) of the
+    topology's directed links (see ``_links``), unchecked, one table per
+    geometry of a stacked state.  Each entry is
+    dnum/denom - (num/denom)*(dden/denom) with the per-pair formula's
+    association, including its ``0.0 +`` start of the denominator
+    derivative (which turns a -0.0 term into +0.0); with chi > 0 the
+    proximity penalty gives a third-party UAV a nonzero derivative."""
     sc, st = state.scenario, state
+    i, j = _links(sc.topology)
     n = sc.n_primary
     lead = st.dist.shape[:-2]
     pair = np.arange(len(i))
@@ -605,35 +567,15 @@ def _pair_jacobian(state, i, j, denominators, sum_gradients) -> np.ndarray:
         dden = np.zeros(lead + (len(i), n, 3))
     own = 0.0 + st.si_interference_grad[..., j, :]
     if chi != 0.0:
-        own = own + chi * sum_gradients()
+        own = own + chi * st.link_sum_gradients
     dden[..., pair, j, :] = own
     dden[..., pair, i, :] = 0.0
 
-    denom = denominators[..., None, None]
+    denom = st.link_denominators[..., None, None]
     num = (st.powers[..., i] * gain)[..., None, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = dnum / denom - (num / denom) * (dden / denom)
     return g[..., list(sc.uav_indices), :]
-
-
-def sir_jacobian(state: ChannelState) -> np.ndarray:
-    """(..., n_primary, n_primary, n_uavs, 3): d sir(i, j) / d(UAV coordinate)
-    at the state's powers, one table per geometry of a stacked state; the
-    diagonal is zero.
-
-    Unchecked like ``sir_matrix``; with chi > 0 the proximity penalty gives
-    a third-party UAV a nonzero derivative.  Each entry is
-    dnum/denom - (num/denom)*(dden/denom) with the per-pair formula's
-    association, including its ``0.0 +`` start of the denominator
-    derivative (which turns a -0.0 term into +0.0).
-    """
-    n = state.scenario.n_primary
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    g = _pair_jacobian(state, i, j, state._denominators(i, j),
-                       lambda: state._sum_gradients(i, j))
-    out = np.zeros(g.shape[:-3] + (n, n) + g.shape[-2:])
-    out[..., i, j, :, :] = g
-    return out
 
 
 def rate_jacobian(state: ChannelState) -> np.ndarray:
@@ -642,8 +584,7 @@ def rate_jacobian(state: ChannelState) -> np.ndarray:
     directed SIRs), at the state's powers, one table per geometry of a
     stacked state."""
     sirs = _checked(_link_sirs(state))
-    g = _pair_jacobian(state, *_links(state.scenario.topology),
-                       state.link_denominators, lambda: state.link_sum_gradients)
+    g = _link_jacobian(state)
     m = sirs.shape[-1] // 2
     b = state.scenario.channel.bandwidth_hz
     return b / (2.0 * LN2) * (g[..., :m, :, :] / (1.0 + sirs[..., :m])[..., None, None]

@@ -95,7 +95,7 @@ def _evaluate(state, mode, bundle=None):
     state's already."""
     if bundle is None:
         bundle = connectivity_bundle(state, mode=mode)
-    flows = _chain_flow(bundle.matrices.adjacency).reshape(-1).tolist()
+    flows = _chain_flow(bundle.rates).reshape(-1).tolist()
     report = verify_interference(state)
     return bundle, flows, report
 

@@ -84,13 +84,12 @@ def _require_chain(topology: tuple, n_primary: int) -> None:
         raise ValueError("max-min power solve expects a chain topology")
 
 
-def _chain_flow(adjacency: np.ndarray) -> np.ndarray:
-    """Max s-d flow over a chain's (..., n, n) rate matrix: the smallest
-    edge rate (the superdiagonal holds them in chain order), 0.0 below
-    ``flow.CAPACITY_FLOOR``, which ``flow.max_flow`` finds along the chain's
-    one augmenting path.  The caller has checked that the topology is a
-    chain (``_require_chain``)."""
-    bottleneck = np.diagonal(adjacency, 1, -2, -1).min(axis=-1)
+def _chain_flow(rates: np.ndarray) -> np.ndarray:
+    """Max s-d flow over a chain's (..., n_edges) edge rates, in any edge
+    order: the smallest rate, 0.0 below ``flow.CAPACITY_FLOOR``, which
+    ``flow.max_flow`` finds along the chain's one augmenting path.  The
+    caller has checked that the topology is a chain (``_require_chain``)."""
+    bottleneck = rates.min(axis=-1)
     return np.where(bottleneck < CAPACITY_FLOOR, 0.0, bottleneck)
 
 

@@ -374,6 +374,9 @@ def validate(scenario: Scenario) -> list:
         errs.append("interference source powers must be positive and finite")
     if not np.all(np.isfinite(scenario.i_max_w)) or np.any(scenario.i_max_w <= 0.0):
         errs.append("interference thresholds must be positive and finite")
+    if scenario.n_si == 0 and scenario.safety.chi == 0.0:
+        # no thermal noise term: every SIR denominator would be zero
+        errs.append("a scenario without interference sources needs chi > 0")
 
     w = scenario.weights
     if not np.all(np.isfinite(w)):

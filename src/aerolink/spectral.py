@@ -10,9 +10,10 @@ The matrix chain (``build_matrices``, ``GraphMatrices.from_adjacency``,
 ``weighted_laplacian``, ``eig_sym``) also takes stacks with leading axes.
 ``connectivity_bundle`` is the one pass that turns a (stacked)
 ``ChannelState`` into rate matrices, weighted Laplacians and their spectra
-(one batched ``eigh``), at the state's powers; ``lambda2_stack`` is that
-pass over a stack of positions, under a reference state's scenario, fading,
-powers and thresholds.
+(one batched ``eigh``), at the state's powers; of these its bundle keeps
+what the run reads, the edge rates and the Fiedler data.  ``lambda2_stack``
+is that pass over a stack of positions, under a reference state's scenario,
+fading, powers and thresholds.
 
 Which checks run where: ``from_adjacency``, ``eig_sym`` and
 ``fiedler_pair`` check every input they are given, for outside callers.
@@ -172,10 +173,10 @@ def fiedler_pair(weighted_lap: np.ndarray) -> FiedlerResult:
 
 @dataclass(frozen=True)
 class LaplacianBundle:
-    """Everything the trajectory step needs from one spectral evaluation."""
+    """Everything the run reads from one spectral evaluation: the edge rates
+    (in topology order) and the Fiedler data of their weighted Laplacian."""
 
-    matrices: GraphMatrices
-    weighted_laplacian: np.ndarray
+    rates: np.ndarray
     mode: LaplacianMode
     weights: np.ndarray
     lambda2: float
@@ -190,17 +191,14 @@ class LaplacianBundle:
         return self._with([_unstacked(np.asarray(table)[index]) for table in self._tables()])
 
     def _tables(self) -> tuple:
-        """The per-geometry fields, the matrices first."""
-        m = self.matrices
-        return (m.adjacency, m.degree, m.laplacian, self.weighted_laplacian, self.lambda2,
-                self.fiedler, self.spectral_gap, self.degenerate)
+        """The per-geometry fields, the rates first."""
+        return (self.rates, self.lambda2, self.fiedler, self.spectral_gap, self.degenerate)
 
     def _with(self, tables) -> "LaplacianBundle":
         """This bundle with its per-geometry fields replaced, in ``_tables`` order."""
-        adjacency, degree, laplacian, lw, lam2, fiedler, gap, degenerate = tables
-        return dataclasses.replace(
-            self, matrices=GraphMatrices(adjacency, degree, laplacian), weighted_laplacian=lw,
-            lambda2=lam2, fiedler=fiedler, spectral_gap=gap, degenerate=degenerate)
+        rates, lam2, fiedler, gap, degenerate = tables
+        return dataclasses.replace(self, rates=rates, lambda2=lam2, fiedler=fiedler,
+                                   spectral_gap=gap, degenerate=degenerate)
 
 
 def connectivity_bundle(state: ChannelState,
@@ -208,17 +206,17 @@ def connectivity_bundle(state: ChannelState,
                         mode: LaplacianMode = LaplacianMode.COMBINATORIAL_WEIGHTED
                         ) -> LaplacianBundle:
     """The spectral data of a state's geometry at its powers, with
-    ``weights`` (default: the scenario's).  A
-    stacked state gives one bundle whose per-geometry fields (matrices,
-    lambda2, Fiedler vectors, gaps, flags) carry its leading axes, each
-    entry equal to the bit to that geometry's own."""
+    ``weights`` (default: the scenario's).  A stacked state gives one bundle
+    whose per-geometry fields (rates, lambda2, Fiedler vectors, gaps, flags)
+    carry its leading axes, each entry equal to the bit to that geometry's
+    own.  The rates are the rate matrix's entries at the edges, the values
+    ``build_matrices`` placed there."""
     w = state.scenario.weights if weights is None else np.asarray(weights, dtype=float)
     matrices = build_matrices(state)
-    lw = weighted_laplacian(matrices, w, mode)
-    fr = fiedler_pair(lw)
+    fr = fiedler_pair(weighted_laplacian(matrices, w, mode))
+    p, q = _endpoints(state.scenario.topology)
     return LaplacianBundle(
-        matrices=matrices,
-        weighted_laplacian=lw,
+        rates=matrices.adjacency[..., p, q],
         mode=mode,
         weights=w,
         lambda2=fr.lambda2,

@@ -8,8 +8,8 @@ sums, so a test can compare the arrays against an independent evaluation
 with ``np.array_equal``.  Each function reads its tables from the given
 state and its powers from the given scenario.  ``_resolve_wrt`` is a
 verbatim copy of the check the library's scalar derivative lookups made
-before they were deleted in favour of ``sir_jacobian`` and
-``rate_jacobian``.
+before they were deleted in favour of the array derivatives
+(``rate_jacobian`` and the link table it is built from).
 """
 
 import numpy as np
@@ -138,30 +138,6 @@ def analytic_gradient(scenario, bundle, state):
 
 
 # -- whole-scenario tables built from the scalar functions ------------------
-
-
-def sir_table(scenario, state):
-    n = scenario.n_primary
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                out[i, j] = sir(i, j, scenario, state=state)
-    return out
-
-
-def sir_gradient_table(scenario, state):
-    n = scenario.n_primary
-    uavs = scenario.uav_indices
-    out = np.zeros((n, n, len(uavs), 3))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for u, t in enumerate(uavs):
-                    for c in range(3):
-                        out[i, j, u, c] = sir_spatial_gradient(i, j, (t, c), scenario,
-                                                               state=state)
-    return out
 
 
 def edge_rate_table(scenario, state):

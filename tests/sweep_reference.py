@@ -25,7 +25,7 @@ from aerolink.flow import from_adjacency, max_flow
 from aerolink.optimizer import IterationRecord, RunHistory, TerminationReason
 from aerolink.power import power_caps, verify_interference
 from aerolink.scenario import validate
-from aerolink.spectral import LaplacianMode, connectivity_bundle
+from aerolink.spectral import LaplacianMode, build_matrices, connectivity_bundle
 from aerolink.trajectory import GradientField, GradientMode, StepResult
 
 
@@ -89,7 +89,7 @@ def step(scenario, gradient, config, fading, laplacian_mode, bundle, state):
 def _evaluate(scenario, config):
     state = build_state(scenario, config.fading)
     bundle = connectivity_bundle(state, mode=config.laplacian_mode)
-    net = from_adjacency(bundle.matrices, scenario.source, scenario.destination)
+    net = from_adjacency(build_matrices(state), scenario.source, scenario.destination)
     value, _ = max_flow(net)
     report = verify_interference(state)
     return bundle, value, report, state

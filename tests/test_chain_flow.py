@@ -89,8 +89,12 @@ def test_the_bottleneck_rule_is_max_flow_on_random_chains():
     for n in range(2, 9):
         stack = np.stack([_chain_capacities(rng, n) for _ in range(40)])
         expected = [max_flow(from_adjacency(a, 0, n - 1))[0] for a in stack]
-        assert _same_words(_chain_flow(stack), expected)
-        assert _same_words([_chain_flow(a) for a in stack], expected)
+        # the edge rates in chain order, and in any other order
+        rates = np.diagonal(stack, 1, -2, -1)
+        shuffled = rates[..., rng.permutation(n - 1)]
+        assert _same_words(_chain_flow(rates), expected)
+        assert _same_words(_chain_flow(shuffled), expected)
+        assert _same_words([_chain_flow(r) for r in rates], expected)
         assert 0.0 in expected
 
 

@@ -10,6 +10,7 @@ import pytest
 from aerolink import channel as ch
 from aerolink import scenario as sc
 from conftest import make_line_scenario
+from test_channel_arrays import _link_index
 
 
 def _free_space_db(carrier_hz=2.0e9):
@@ -187,11 +188,12 @@ def test_smoothed_step_slope_matches_fd():
 
 
 def test_sir_zero_denominator_is_an_error():
+    # no sources and chi = 0 leaves every denominator zero: the scenario is
+    # refused where it is built, before any SIR is asked for
     s = make_line_scenario(np.random.default_rng(5), n_uavs=2, n_si=0, chi=1.0,
                            jitter=False)
-    s = dataclasses.replace(s, safety=sc.SafetyParams(chi=0.0))
-    with pytest.raises(ValueError, match="zero SIR denominator"):
-        ch.sir(0, 1, ch.build_state(s))
+    with pytest.raises(ValueError, match="without interference sources needs chi > 0"):
+        dataclasses.replace(s, safety=sc.SafetyParams(chi=0.0))
 
 
 def test_sir_underflowed_denominator_is_the_same_error():
@@ -264,8 +266,8 @@ def test_edge_rate_unit_sir_gives_full_bandwidth():
     st = ch.build_state(s)
     i, j = 0, 1
     p = s.node_powers_w.copy()
-    p[i] = st.sir_denominators[i, j] / st.gain_sq[i, j]
-    p[j] = st.sir_denominators[j, i] / st.gain_sq[j, i]
+    p[i] = st.link_denominators[_link_index(s, i, j)] / st.gain_sq[i, j]
+    p[j] = st.link_denominators[_link_index(s, j, i)] / st.gain_sq[j, i]
     s = s.with_node_powers(p)
     assert ch.sir(i, j, ch.build_state(s)) == pytest.approx(1.0, rel=1e-12)
     assert ch.sir(j, i, ch.build_state(s)) == pytest.approx(1.0, rel=1e-12)
@@ -292,8 +294,9 @@ def test_edge_rate_rejects_non_edges():
 
 
 # -- spatial gradients -------------------------------------------------------
-# every derivative is an entry of ``sir_jacobian`` (pair, pair, UAV slot,
-# axis) or ``rate_jacobian`` (edge in topology order, UAV slot, axis)
+# every derivative is an entry of ``_link_jacobian`` (directed link in
+# ``_links`` order, UAV slot, axis) or ``rate_jacobian`` (edge in topology
+# order, UAV slot, axis)
 
 
 def _slot(s, t):
@@ -315,15 +318,15 @@ def _fd_sir(i, j, t, axis, s, h=1e-4):
 def test_sir_gradient_zero_for_uninvolved_uav_without_safety():
     s = make_line_scenario(np.random.default_rng(14), n_uavs=3, n_si=2, chi=0.0)
     # uav 3 appears nowhere in sir(1, 2) once the proximity term is off
-    jac = ch.sir_jacobian(ch.build_state(s))
-    assert np.all(jac[1, 2, _slot(s, 3)] == 0.0)
+    jac = ch._link_jacobian(ch.build_state(s))
+    assert np.all(jac[_link_index(s, 1, 2), _slot(s, 3)] == 0.0)
 
 
 def test_sir_gradient_sign_moving_toward_receiver():
     s = make_line_scenario(np.random.default_rng(15), n_uavs=2, n_si=1, chi=0.0,
                            jitter=False)
     # transmitter uav1 at smaller x than receiver uav2: moving +x shrinks d
-    g = ch.sir_jacobian(ch.build_state(s))[1, 2, _slot(s, 1), 0]
+    g = ch._link_jacobian(ch.build_state(s))[_link_index(s, 1, 2), _slot(s, 1), 0]
     assert g > 0.0
 
 
@@ -335,7 +338,7 @@ def test_sir_gradient_matches_finite_differences():
         s = make_line_scenario(rng)
         st = ch.build_state(s)
         i, j = s.topology[int(rng.integers(0, len(s.topology)))]
-        got = ch.sir_jacobian(st)[i, j]
+        got = ch._link_jacobian(st)[_link_index(s, i, j)]
         ref = np.array([[_fd_sir(i, j, t, axis, s, h=h)
                          for axis in range(3)] for t in s.uav_indices])
         # the FD oracle itself carries roundoff of order ulp(SIR)/2h, which

@@ -21,15 +21,36 @@ def _same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _link_index(s, i, j):
+    """The index of directed link i -> j in ``ch._links`` order."""
+    transmitters, receivers = ch._links(s.topology)
+    return int(np.flatnonzero((transmitters == i) & (receivers == j))[0])
+
+
+def _assert_links_match_reference(s, state):
+    """The tables a single-geometry state keeps per directed link, and the
+    SIRs and their derivatives over them, entry by entry against the
+    reference; ``s`` carries the state's positions and powers."""
+    links = list(zip(*(k.tolist() for k in ch._links(s.topology))))
+    assert _same_bits(state.link_denominators,
+                      [ref.sir_denominator(state, i, j) for i, j in links])
+    assert _same_bits(ch._link_sirs(state), [ref.sir(i, j, s, state=state) for i, j in links])
+    assert _same_bits(state.link_sum_gradients,
+                      [[ref.safety_sum_gradient(state, i, j, axis) for axis in range(3)]
+                       for i, j in links])
+    assert _same_bits(ch._link_jacobian(state),
+                      [[[ref.sir_spatial_gradient(i, j, (t, axis), s, state=state)
+                         for axis in range(3)] for t in s.uav_indices] for i, j in links])
+
+
 def _assert_core_matches_reference(s, state):
-    off = ~np.eye(s.n_primary, dtype=bool)
-    denominators = np.array([[ref.sir_denominator(state, i, j) if i != j else 0.0
-                              for j in range(s.n_primary)] for i in range(s.n_primary)])
-    assert _same_bits(state.sir_denominators[off], denominators[off])
-    assert _same_bits(ch.sir_matrix(state)[off], ref.sir_table(s, state)[off])
-    assert _same_bits(ch.sir_jacobian(state)[off], ref.sir_gradient_table(s, state)[off])
+    _assert_links_match_reference(s, state)
     assert _same_bits(ch.edge_rates(state), ref.edge_rate_table(s, state))
     assert _same_bits(ch.rate_jacobian(state), ref.rate_gradient_table(s, state))
+    for i in range(s.n_primary):
+        for j in range(s.n_primary):
+            if i != j:
+                assert _same_bits(ch.sir(i, j, state), ref.sir(i, j, s, state=state)), (i, j)
 
 
 @pytest.mark.parametrize("chi", [0.0, 1.0])
@@ -52,10 +73,9 @@ def test_proximity_sum_gradients_are_bit_identical():
     for _ in range(6):
         s = make_line_scenario(rng, chi=1.0)
         state = ch.build_state(s)
-        n = s.n_primary
-        expected = np.array([[[ref.safety_sum_gradient(state, i, j, axis)
-                               for axis in range(3)] for j in range(n)] for i in range(n)])
-        assert _same_bits(state.safety_sum_gradients, expected)
+        expected = [[ref.safety_sum_gradient(state, i, j, axis) for axis in range(3)]
+                    for i, j in zip(*ch._links(s.topology))]
+        assert _same_bits(state.link_sum_gradients, expected)
 
 
 def test_rates_use_the_passed_scenario_powers():
@@ -83,16 +103,17 @@ def _split_pairs_scenario():
 def test_scalar_lookups_raise_only_for_the_pair_asked_about():
     s = _split_pairs_scenario()
     state = ch.build_state(s)
-    assert state.sir_denominators[0, 1] == 0.0 and state.sir_denominators[1, 2] > 0.0
+    dead, healthy = _link_index(s, 0, 1), _link_index(s, 1, 2)
+    assert state.link_denominators[dead] == 0.0 and state.link_denominators[healthy] > 0.0
     for fn in (ch.edge_rates, ch.rate_jacobian):
         with pytest.raises(ValueError, match="zero SIR denominator"):
             fn(state)
     assert ch.sir(1, 2, state) == ref.sir(1, 2, s, state=state)
     assert ch.edge_rate(1, 2, state) == ref.edge_rate(1, 2, s, state=state)
-    # the unchecked derivative table still has the healthy pair's entries
-    jac = ch.sir_jacobian(state)
+    # the unchecked derivative table still has the healthy link's entries
+    jac = ch._link_jacobian(state)[_link_index(s, 2, 1)]
     for t, axis in ((1, 0), (2, 2)):
-        assert (jac[2, 1, s.uav_indices.index(t), axis]
+        assert (jac[s.uav_indices.index(t), axis]
                 == ref.sir_spatial_gradient(2, 1, (t, axis), s, state=state))
 
 
@@ -211,12 +232,13 @@ def test_decayed_proximity_only_geometry_raises_the_same_error(spacing, n_uavs, 
     # the derivative table is unchecked: where the reference rejects an
     # exactly zero denominator its entry is not finite, and a denormal one
     # overflows to inf or nan in both paths
-    entry = ch.sir_jacobian(state)[q, p, s.uav_indices.index(t), 1]
+    link = _link_index(s, q, p)
+    entry = ch._link_jacobian(state)[link, s.uav_indices.index(t), 1]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             expected = ref.sir_spatial_gradient(q, p, (t, 1), s, state=state)
     except ValueError:
-        assert state.sir_denominators[q, p] == 0.0 and not np.isfinite(entry)
+        assert state.link_denominators[link] == 0.0 and not np.isfinite(entry)
     else:
         assert np.array_equal(entry, expected, equal_nan=True)
     for fn in (ch.edge_rates, ch.rate_jacobian):

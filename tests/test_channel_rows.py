@@ -13,9 +13,9 @@ from aerolink import channel as ch
 from aerolink.scenario import ChannelParams, build_default_scenario, partition
 from aerolink.spectral import LaplacianMode
 from conftest import make_line_scenario
-from test_channel_arrays import _same_bits, deployments
+from test_channel_arrays import _assert_links_match_reference, _same_bits, deployments
 
-TABLES = ("dist", "gain_sq", "interference_w", "safety_u", "sir_denominators")
+TABLES = ("dist", "gain_sq", "interference_w", "safety_u", "link_denominators")
 
 
 def _assert_every_geometry_matches(s, fading, stack):
@@ -133,7 +133,7 @@ def test_the_fd_stack_computes_proximity_rows_only(monkeypatch):
     assert 0 < sum(sizes) <= n * n + n_bumps * n
 
 
-GRADIENT_TABLES = ("si_interference_grad", "safety_sum_gradients")
+GRADIENT_TABLES = ("si_interference_grad", "link_sum_gradients")
 
 
 def _assert_override_matches_a_moved_scenario(s, fading, positions):
@@ -144,7 +144,7 @@ def _assert_override_matches_a_moved_scenario(s, fading, positions):
     alone = ch.build_state(moved, fading)
     for table in TABLES + GRADIENT_TABLES:
         assert _same_bits(getattr(over, table), getattr(alone, table)), table
-    assert _same_bits(ch.sir_jacobian(over), ch.sir_jacobian(alone))
+    assert _same_bits(ch._link_jacobian(over), ch._link_jacobian(alone))
     assert _same_bits(ch.rate_jacobian(over), ch.rate_jacobian(alone))
 
 
@@ -173,19 +173,25 @@ def test_a_state_over_any_moved_geometry_has_its_gradient_tables(case, data):
 # ------------------------------------------------- the chain's directed links
 
 
-def _assert_links_are_full_table_entries(state):
-    # the tables a state keeps per directed link, and the SIRs over them,
-    # are the link entries of the full tables built on demand, to the bit
-    i, j = ch._links(state.scenario.topology)
-    assert _same_bits(state.link_denominators, state.sir_denominators[..., i, j])
-    assert _same_bits(ch._link_sirs(state), ch.sir_matrix(state)[..., i, j])
-    assert _same_bits(state.link_sum_gradients, state.safety_sum_gradients[..., i, j, :])
+def _assert_links_match_the_reference(state):
+    # the tables a state keeps per directed link, and the SIRs and their
+    # derivatives over them, are, geometry by geometry, those of a state
+    # built for the geometry alone, which match the per-pair reference
+    for g in np.ndindex(state.positions.shape[:-2]):
+        placed = dataclasses.replace(state.scenario, positions=state.positions[g],
+                                     node_powers_w=state.powers[g])
+        alone = ch.build_state(placed, state.fading)
+        _assert_links_match_reference(placed, alone)
+        for table in (lambda st: st.link_denominators, ch._link_sirs,
+                      lambda st: st.link_sum_gradients, ch._link_jacobian):
+            assert _same_bits(table(state)[g], table(alone)), g
 
 
 @pytest.mark.parametrize("fading_kind", ["unit", "rayleigh"])
 @pytest.mark.parametrize("chi, n_si", [(0.0, None), (1.0, None), (1.0, 0)])
 def test_link_tables_are_the_link_entries_of_the_full_tables(fading_kind, chi, n_si):
-    # lone, stacked and over a reference; with chi = 0, and without sources
+    # the full tables are the per-pair reference's, entry by entry; lone,
+    # stacked and over a reference; with chi = 0, and without sources
     rng = np.random.default_rng(73)
     for k in range(4):
         s = make_line_scenario(rng, n_uavs=5 + k, chi=chi, n_si=n_si, jitter=k % 2 == 0)
@@ -200,7 +206,7 @@ def test_link_tables_are_the_link_entries_of_the_full_tables(fading_kind, chi, n
         for state in (lone, ch.ChannelState(s, fading, stack),
                       ch.ChannelState(s, fading, _fd_stack(s, 0.25), lone),
                       ch.ChannelState(s, fading, stack, ch.ChannelState(s, fading, stack[:, 0]))):
-            _assert_links_are_full_table_entries(state)
+            _assert_links_match_the_reference(state)
 
 
 def test_a_state_over_a_reference_refuses_a_node_moved_onto_another():
@@ -218,4 +224,4 @@ def test_a_state_over_a_reference_refuses_a_node_moved_onto_another():
             ch.ChannelState(s, reference.fading, stack, reference)
     fine = ch.ChannelState(s, reference.fading, np.stack([s.positions, s.positions + 0.5]),
                            reference)
-    _assert_links_are_full_table_entries(fine)
+    _assert_links_match_the_reference(fine)

@@ -305,6 +305,82 @@ def test_mistyped_or_unknown_config_key_exits_one(tmp_path, capsys, keys, value)
     assert not out.exists()
 
 
+# a value out of its range, a list of the wrong length, a section that is no
+# object: each a config error with its own message.  (keys, value, id, message)
+_OUT_OF_RANGE = [
+    (("safety", "kappa"), 0.0, "kappa-zero", "kappa must be positive"),
+    (("channel", "carrier_hz"), 0.0, "carrier-zero", "carrier frequency must be positive"),
+    (("channel", "alpha_a2a"), 0.5, "alpha-below-one", "path loss exponent must be >= 1"),
+    (("weights",), [1.0, 1.0], "two-weights", "weights must list one value per primary node"),
+    (("safety",), [1, 2], "safety-list", "safety must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("keys, value, message", [(k, v, m) for k, v, _, m in _OUT_OF_RANGE],
+                         ids=[case[2] for case in _OUT_OF_RANGE])
+def test_an_out_of_range_config_value_exits_one_with_its_message(tmp_path, capsys, keys, value,
+                                                                  message):
+    cfg = scenario_to_config(build_default_scenario(n_uavs=3, n_si=2))
+    cfg["optimizer"] = {"epsilon": 200.0, "max_iterations": 3}
+    _set_key(cfg, keys, value)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cmd_run(str(cfg_path), str(out)) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_integral_float_seed_runs_as_that_seed(tmp_path):
+    outputs = []
+    for seed in (7, 7.0):
+        cfg = scenario_to_config(build_default_scenario(seed=7, n_uavs=3, n_si=2))
+        cfg["seed"] = seed
+        cfg["optimizer"] = {"epsilon": 200.0, "max_iterations": 3}
+        cfg_path = tmp_path / f"config-{seed!r}.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / f"out-{seed!r}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("history.csv", "summary.json", "trajectory.json")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][1])["seed"] == 7
+
+
+def _sourceless_config(path, **safety):
+    cfg = scenario_to_config(build_default_scenario(n_si=0))
+    cfg["safety"].update(safety)
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["run", "gradcheck"])
+def test_a_config_without_sources_or_proximity_term_exits_one(tmp_path, capsys, command):
+    # no sources and chi = 0 leave every SIR denominator zero in any
+    # geometry: refused at load, not after the run has started
+    cfg_path = tmp_path / "config.json"
+    _sourceless_config(cfg_path, chi=0.0)
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", str(cfg_path)] + args) == 1
+    assert ("config error: invalid scenario: a scenario without interference sources "
+            "needs chi > 0") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_proximity_term_that_decays_mid_run_exits_two(tmp_path, capsys):
+    # without sources a steep proximity step (kappa 50) decays once the
+    # ascent spreads the chain: the geometry, not the config, is at fault, so
+    # the config loads, the gradient at the start checks out, and the run
+    # fails where its denominators vanish
+    cfg_path = tmp_path / "config.json"
+    _sourceless_config(cfg_path, kappa=50.0)
+    assert main(["gradcheck", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "run failed: zero SIR denominator" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_fails_a_sweep(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     _write_config(cfg_path, max_iteration=10)

@@ -52,9 +52,9 @@ def test_every_stacked_layer_equals_the_single_geometry_one(fading_kind):
         for g in np.ndindex(stack.shape[:-2]):
             alone = dataclasses.replace(s, positions=stack[g])
             state = ch.build_state(alone, fading)
-            for table in ("dist", "gain_sq", "interference_w", "safety_u", "sir_denominators"):
+            for table in ("dist", "gain_sq", "interference_w", "safety_u", "link_denominators"):
                 assert _same_bits(getattr(stacked, table)[g], getattr(state, table)), table
-            assert _same_bits(ch.sir_matrix(stacked)[g], ch.sir_matrix(state))
+            assert _same_bits(ch._link_sirs(stacked)[g], ch._link_sirs(state))
             assert _same_bits(ch.edge_rates(stacked)[g], ch.edge_rates(state))
             own = build_matrices(state)
             for field in ("adjacency", "degree", "laplacian"):

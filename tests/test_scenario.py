@@ -128,6 +128,10 @@ _BROKEN_RULES = [
      "UAV weights must lie in (0, 1]"),
     ("unreachable", lambda s: dataclasses.replace(s, topology=s.topology[:-1]),
      "destination unreachable over the topology"),
+    ("no-sources-and-no-proximity",
+     lambda s: dataclasses.replace(sc.build_default_scenario(n_si=0),
+                                   safety=sc.SafetyParams(chi=0.0)),
+     "a scenario without interference sources needs chi > 0"),
 ]
 
 

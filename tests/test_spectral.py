@@ -291,7 +291,10 @@ def test_connectivity_bundle_is_consistent():
         m = sp.build_matrices(st)
         lw = sp.weighted_laplacian(m, s.weights, mode)
         fr = sp.fiedler_pair(lw)
-        assert np.array_equal(b.weighted_laplacian, lw)
+        p, q = ch._endpoints(s.topology)
+        assert np.array_equal(b.rates, m.adjacency[p, q])
+        assert np.array_equal(b.rates, ch.edge_rates(st))
+        assert np.array_equal(b.fiedler, fr.vector)
         assert b.lambda2 == fr.lambda2
         assert b.spectral_gap == fr.spectral_gap
         assert b.degenerate == fr.degenerate
@@ -304,8 +307,10 @@ def test_connectivity_bundle_weight_override():
     w = np.ones(s.n_primary)
     st = ch.build_state(s)
     b = sp.connectivity_bundle(st, weights=w)
-    m = sp.build_matrices(st)
-    assert np.array_equal(b.weighted_laplacian, m.laplacian)
+    fr = sp.fiedler_pair(sp.build_matrices(st).laplacian)
+    assert np.array_equal(b.weights, w)
+    assert b.lambda2 == fr.lambda2
+    assert np.array_equal(b.fiedler, fr.vector)
 
 
 # ------------------------------------------------------------------ Cheeger

@@ -329,9 +329,9 @@ def test_stacked_gradient_tables_equal_each_geometry_alone(fading_kind):
                                     powers=powers[g])
             if s.n_si:
                 assert _same_bits(alone.si_interference_grad, _einsum_interference_grad(alone))
-            for table in ("safety_slope", "si_interference_grad", "safety_sum_gradients"):
+            for table in ("safety_slope", "si_interference_grad", "link_sum_gradients"):
                 assert _same_bits(getattr(stacked, table)[g], getattr(alone, table)), table
-            assert _same_bits(ch.sir_jacobian(stacked)[g], ch.sir_jacobian(alone))
+            assert _same_bits(ch._link_jacobian(stacked)[g], ch._link_jacobian(alone))
             assert _same_bits(ch.rate_jacobian(stacked)[g], ch.rate_jacobian(alone))
             assert _same_bits(ch.edge_rates(stacked)[g], ch.edge_rates(alone))
 
@@ -359,7 +359,7 @@ def test_a_stacked_analytic_gradient_equals_the_per_geometry_formula():
 # -------------------------------------------- states over a reference state
 
 
-TABLES = ("dist", "gain_sq", "interference_w", "safety_u", "sir_denominators")
+TABLES = ("dist", "gain_sq", "interference_w", "safety_u", "link_denominators")
 
 
 def _rows_computed(monkeypatch):
@@ -442,14 +442,16 @@ def test_stacks_over_reference_states_match_states_built_alone(case, data):
 
 
 def _checked_sirs_per_edge(edges, state):
-    # the check pair by pair: both directions of each edge, in edge order
-    sirs = ch.sir_matrix(state)
-    finite = np.isfinite(sirs).all(axis=tuple(range(sirs.ndim - 2)))
+    # the check pair by pair: both directions of each edge, in edge order;
+    # the SIRs of every geometry, one pair at a time, in ``_links`` order
+    sirs = {}
     for p, q in edges:
         for i, j in ((p, q), (q, p)):
-            if not finite[i, j]:
+            pair = np.array([i]), np.array([j])
+            sirs[i, j] = ch._sirs(state, *pair, state._denominators(*pair))[..., 0]
+            if not np.isfinite(sirs[i, j]).all():
                 raise ValueError(ch._ZERO_DENOMINATOR)
-    return sirs
+    return np.stack([sirs[i, j] for i, j in zip(*ch._links(edges))], axis=-1)
 
 
 def _checked_link_sirs(state):
@@ -471,7 +473,6 @@ def test_a_stacked_check_raises_what_the_lone_check_raises():
     half = s.positions.copy()
     half[n - 1] = [2000.0, 0.0, 30.0]           # only the last edge dies
     fading = ch.FadingModel.unit_gain()
-    i, j = ch._links(s.topology)
     for geometries in ((s.positions, decayed), (half, s.positions),
                        (s.positions, s.positions), (decayed,), (half,)):
         stacked = ch.ChannelState(s, fading, np.stack(geometries))
@@ -486,4 +487,4 @@ def test_a_stacked_check_raises_what_the_lone_check_raises():
             assert len(failed) != 1 or new == failed[0]
         else:
             assert not failed
-            assert _same_words(new, old[..., i, j])
+            assert _same_words(new, old)
