@@ -337,17 +337,15 @@ class ChannelState:
         sc = self.scenario
         n = sc.n_primary
         si = list(sc.si_indices)
-        grad = np.zeros(self.positions.shape[:-2] + (n, 3))
         pos = self.positions
         d = self.dist[..., si, :n]
         coeff = (sc.si_powers_w[:, None] * (-self.alpha[si, :n])
                  * self.gain_sq[..., si, :n] / d ** 2)
         terms = coeff[..., None] * (pos[..., None, :n, :] - pos[..., si, None, :])
-        # summed source by source from zero, in source order: the order of
-        # the einsum("mj,mjc->jc") this replaces, pinned for every geometry
-        for m in range(len(si)):
-            grad += terms[..., m, :, :]
-        return grad
+        # summed source by source from +0.0, in source order (a reduction
+        # over an outer axis adds whole slices in order): the order of the
+        # einsum("mj,mjc->jc") this replaces, pinned for every geometry
+        return np.add.reduce(terms, axis=-3, initial=0.0)
 
     # -- proximity sums: denominators of any pairs, gradients of the links --
     # Each gathers its pairs' rows behind the leading axes and makes them

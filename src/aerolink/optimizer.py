@@ -18,7 +18,13 @@ evaluates its stack again.
 The loop carries one ``ChannelState`` (each point's positions, powers and
 thresholds), not a ``Scenario`` per iteration.  It runs a batch of points
 sharing one layout in lockstep, each table with a leading point axis; a
-lone run is the batch of one.
+lone run is the batch of one.  Points that are equal to the bit in their
+positions, powers and trajectory config (a threshold sweep's points while
+no cap binds) get one gradient and one step per iteration, computed for the
+group's first point and handed to each member, which then keeps its own
+thresholds; allocation, evaluation, records and termination stay per point.
+That key must cover everything the gradient and the step read (see
+``_groups``).
 """
 
 from __future__ import annotations
@@ -116,6 +122,36 @@ def _append(records, ids, t, state, evaluated, modes, stalls):
             gradient_mode=mode, stalled=stalled, degenerate=degenerate))
 
 
+def _groups(state, config_ids) -> tuple:
+    """The groups of a batch's equal points: (first, inverse), the first
+    point of each group and each point's group, or (None, None) when every
+    point is its own group (a lone point always is).
+
+    Points are equal when their positions, powers and trajectory configs
+    (``config_ids``, one number per distinct config) are equal to the bit.
+    This key must cover everything ``lambda2_gradient`` and ``step`` read of
+    a point: the state's tables and the bundle are functions of its
+    positions and powers (the rest of their inputs is the batch's shared
+    layout), so equal points get equal gradients and steps.  The step
+    carries the thresholds but never reads them; a step that did would need
+    them in the key."""
+    count = len(config_ids)
+    if count == 1:
+        return None, None
+    rows = np.concatenate([state.positions.reshape(count, -1), state.powers,
+                           config_ids[:, None]], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+    groups, first, inverse = {}, [], []
+    for k, key in enumerate(keys):
+        if key not in groups:
+            groups[key] = len(first)
+            first.append(k)
+        inverse.append(groups[key])
+    if len(first) == count:
+        return None, None
+    return first, inverse
+
+
 def _shared(scenario: Scenario, config: OptimizerConfig) -> tuple:
     """What the points of a batch must have in common."""
     return (scenario.classes, scenario.channel, scenario.safety, scenario.topology,
@@ -141,6 +177,11 @@ def run(scenario, config: OptimizerConfig | None = None):
     gradient mode and finite-difference step; positions, thresholds and
     every other config field are their own.  A batch in which a point fails
     raises what the first failing point raises alone.
+
+    Each iteration, points whose positions, powers and trajectory configs
+    are equal to the bit share one gradient and one step, which read
+    nothing else of a point; a lone run, or a batch with no equal points,
+    steps every point as it is.
     """
     if isinstance(scenario, Scenario):
         return _lockstep([scenario], [config or OptimizerConfig()])[0]
@@ -189,6 +230,8 @@ def _lockstep(scenarios, configs) -> list:
     epsilon = np.array([c.epsilon for c in configs])
     budget = np.array([c.max_iterations for c in configs])
     trajectories = tuple(c.trajectory for c in configs)
+    numbers = {}                             # one small number per distinct trajectory config
+    config_ids = np.array([numbers.setdefault(c, len(numbers)) for c in trajectories], dtype=float)
     terminations = [TerminationReason.MAX_ITERATIONS] * count
     stop = np.zeros(count, dtype=bool)       # stalled with an unchanged flow
     t = 0
@@ -208,13 +251,27 @@ def _lockstep(scenarios, configs) -> list:
             # finished points drop out of every stack
             state, bundle = state._select(live), bundle.take(live)
             ids, r_prev2, r_prev1, last = ids[live], r_prev2[live], r_prev1[live], last[live]
-            epsilon, budget = epsilon[live], budget[live]
+            epsilon, budget, config_ids = epsilon[live], budget[live], config_ids[live]
             trajectories = tuple(c for c, keep in zip(trajectories, live) if keep)
 
-        grads = lambda2_gradient(state, bundle, gradient_mode=trajectory.gradient_mode,
+        # equal points step once, as their group's first point
+        first, inverse = _groups(state, config_ids)
+        heads, head_bundle, head_configs = state, bundle, trajectories
+        if first is not None:
+            heads, head_bundle = state._select(first), bundle.take(first)
+            head_configs = tuple(trajectories[k] for k in first)
+        grads = lambda2_gradient(heads, head_bundle, gradient_mode=trajectory.gradient_mode,
                                  fd_step_m=trajectory.fd_step_m)
-        moved = step(state, bundle, grads, trajectories)
-        state, bundle = moved[0].state, moved[0].bundle
+        moved = step(heads, head_bundle, grads, head_configs)
+        modes, stalls = [g.mode_used for g in grads], [m.stalled for m in moved]
+        if first is None:
+            state, bundle = moved[0].state, moved[0].bundle
+        else:
+            # each point takes its group's results, at its own thresholds
+            i_max_w = state.i_max_w
+            state, bundle = moved[0].state._select(inverse), moved[0].bundle.take(inverse)
+            state.i_max_w = i_max_w
+            modes, stalls = [modes[g] for g in inverse], [stalls[g] for g in inverse]
 
         _, _, powers = _allocation(state)
         # the step's state and bundle are at the step's powers: the record
@@ -222,8 +279,7 @@ def _lockstep(scenarios, configs) -> list:
         if not np.array_equal(powers.view(np.uint64), state.powers.view(np.uint64)):
             state, bundle = state._at(powers), None
         evaluated = _evaluate(state, mode, bundle)
-        stalls = [m.stalled for m in moved]
-        _append(records, ids, t, state, evaluated, [g.mode_used for g in grads], stalls)
+        _append(records, ids, t, state, evaluated, modes, stalls)
         flows = np.array(evaluated[1])
         stop = np.array(stalls) & (flows == last)
         r_prev2, r_prev1, last = r_prev1, flows, flows

@@ -91,7 +91,6 @@ def _analytic_gradient(bundle: LaplacianBundle, state: ChannelState) -> np.ndarr
     stacked state and bundle."""
     y = bundle.fiedler / np.sqrt(bundle.weights)
     jac = rate_jacobian(state)
-    grad = np.zeros(jac.shape[:-3] + (state.scenario.n_uavs, 3))
     p, q = _endpoints(state.scenario.topology)
     gaps = y[..., p] - y[..., q]
     # squared one by one with C pow, as a scalar ``** 2`` squares: an array's
@@ -101,12 +100,11 @@ def _analytic_gradient(bundle: LaplacianBundle, state: ChannelState) -> np.ndarr
         terms = coeffs[..., None, None] * jac
     # an edge whose coefficient is zero adds +0.0, which leaves the sum's
     # bits as they are (a sum started at +0.0 is never -0.0), as skipping
-    # it does; then edge by edge in topology order, so each coordinate sums
-    # its terms in the same order as a per-coordinate loop would
+    # it does; then edge by edge in topology order from +0.0, so each
+    # coordinate sums its terms in the same order as a per-coordinate loop
+    # would (a reduction over an outer axis adds whole slices in order)
     terms[coeffs == 0.0] = 0.0
-    for e in range(len(p)):
-        grad += terms[..., e, :, :]
-    return grad
+    return np.add.reduce(terms, axis=-3, initial=0.0)
 
 
 def _fd_gradients(state: ChannelState, weights, mode, h: float) -> np.ndarray:

@@ -379,6 +379,15 @@ def test_a_proximity_term_that_decays_mid_run_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "run failed: zero SIR denominator" in capsys.readouterr().err
     assert not out.exists()
+    # a sweep fails the same way, in this process or in its workers
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variable": "ue_altitude_m", "values": [25.0, 50.0]}),
+                    encoding="utf-8")
+    for jobs in ("1", "2"):
+        assert main(["sweep", "--config", str(cfg_path), "--sweep", str(spec),
+                     "--out", str(out), "--jobs", jobs]) == 2
+        assert "sweep failed: zero SIR denominator" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_config_key_fails_a_sweep(tmp_path, capsys):

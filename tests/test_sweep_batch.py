@@ -119,6 +119,65 @@ def test_a_stalling_point_drops_out_of_the_batch():
         _assert_same_history(new, ref.run(sc, c))
 
 
+def _stepped_stacks(monkeypatch):
+    """The number of geometries each of the optimizer's steps is given."""
+    sizes = []
+    stepped = opt.step
+
+    def recording(state, *args):
+        sizes.append(len(state.positions))
+        return stepped(state, *args)
+
+    monkeypatch.setattr(opt, "step", recording)
+    return sizes
+
+
+def _equal_points(case):
+    """A batch in which some points share their positions, powers and
+    trajectory config on some iterations, and differ elsewhere."""
+    s7, s23 = build_default_scenario(7), build_default_scenario(23)
+    config = OptimizerConfig(epsilon=1e-12, max_iterations=8)
+    if case == "twice":
+        return [s7, s7], [config] * 2
+    if case == "binding":
+        # at -55 dBm a cap binds, at -30 dBm none does: the points share their
+        # first step, then their powers part, and their geometries with them
+        return [s23.with_i_max_dbm(v) for v in (-55.0, -30.0, -30.0, -55.0)], [config] * 4
+    if case == "masks":
+        # no cap binds at either threshold: the points of one mask stay equal,
+        # and xz and yz, which move the same nodes from the same start, do not
+        points = [(v, m) for v in (-45.0, -30.0) for m in (AxisMask.XZ, AxisMask.YZ)]
+        return ([s7.with_i_max_dbm(v) for v, _ in points],
+                [OptimizerConfig(epsilon=1e-12, max_iterations=8,
+                                 trajectory=TrajectoryConfig(mask=m)) for _, m in points])
+    points = [(v, m) for v in (-50.0, -30.0, -10.0) for m in (AxisMask.XY, AxisMask.XYZ)]
+    return ([s7.with_i_max_dbm(v) for v, _ in points],
+            [OptimizerConfig(epsilon=1e-12, max_iterations=4,
+                             trajectory=TrajectoryConfig(
+                                 mask=m, gradient_mode=GradientMode.FINITE_DIFFERENCE))
+             for _, m in points])
+
+
+@pytest.mark.parametrize("case", ["twice", "binding", "masks", "finite-difference"])
+def test_a_batch_with_equal_points_equals_each_point_alone(case, monkeypatch):
+    scenarios, configs = _equal_points(case)
+    lone = [run(sc, c) for sc, c in zip(scenarios, configs)]
+    sizes = _stepped_stacks(monkeypatch)
+    batch = run(scenarios, configs)
+    # equal points stepped as one geometry
+    assert min(sizes) < len(scenarios)
+    for new, old in zip(batch, lone):
+        _assert_same_history(new, old)
+
+
+def test_copies_of_one_point_step_one_geometry_per_iteration(monkeypatch):
+    sizes = _stepped_stacks(monkeypatch)
+    batch = run([build_default_scenario(7)] * 5, OptimizerConfig(epsilon=1e-12, max_iterations=12))
+    assert sizes == [1] * 12
+    for history in batch[1:]:
+        _assert_same_history(history, batch[0])
+
+
 @pytest.mark.parametrize("mode", list(LaplacianMode))
 def test_normalized_and_combinatorial_batches_equal_lone_runs(mode):
     s = build_default_scenario(7)
@@ -354,6 +413,35 @@ def test_a_stacked_analytic_gradient_equals_the_per_geometry_formula():
             alone = ch.build_state(placed, fading)
             own = connectivity_bundle(alone)
             assert _same_bits(grad[g], ref._analytic_gradient(placed, own, alone)), g
+
+
+def test_an_outer_axis_sum_adds_its_slices_in_order_from_zero():
+    # ``_analytic_gradient`` (over edges) and ``si_interference_grad`` (over
+    # sources) sum axis -3 with one reduction started at +0.0: to the bit the
+    # loop that adds slice after slice onto zeros, signed zeros included
+    rng = np.random.default_rng(29)
+    reordered = []
+    for lead in [(), (1,), (7,), (3, 4)]:
+        for count in (1, 2, 5, 9):
+            shape = lead + (count, 6, 3)
+            jac = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+            jac[rng.random(shape) < 0.2] = -0.0
+            jac[..., 0, 0] = -0.0
+            coeffs = rng.standard_normal(lead + (count,)) ** 2
+            coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
+            terms = coeffs[..., None, None] * jac
+            terms[coeffs == 0.0] = 0.0
+            loop = np.zeros(lead + (6, 3))
+            for e in range(count):
+                loop += terms[..., e, :, :]
+            summed = np.add.reduce(terms, axis=-3, initial=0.0)
+            assert _same_bits(summed, loop), (lead, count)
+            # a column of -0.0 terms sums to +0.0, as the loop's does
+            assert _same_words(summed[..., 0, 0], np.zeros(lead))
+            reordered.append(_same_bits(np.add.reduce(terms[..., ::-1, :, :], axis=-3,
+                                                      initial=0.0), loop))
+    # the terms span enough magnitudes that another order shows
+    assert not all(reordered)
 
 
 # -------------------------------------------- states over a reference state
